@@ -175,11 +175,11 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
 
     cfg.pages_dir.mkdir(parents=True, exist_ok=True)
     lines = []
-    outputs = []
     for record, page_class in result.entries:
         body_path = cfg.pages_dir / (url_digest(record.url) + ".body")
         store.atomic_write_bytes(body_path, record.body)
-        outputs.append(body_path)
+        # the fetch already hashed exactly these bytes; no need to read them back
+        manifest.output_digests[str(body_path)] = record.body_digest
         lines.append(json.dumps({
             "url": record.url,
             "status": record.status,
@@ -188,8 +188,7 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
             "class": page_class.label,
         }, ensure_ascii=False))
     store.write_jsonl(cfg.crawl_manifest, lines)
-    outputs.append(cfg.crawl_manifest)
-    manifest.output_digests.update(_digests(outputs))
+    manifest.output_digests.update(_digests([cfg.crawl_manifest]))
     manifest.counts.update(result.stats)
 
 

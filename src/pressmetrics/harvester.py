@@ -23,8 +23,8 @@ from urllib.parse import urljoin
 
 import requests
 
-from .pagescan import scan_page
-from .urls import canonicalize_url, normalize_fold, under_fold, url_host, url_path
+from .pagescan import PageScan, scan_page
+from .urls import canonicalize_url, normalize_fold, strip_scheme, url_host, url_path
 
 
 class ScopeViolation(Exception):
@@ -66,7 +66,9 @@ class CrawlScope:
         return canonicalize_url("https://" + self.seed_path)
 
     def contains(self, canonical: str) -> bool:
-        return url_host(canonical) in self.allowed_hosts and under_fold(canonical, self.seed_path)
+        # seed_path was normalized once in __post_init__; match against it as is
+        return (url_host(canonical) in self.allowed_hosts
+                and strip_scheme(canonical).startswith(self.seed_path))
 
 
 @dataclass
@@ -275,9 +277,10 @@ def fetch_page(url, scope, fetcher, limiter=None, clock=None, retries: int = 3) 
     raise FetchRetryError(canonical, retries, last_error)
 
 
-def expand_frontier(record: FetchRecord, scope: CrawlScope, seen: set[str],
+def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[str],
                     stats: dict | None = None) -> list[str]:
-    """New in-scope canonical URLs linked from a fetched page.
+    """New in-scope canonical URLs linked from the page at ``page_url``,
+    given that page's scan.
 
     Non-hypertext payloads expand to nothing. Output preserves document
     order, is duplicate-free, and excludes everything in ``seen``;
@@ -285,14 +288,13 @@ def expand_frontier(record: FetchRecord, scope: CrawlScope, seen: set[str],
     """
     if stats is None:
         stats = {}
-    scan = scan_page(record.body)
     if not scan.is_html:
         return []
     out: list[str] = []
     emitted: set[str] = set()
     for href in scan.anchors:
         try:
-            canonical = canonicalize_url(urljoin(record.url, href.strip()))
+            canonical = canonicalize_url(urljoin(page_url, href.strip()))
         except ValueError:
             stats["malformed_links"] = stats.get("malformed_links", 0) + 1
             continue
@@ -312,13 +314,18 @@ _SERVER_MESSAGE = re.compile(
 )
 
 
-def classify_page(body: bytes) -> PageClass:
-    """Press-release content iff the machine-readable metadata block is
-    present (date and type fields); otherwise non-content with the
-    best-matching reason."""
-    if not body or not body.strip():
+def classify_page(scan: PageScan, status: int = 200) -> PageClass:
+    """Press-release content iff the response succeeded (2xx) and the
+    machine-readable metadata block is present (date and type fields);
+    otherwise non-content with the best-matching reason.
+
+    An empty payload is ``empty`` whatever the status; any other non-2xx
+    payload is a ``server_message``, even when it carries the metadata block.
+    """
+    if scan.empty:
         return PageClass.non_content(NonContentReason.EMPTY)
-    scan = scan_page(body)
+    if not 200 <= status < 300:
+        return PageClass.non_content(NonContentReason.SERVER_MESSAGE)
     if scan.xml_root in ("urlset", "sitemapindex"):
         return PageClass.non_content(NonContentReason.SITEMAP)
     if scan.meta.get("date") and scan.meta.get("type"):
@@ -343,6 +350,8 @@ def crawl(scope: CrawlScope, fetcher, clock=None, limiter=None, retries: int = 3
     The frontier seeds from the fold root; only press-release pages and the
     other in-scope documents they link (directly or transitively) are
     visited. Failed URLs land in ``failures`` and never produce records.
+    Each payload is scanned once; classification and frontier expansion
+    share that scan.
     """
     clock = clock or SystemClock()
     if limiter is None:
@@ -358,10 +367,11 @@ def crawl(scope: CrawlScope, fetcher, clock=None, limiter=None, retries: int = 3
         except FetchRetryError as err:
             result.failures.append((url, err.attempts))
             continue
-        page_class = classify_page(record.body)
+        scan = scan_page(record.body)
+        page_class = classify_page(scan, record.status)
         result.entries.append((record, page_class))
         if record.ok:
-            for new_url in expand_frontier(record, scope, seen, stats=result.stats):
+            for new_url in expand_frontier(record.url, scan, scope, seen, stats=result.stats):
                 seen.add(new_url)
                 frontier.append(new_url)
     result.stats["fetched"] = len(result.entries)

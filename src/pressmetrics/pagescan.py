@@ -1,6 +1,10 @@
 """Single-pass HTML scan used by page classification, link discovery, and
 metadata extraction. Built on html.parser so malformed markup degrades to
-"whatever was recoverable" instead of raising."""
+"whatever was recoverable" instead of raising.
+
+Each stage scans a page body once and hands the resulting PageScan to every
+consumer: the crawl to classification and frontier expansion, the parse to
+metadata and DOI extraction."""
 
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ class PageScan:
     text: str = ""
     xml_root: str | None = None
     is_html: bool = False
+    empty: bool = False  # the payload was empty or whitespace-only
 
 
 class _Scanner(HTMLParser):
@@ -72,9 +77,9 @@ class _Scanner(HTMLParser):
 
 def scan_page(body: bytes) -> PageScan:
     """Scan a raw payload; bytes are decoded as UTF-8 with replacement."""
-    scan = PageScan()
     if not body or not body.strip():
-        return scan
+        return PageScan(empty=True)
+    scan = PageScan()
     m = _XML_ROOT.match(body.lstrip())
     if m:
         scan.xml_root = m.group(1).decode("ascii", "replace").lower()

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from urllib.parse import unquote
 
-from .pagescan import scan_page
+from .pagescan import PageScan, scan_page
 from .urls import release_id_from_url
 
 PLATFORM_LAUNCH_YEAR = 1996
@@ -127,14 +127,14 @@ def _split_list(raw: str, sep: str) -> list[str]:
     return [part.strip() for part in raw.split(sep) if part.strip()]
 
 
-def extract_metadata(body: bytes) -> MetadataRecord:
-    """Read the metadata block of a press-release page.
+def extract_metadata(scan: PageScan) -> MetadataRecord:
+    """Read the metadata block of a scanned press-release page.
 
     date and type are structural: their absence (or an unparseable value)
     raises ParseError. Optional fields (funder, journal, meeting) come back
     empty when absent; a missing or unrecognized region maps to unknown.
     """
-    meta = scan_page(body).meta
+    meta = scan.meta
     raw_date = meta.get("date", "")
     if not raw_date:
         raise ParseError("date")
@@ -221,9 +221,10 @@ def _candidates_from_text(text: str) -> list[tuple[str, Repair]]:
     return found
 
 
-def extract_dois(body: bytes, description: str = "", rewrites=(), unshorten=None,
+def extract_dois(scan: PageScan, description: str = "", rewrites=(), unshorten=None,
                  stats: dict | None = None) -> list[DoiRef]:
-    """All DOIs mentioned in a page: hyperlink targets plus visible text.
+    """All DOIs mentioned in a scanned page: hyperlink targets plus visible
+    text.
 
     Duplicates collapse on the normalized value, keeping the least-repaired
     variant. ``rewrites`` is a sequence of (find, replace) regex pairs for
@@ -233,7 +234,6 @@ def extract_dois(body: bytes, description: str = "", rewrites=(), unshorten=None
     """
     if stats is None:
         stats = {}
-    scan = scan_page(body)
     candidates: list[tuple[str, Repair]] = []
     for href in scan.anchors:
         href = href.strip()
@@ -324,9 +324,12 @@ def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:
 
 def parse_release(canonical_url: str, body: bytes, rewrite_table=(), unshorten=None,
                   stats: dict | None = None) -> PressRelease:
-    metadata = extract_metadata(body)
+    """Parse one press-release payload; the body is scanned once and the
+    scan feeds both metadata and DOI extraction."""
+    scan = scan_page(body)
+    metadata = extract_metadata(scan)
     rewrites = rewrites_for_journals(rewrite_table, metadata.journal) if rewrite_table else ()
-    dois = extract_dois(body, metadata.description, rewrites=rewrites,
+    dois = extract_dois(scan, metadata.description, rewrites=rewrites,
                         unshorten=unshorten, stats=stats)
     return PressRelease(
         id=release_id_from_url(canonical_url),

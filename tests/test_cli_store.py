@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from pressmetrics import cli, store
+from pressmetrics import cli, harvester, pagescan, release_parser, store
+from pressmetrics.urls import url_digest
 
 FOLD = "www.eksci.test/releases/"
 
@@ -114,12 +115,17 @@ class TestPipelineOutputs:
             assert tuple(entry) == ("url", "status", "digest", "fetched_at", "class")
 
     def test_content_store_one_file_per_record(self, completed_run):
-        from pressmetrics.urls import url_digest
         cfg, _ = completed_run
         entries = list(store.read_jsonl(cfg.crawl_manifest))
         assert len(entries) == 62
         for entry in entries:
             assert (cfg.pages_dir / (url_digest(entry["url"]) + ".body")).exists()
+
+    def test_crawl_digests_match_stored_files(self, completed_run):
+        cfg, manifests = completed_run
+        digests = manifests["crawl"].output_digests
+        stored = sorted(cfg.pages_dir.glob("*.body")) + [cfg.crawl_manifest]
+        assert digests == {str(p): store.file_digest(p) for p in stored}
 
     def test_report_files_present(self, completed_run):
         cfg, _ = completed_run
@@ -182,6 +188,33 @@ class TestPipelineOutputs:
         assert summary["annual_output"] == 49
         assert summary["date_anomalous_excluded_from_series"] == 1
         assert summary["backlink_window_start"] == "2015-09-01"
+
+
+class TestOneScanPerPage:
+    def test_crawl_and_parse_scan_each_page_once(self, tmp_path, fixtures_dir, monkeypatch):
+        scanned: list[bytes] = []
+
+        def counting_scan(body):
+            scanned.append(body)
+            return pagescan.scan_page(body)
+
+        monkeypatch.setattr(harvester, "scan_page", counting_scan)
+        monkeypatch.setattr(release_parser, "scan_page", counting_scan)
+        cfg = fixture_config(tmp_path, fixtures_dir)
+
+        cli.run("crawl", cfg)
+        entries = list(store.read_jsonl(cfg.crawl_manifest))
+        bodies = {e["url"]: (cfg.pages_dir / (url_digest(e["url"]) + ".body")).read_bytes()
+                  for e in entries}
+        assert len(scanned) == len(entries)
+        assert sorted(b for b in scanned if b.strip()) == sorted(
+            b for b in bodies.values() if b.strip())
+
+        scanned.clear()
+        cli.run("parse", cfg)
+        press = [bodies[e["url"]] for e in entries if e["class"] == "press_release"]
+        assert len(press) == 50
+        assert sorted(scanned) == sorted(press)
 
 
 class TestDailyGranularity:

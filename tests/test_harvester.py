@@ -7,7 +7,6 @@ import oracle
 from pressmetrics.harvester import (
     CrawlScope,
     DirectoryFetcher,
-    FetchRecord,
     FetchRetryError,
     HttpFetcher,
     NonContentReason,
@@ -21,6 +20,7 @@ from pressmetrics.harvester import (
     expand_frontier,
     fetch_page,
 )
+from pressmetrics.pagescan import scan_page
 
 # sha256 of the 12-byte payload b"hello world\n", computed with a standalone
 # script before the build
@@ -136,10 +136,6 @@ def test_non_success_status_recorded_not_raised():
     assert record.status == 404 and record.body == b""
 
 
-def _record(url: str, body: bytes) -> FetchRecord:
-    return FetchRecord(url=url, status=200, body_digest="", fetched_at=None, body=body)
-
-
 def test_expand_frontier_scope_seen_and_dedup():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
     body = b"""<html><body>
@@ -151,17 +147,18 @@ def test_expand_frontier_scope_seen_and_dedup():
     </body></html>"""
     seen = {"https://h.test/fold/c.html"}
     stats = {}
-    out = expand_frontier(_record("https://h.test/fold/", body), scope, seen, stats)
+    out = expand_frontier("https://h.test/fold/", scan_page(body), scope, seen, stats)
     assert out == ["https://h.test/fold/a.html", "https://h.test/fold/b.html"]
     assert stats["offscope_links"] == 2
 
 
 def test_expand_frontier_no_anchors_and_duplicates():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
-    assert expand_frontier(_record("https://h.test/fold/", b"<html><p>none</p></html>"), scope, set()) == []
-    assert expand_frontier(_record("https://h.test/fold/", b"not html at all"), scope, set()) == []
+    assert expand_frontier("https://h.test/fold/", scan_page(b"<html><p>none</p></html>"),
+                           scope, set()) == []
+    assert expand_frontier("https://h.test/fold/", scan_page(b"not html at all"), scope, set()) == []
     twice = b'<html><a href="a.html">1</a><a href="a.html">2</a></html>'
-    assert expand_frontier(_record("https://h.test/fold/", twice), scope, set()) == [
+    assert expand_frontier("https://h.test/fold/", scan_page(twice), scope, set()) == [
         "https://h.test/fold/a.html"]
 
 
@@ -169,7 +166,7 @@ def test_expand_frontier_counts_malformed():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
     body = b'<html><a href="mailto:x@y.z">m</a><a href="a.html">ok</a></html>'
     stats = {}
-    out = expand_frontier(_record("https://h.test/fold/", body), scope, set(), stats)
+    out = expand_frontier("https://h.test/fold/", scan_page(body), scope, set(), stats)
     assert out == ["https://h.test/fold/a.html"]
     assert stats["malformed_links"] == 1
 
@@ -192,19 +189,48 @@ def test_classify_press_release_page(corpus, crawl_result, truth):
     (b'<html><body><form action="/s"><input name="q"></form></body></html>',
      NonContentReason.FORM),
     (b"just some plain text", NonContentReason.OTHER),
+    (b"<!-- only a comment -->", NonContentReason.OTHER),
 ])
 def test_classify_non_content(body, reason):
-    page_class = classify_page(body)
+    page_class = classify_page(scan_page(body))
     assert not page_class.press_release
     assert page_class.reason is reason
 
 
 def test_classify_requires_date_and_type():
     no_type = b'<html><head><meta name="date" content="2020-01-01"></head></html>'
-    assert not classify_page(no_type).press_release
+    assert not classify_page(scan_page(no_type)).press_release
     both = (b'<html><head><meta name="date" content="2020-01-01">'
             b'<meta name="type" content="Research"></head></html>')
-    assert classify_page(both).press_release
+    assert classify_page(scan_page(both)).press_release
+
+
+class _StatusFetcher:
+    def __init__(self, pages: dict[str, tuple[int, bytes]]):
+        self.pages = pages
+
+    def fetch(self, url):
+        return self.pages.get(url, (404, b""))
+
+
+def test_crawl_non_success_page_is_never_press_release():
+    press_body = (b'<html><head><meta name="date" content="2020-01-01">'
+                  b'<meta name="type" content="Research"></head><body>moved</body></html>')
+    fetcher = _StatusFetcher({
+        "https://h.test/fold/": (200, b'<html><a href="gone.html">1</a>'
+                                      b'<a href="down.html">2</a><a href="dead.html">3</a></html>'),
+        "https://h.test/fold/gone.html": (404, press_body),
+        "https://h.test/fold/down.html": (503, press_body),
+    })
+    result = crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher, clock=VirtualClock())
+    labels = {record.url: page_class.label for record, page_class in result.entries}
+    assert labels == {
+        "https://h.test/fold/": "other",
+        "https://h.test/fold/gone.html": "server_message",
+        "https://h.test/fold/down.html": "server_message",
+        "https://h.test/fold/dead.html": "empty",
+    }
+    assert result.stats["press_releases"] == 0
 
 
 def test_page_class_variant_exclusive():

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
+from pressmetrics.pagescan import scan_page
 from pressmetrics.release_parser import (
     ParseError,
     PressType,
@@ -36,7 +37,7 @@ FULL_HEAD = """
 
 class TestExtractMetadata:
     def test_fields_verbatim(self):
-        md = extract_metadata(page(FULL_HEAD))
+        md = extract_metadata(scan_page(page(FULL_HEAD)))
         assert md.type is PressType.RESEARCH
         assert md.region is Region.EUROPE
         assert md.keywords == ["cancer", "medicine/health", "genetics"]
@@ -44,78 +45,84 @@ class TestExtractMetadata:
         assert md.institution == "Bergstrom Clinic"  # whitespace folded
 
     def test_optional_fields_absent(self):
-        md = extract_metadata(page(FULL_HEAD))
+        md = extract_metadata(scan_page(page(FULL_HEAD)))
         assert md.funder == "" and md.meeting == "" and md.journal == []
 
     def test_type_case_folding(self):
-        md = extract_metadata(page(FULL_HEAD.replace('content="Research"', 'content="RESEARCH"')))
+        md = extract_metadata(
+            scan_page(page(FULL_HEAD.replace('content="Research"', 'content="RESEARCH"'))))
         assert md.type is PressType.RESEARCH
 
     def test_unknown_region_maps_to_unknown(self):
-        md = extract_metadata(page(FULL_HEAD.replace('content="Europe"', 'content="Atlantis"')))
+        md = extract_metadata(
+            scan_page(page(FULL_HEAD.replace('content="Europe"', 'content="Atlantis"'))))
         assert md.region is Region.UNKNOWN
 
     @pytest.mark.parametrize("drop,field", [("date", "date"), ("type", "type")])
     def test_missing_structural_field(self, drop, field):
         head = "\n".join(line for line in FULL_HEAD.splitlines() if f'name="{drop}"' not in line)
         with pytest.raises(ParseError) as err:
-            extract_metadata(page(head))
+            extract_metadata(scan_page(page(head)))
         assert err.value.field_name == field
 
     def test_bad_date_and_bad_type(self):
         with pytest.raises(ParseError):
-            extract_metadata(page(FULL_HEAD.replace("2019-05-04", "sometime in May")))
+            extract_metadata(scan_page(page(FULL_HEAD.replace("2019-05-04", "sometime in May"))))
         with pytest.raises(ParseError):
-            extract_metadata(page(FULL_HEAD.replace('content="Research"', 'content="Poster"')))
+            extract_metadata(
+                scan_page(page(FULL_HEAD.replace('content="Research"', 'content="Poster"'))))
 
     def test_journal_list_split_on_semicolons(self):
         head = FULL_HEAD + '<meta name="journal" content="Acta Synthetica; Global Health Reports">'
-        assert extract_metadata(page(head)).journal == ["Acta Synthetica", "Global Health Reports"]
+        assert extract_metadata(scan_page(page(head))).journal == [
+            "Acta Synthetica", "Global Health Reports"]
 
     def test_deterministic(self):
         body = page(FULL_HEAD, "<p>text</p>")
-        assert extract_metadata(body) == extract_metadata(body)
+        assert extract_metadata(scan_page(body)) == extract_metadata(scan_page(body))
 
 
 class TestExtractDois:
     def test_link_and_text_dedup_to_least_repaired(self):
         body = page(body='<a href="https://doi.org/10.1000/xyz123">paper</a>'
                          "<p>cite 10.1000/xyz123 today</p>")
-        refs = extract_dois(body)
+        refs = extract_dois(scan_page(body))
         assert len(refs) == 1
         assert refs[0].normalized == "10.1000/xyz123"
         assert refs[0].repair is Repair.NONE
 
     def test_resolver_link_alone_is_stripped_wrapper(self):
-        refs = extract_dois(page(body='<a href="https://doi.org/10.1000/xyz123">paper</a>'))
+        refs = extract_dois(scan_page(page(body='<a href="https://doi.org/10.1000/xyz123">paper</a>')))
         assert [(r.normalized, r.repair) for r in refs] == [("10.1000/xyz123", Repair.STRIPPED_WRAPPER)]
 
     def test_broken_resolver_space_join(self):
-        refs = extract_dois(page(body="<p>https://doi.org/10.1000 xyz123</p>"))
+        refs = extract_dois(scan_page(page(body="<p>https://doi.org/10.1000 xyz123</p>")))
         assert [(r.normalized, r.repair) for r in refs] == [("10.1000/xyz123", Repair.BROKEN_URL_FIXED)]
 
     def test_rewrite_rule_marks_broken_url_fixed(self):
-        refs = extract_dois(page(body="<p>10.1234//acta.7</p>"),
+        refs = extract_dois(scan_page(page(body="<p>10.1234//acta.7</p>")),
                             rewrites=[(r"10\.1234//", "10.1234/")])
         assert [(r.normalized, r.repair) for r in refs] == [("10.1234/acta.7", Repair.BROKEN_URL_FIXED)]
 
     def test_unshorten_map(self):
         body = page(body='<a href="https://sho.rt/x">mirror</a>')
-        refs = extract_dois(body, unshorten={"https://sho.rt/x": "https://doi.org/10.2000/abc"})
+        refs = extract_dois(scan_page(body),
+                            unshorten={"https://sho.rt/x": "https://doi.org/10.2000/abc"})
         assert [(r.normalized, r.repair) for r in refs] == [("10.2000/abc", Repair.UNSHORTENED)]
 
     def test_unrepairable_candidate_dropped_and_counted(self):
         stats = {}
-        refs = extract_dois(page(body='<a href="https://doi.org/10.1000">truncated</a>'), stats=stats)
+        refs = extract_dois(scan_page(page(body='<a href="https://doi.org/10.1000">truncated</a>')),
+                            stats=stats)
         assert refs == []
         assert stats["dropped_doi_candidates"] == 1
 
     def test_description_is_scanned(self):
-        refs = extract_dois(page(), description="see doi:10.3000/in-desc for details")
+        refs = extract_dois(scan_page(page()), description="see doi:10.3000/in-desc for details")
         assert [r.normalized for r in refs] == ["10.3000/in-desc"]
 
     def test_uppercase_normalized_lowercase(self):
-        refs = extract_dois(page(body="<p>10.1093/JHMAS/XXXI.4.480</p>"))
+        refs = extract_dois(scan_page(page(body="<p>10.1093/JHMAS/XXXI.4.480</p>")))
         assert refs[0].normalized == "10.1093/jhmas/xxxi.4.480"
 
     def test_clean_doi_rejects_junk(self):
@@ -138,14 +145,14 @@ WRAPPERS = st.sampled_from([
 @given(doi=DOI, wrapper=WRAPPERS)
 def test_wrapped_doi_recovered(doi, wrapper):
     body = page(body=f"<p>{wrapper.format(doi)}</p>")
-    refs = extract_dois(body)
+    refs = extract_dois(scan_page(body))
     assert [r.normalized for r in refs] == [doi]
 
 
 @given(dois=st.lists(DOI, min_size=1, max_size=6, unique=True))
 def test_dedup_by_normalized_value(dois):
     fragments = "".join(f"<p>{d} and again {d}</p>" for d in dois)
-    refs = extract_dois(page(body=fragments))
+    refs = extract_dois(scan_page(page(body=fragments)))
     assert sorted(r.normalized for r in refs) == sorted(dois)
     assert len(refs) == len({r.normalized for r in refs})
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from datetime import date
 from itertools import combinations
 
-from .backlink_ingest import LinkCoverage
 from .release_parser import PressRelease, PressType, Region, normalize_institution
 from .rounding import percentage, ratio
 
@@ -57,16 +56,18 @@ def distribution_percentages(counts: dict, places: int = 1) -> dict:
             for key, n in counts.items()}
 
 
+def _distribution(values) -> dict:
+    """Counts and one-decimal shares per distinct value."""
+    counts: dict = {}
+    for value in values:
+        counts[value] = counts.get(value, 0) + 1
+    return distribution_percentages(counts)
+
+
 def type_distribution(corpus) -> dict[PressType, tuple[int, float]]:
     """Counts and one-decimal shares per press type, over the releases that
     carry a type value."""
-    counts: dict[PressType, int] = {}
-    for release in corpus:
-        press_type = release.metadata.type
-        if press_type is None:
-            continue
-        counts[press_type] = counts.get(press_type, 0) + 1
-    return distribution_percentages(counts)
+    return _distribution(r.metadata.type for r in corpus if r.metadata.type is not None)
 
 
 def keyword_frequency(corpus) -> list[tuple[str, int]]:
@@ -133,13 +134,8 @@ def cograph_to_json_dict(graph: CoGraph) -> dict:
 def region_distribution(corpus) -> dict[Region, tuple[int, float]]:
     """Counts and one-decimal shares per PIO region, over the releases that
     carry region metadata."""
-    counts: dict[Region, int] = {}
-    for release in corpus:
-        region = release.metadata.region
-        if region is Region.UNKNOWN:
-            continue
-        counts[region] = counts.get(region, 0) + 1
-    return distribution_percentages(counts)
+    return _distribution(r.metadata.region for r in corpus
+                         if r.metadata.region is not Region.UNKNOWN)
 
 
 def pio_ranking(corpus, alias_table: dict[str, str] | None = None) -> list[tuple[str, int]]:
@@ -164,12 +160,9 @@ def mention_series(mentions) -> list[tuple[int, int]]:
     return sorted(counts.items())
 
 
-def tweets_per_release(corpus, mentions) -> dict[int, float]:
-    """Tweets over releases for pairs published the same year, two-decimal.
-
-    The numerator counts tweets from year Y that link at least one release
-    also published in Y; years without published releases are omitted.
-    """
+def _release_years(corpus) -> tuple[dict[int, int], dict[str, int]]:
+    """Releases published per year, and each release's year; date-anomalous
+    releases are left out of both."""
     published: dict[int, int] = {}
     year_of_release: dict[str, int] = {}
     for release in corpus:
@@ -178,6 +171,16 @@ def tweets_per_release(corpus, mentions) -> dict[int, float]:
         year = release.metadata.date.year
         published[year] = published.get(year, 0) + 1
         year_of_release[release.id] = year
+    return published, year_of_release
+
+
+def tweets_per_release(corpus, mentions) -> dict[int, float]:
+    """Tweets over releases for pairs published the same year, two-decimal.
+
+    The numerator counts tweets from year Y that link at least one release
+    also published in Y; years without published releases are omitted.
+    """
+    published, year_of_release = _release_years(corpus)
 
     same_year_tweets: dict[int, int] = {}
     for mention in mentions:
@@ -210,23 +213,13 @@ def coverage_table(corpus, mentions, backlinks) -> list[CoverageRow]:
     construction. Percentages print at two decimals for tweets and one for
     web links.
     """
-    published: dict[int, int] = {}
-    year_of_release: dict[str, int] = {}
-    for release in corpus:
-        if release.date_anomaly:
-            continue
-        year = release.metadata.date.year
-        published[year] = published.get(year, 0) + 1
-        year_of_release[release.id] = year
+    published, year_of_release = _release_years(corpus)
 
     tweeted_releases: set[str] = set()
     for mention in mentions:
         tweeted_releases.update(mention.matched_release_ids())
 
-    if isinstance(backlinks, LinkCoverage):
-        linked_releases = set(backlinks.attached)
-    else:
-        linked_releases = set(backlinks)
+    linked_releases = set(backlinks)
 
     tweeted_by_year: dict[int, int] = {}
     linked_by_year: dict[int, int] = {}

@@ -3,21 +3,21 @@ index. The index reports http and https variants of one URL separately, so
 variants are merged onto the canonical URL: page and site counts add up,
 flow scores (0-100 prestige scales) take the maximum observed.
 
-Summed site counts across protocol variants are an upper bound (referring
-domains may overlap between variants, which aggregates cannot reveal);
-merged aggregates carry websites_is_upper_bound so reports can say so.
+A site count summed over several raw records (protocol variants, or
+sub-pages of one release) is an upper bound: referring domains may overlap
+between them, which aggregates cannot reveal. Such aggregates carry
+websites_is_upper_bound so reports can say so.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
-from .mention_ingest import CorpusIndex
-from .urls import canonicalize_url
+from . import store
+from .urls import CorpusIndex, canonicalize_url
 
 
 class LinkValidationError(ValueError):
@@ -64,7 +64,11 @@ class BacklinkAggregate:
     window_start: date | None = None
     window_end: date | None = None
     sources: list[RawLinkRecord] = field(default_factory=list)
-    websites_is_upper_bound: bool = False
+
+    @property
+    def websites_is_upper_bound(self) -> bool:
+        """The site count is a sum over more than one raw record."""
+        return len(self.sources) > 1
 
 
 def merge_protocol_variants(records) -> list[BacklinkAggregate]:
@@ -74,36 +78,24 @@ def merge_protocol_variants(records) -> list[BacklinkAggregate]:
     maximum across variants; the reporting window becomes the union. Output
     is sorted by target. Invalid records raise LinkValidationError.
     """
-    groups: dict[str, list[RawLinkRecord]] = {}
+    merged: dict[str, BacklinkAggregate] = {}
     for record in records:
         record.validate()
-        canonical = canonicalize_url(record.target_url)
-        groups.setdefault(canonical, []).append(record)
-
-    merged: list[BacklinkAggregate] = []
-    for target in sorted(groups):
-        rows = groups[target]
-        starts = [r.window_start for r in rows if r.window_start is not None]
-        ends = [r.window_end for r in rows if r.window_end is not None]
-        merged.append(BacklinkAggregate(
-            target=target,
-            mentioning_webpages=sum(r.mentioning_webpages for r in rows),
-            mentioning_websites=sum(r.mentioning_websites for r in rows),
-            citation_flow=max(r.citation_flow for r in rows),
-            trust_flow=max(r.trust_flow for r in rows),
-            window_start=min(starts) if starts else None,
-            window_end=max(ends) if ends else None,
-            sources=list(rows),
-            websites_is_upper_bound=len(rows) > 1,
-        ))
-    return merged
+        target = canonicalize_url(record.target_url)
+        single = BacklinkAggregate(target, record.mentioning_webpages, record.mentioning_websites,
+                                   record.citation_flow, record.trust_flow,
+                                   record.window_start, record.window_end, [record])
+        merged[target] = _combine(merged[target], single) if target in merged else single
+    return [merged[target] for target in sorted(merged)]
 
 
-def _combine(a: BacklinkAggregate, b: BacklinkAggregate, target: str) -> BacklinkAggregate:
+def _combine(a: BacklinkAggregate, b: BacklinkAggregate) -> BacklinkAggregate:
+    """Sum the counts, take the larger flows and the union of the windows,
+    under a's target."""
     starts = [d for d in (a.window_start, b.window_start) if d is not None]
     ends = [d for d in (a.window_end, b.window_end) if d is not None]
     return BacklinkAggregate(
-        target=target,
+        target=a.target,
         mentioning_webpages=a.mentioning_webpages + b.mentioning_webpages,
         mentioning_websites=a.mentioning_websites + b.mentioning_websites,
         citation_flow=max(a.citation_flow, b.citation_flow),
@@ -111,7 +103,6 @@ def _combine(a: BacklinkAggregate, b: BacklinkAggregate, target: str) -> Backlin
         window_start=min(starts) if starts else None,
         window_end=max(ends) if ends else None,
         sources=a.sources + b.sources,
-        websites_is_upper_bound=a.websites_is_upper_bound or b.websites_is_upper_bound,
     )
 
 
@@ -134,7 +125,7 @@ def link_coverage_index(aggregates, index: CorpusIndex) -> LinkCoverage:
         release_id = index.get(agg.target)
         if release_id is not None:
             existing = out.attached.get(release_id)
-            out.attached[release_id] = _combine(existing, agg, existing.target) if existing else agg
+            out.attached[release_id] = _combine(existing, agg) if existing else agg
         elif index.in_fold(agg.target):
             out.outdated.append(agg.target)
         else:
@@ -145,19 +136,15 @@ def link_coverage_index(aggregates, index: CorpusIndex) -> LinkCoverage:
 def read_raw_links_csv(path: str | Path) -> list[RawLinkRecord]:
     """target_url,mentioning_webpages,mentioning_websites,citation_flow,
     trust_flow,window_start,window_end"""
-    rows: list[RawLinkRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(RawLinkRecord(
-                target_url=row["target_url"].strip(),
-                mentioning_webpages=int(row["mentioning_webpages"]),
-                mentioning_websites=int(row["mentioning_websites"]),
-                citation_flow=int(row["citation_flow"]),
-                trust_flow=int(row["trust_flow"]),
-                window_start=date.fromisoformat(row["window_start"]) if row.get("window_start") else None,
-                window_end=date.fromisoformat(row["window_end"]) if row.get("window_end") else None,
-            ))
-    return rows
+    return store.read_csv(path, lambda row: RawLinkRecord(
+        target_url=row["target_url"].strip(),
+        mentioning_webpages=int(row["mentioning_webpages"]),
+        mentioning_websites=int(row["mentioning_websites"]),
+        citation_flow=int(row["citation_flow"]),
+        trust_flow=int(row["trust_flow"]),
+        window_start=date.fromisoformat(row["window_start"]) if row.get("window_start") else None,
+        window_end=date.fromisoformat(row["window_end"]) if row.get("window_end") else None,
+    ))
 
 
 def aggregate_to_dict(release_id: str, agg: BacklinkAggregate) -> dict:

@@ -25,7 +25,7 @@ from .release_parser import (
     release_from_dict,
     release_to_json,
 )
-from .urls import url_digest
+from .urls import CorpusIndex, url_digest
 
 COMMANDS = ("crawl", "parse", "ingest-tweets", "ingest-links", "couple", "analyze", "report")
 
@@ -225,16 +225,16 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     manifest.counts.update(stats)
 
 
-def _read_corpus(cfg: PipelineConfig):
-    for record in store.read_jsonl(cfg.corpus_file):
-        yield release_from_dict(record)
+def _read_corpus(cfg: PipelineConfig) -> list:
+    """The whole corpus, decoded once; each stage calls this at most once."""
+    return [release_from_dict(record) for record in store.read_jsonl(cfg.corpus_file)]
 
 
-def _corpus_index(cfg: PipelineConfig, stage: str) -> mention_ingest.CorpusIndex:
+def _corpus_index(cfg: PipelineConfig, stage: str) -> CorpusIndex:
     _require(stage, cfg.corpus_file, "parsed corpus")
     if not cfg.seed_path:
         raise PipelineError(stage, "seed_path not configured")
-    return mention_ingest.CorpusIndex.from_releases(_read_corpus(cfg), cfg.seed_path)
+    return CorpusIndex.from_releases(_read_corpus(cfg), cfg.seed_path)
 
 
 def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
@@ -295,9 +295,10 @@ def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
     aliases = load_alias_table(cfg.alias_journals) if cfg.alias_journals else {}
     doi_journals = coupling.load_doi_journals(cfg.doi_journals) if cfg.doi_journals else None
 
-    edges = coupling.build_coupling_graph(_read_corpus(cfg), doi_journals)
+    releases = _read_corpus(cfg)
+    edges = coupling.build_coupling_graph(releases, doi_journals)
     stats: dict = {}
-    rows = coupling.journal_coverage(_read_corpus(cfg),
+    rows = coupling.journal_coverage(releases,
                                      coupling.load_external_counts(counts_path),
                                      alias_table=aliases, stats=stats)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
@@ -314,6 +315,12 @@ def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
     manifest.counts.update({"edges": len(edges), "journals": len(rows), **stats})
 
 
+def _distribution_rows(dist: dict) -> list[list]:
+    """Type or region table rows: count descending, ties on the value."""
+    return [[key.value, n, _fmt(p, 1)]
+            for key, (n, p) in sorted(dist.items(), key=lambda kv: (-kv[1][0], kv[0].value))]
+
+
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
     _require("analyze", cfg.corpus_file, "parsed corpus")
     manifest.input_digests.update(_digests([cfg.corpus_file]))
@@ -321,20 +328,20 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
     report = cfg.report_dir
     report.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    populations: dict = {}
 
-    total = anomalous = 0
-    for release in _read_corpus(cfg):
-        total += 1
-        anomalous += release.date_anomaly
-    populations["corpus_total"] = total
-    populations["date_anomalous_excluded_from_series"] = anomalous
+    def write_csv(name: str, header: list[str], rows: list[list]) -> None:
+        store.write_csv(report / name, header, rows)
+        outputs.append(report / name)
 
-    series = analytics.output_series(_read_corpus(cfg), cfg.granularity)
-    header = ["year" if cfg.granularity == "yearly" else "date", "count"]
-    store.write_csv(report / "annual_output.csv", header,
-                    [[str(b), n] for b, n in series])
-    outputs.append(report / "annual_output.csv")
+    releases = _read_corpus(cfg)
+    populations: dict = {
+        "corpus_total": len(releases),
+        "date_anomalous_excluded_from_series": sum(r.date_anomaly for r in releases),
+    }
+
+    series = analytics.output_series(releases, cfg.granularity)
+    write_csv("annual_output.csv", ["year" if cfg.granularity == "yearly" else "date", "count"],
+              [[str(b), n] for b, n in series])
     populations["annual_output"] = sum(n for _, n in series)
     if cfg.granularity == "daily":
         peak = analytics.peak_bucket(series)
@@ -342,45 +349,33 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
             populations["peak_day"] = str(peak[0])
             populations["peak_day_count"] = peak[1]
 
-    types = analytics.type_distribution(_read_corpus(cfg))
-    store.write_csv(report / "type_distribution.csv", ["type", "count", "pct"],
-                    [[t.value, n, _fmt(p, 1)]
-                     for t, (n, p) in sorted(types.items(), key=lambda kv: (-kv[1][0], kv[0].value))])
-    outputs.append(report / "type_distribution.csv")
+    types = analytics.type_distribution(releases)
+    write_csv("type_distribution.csv", ["type", "count", "pct"], _distribution_rows(types))
     populations["type_distribution"] = sum(n for n, _ in types.values())
 
-    keywords = analytics.keyword_frequency(_read_corpus(cfg))
-    store.write_csv(report / "keyword_frequency.csv", ["keyword", "occurrences"],
-                    [[k, n] for k, n in keywords])
-    outputs.append(report / "keyword_frequency.csv")
+    write_csv("keyword_frequency.csv", ["keyword", "occurrences"],
+              [[k, n] for k, n in analytics.keyword_frequency(releases)])
 
-    graph = analytics.cooccurrence_graph(_read_corpus(cfg))
+    graph = analytics.cooccurrence_graph(releases)
     store.write_json(report / "cooccurrence_graph.json", analytics.cograph_to_json_dict(graph))
     outputs.append(report / "cooccurrence_graph.json")
 
-    regions = analytics.region_distribution(_read_corpus(cfg))
-    store.write_csv(report / "region_distribution.csv", ["region", "count", "pct"],
-                    [[r.value, n, _fmt(p, 1)]
-                     for r, (n, p) in sorted(regions.items(), key=lambda kv: (-kv[1][0], kv[0].value))])
-    outputs.append(report / "region_distribution.csv")
+    regions = analytics.region_distribution(releases)
+    write_csv("region_distribution.csv", ["region", "count", "pct"], _distribution_rows(regions))
     populations["region_distribution"] = sum(n for n, _ in regions.values())
 
-    pios = analytics.pio_ranking(_read_corpus(cfg), aliases)
-    store.write_csv(report / "pio_ranking.csv", ["institution", "count"],
-                    [[name, n] for name, n in pios])
-    outputs.append(report / "pio_ranking.csv")
+    write_csv("pio_ranking.csv", ["institution", "count"],
+              [[name, n] for name, n in analytics.pio_ranking(releases, aliases)])
 
     mentions = None
     if cfg.mentions_file.exists():
         mentions = [mention_ingest.mention_from_dict(r) for r in store.read_jsonl(cfg.mentions_file)]
         populations["mentions"] = len(mentions)
-        store.write_csv(report / "mention_series.csv", ["year", "count"],
-                        [[y, n] for y, n in analytics.mention_series(mentions)])
-        outputs.append(report / "mention_series.csv")
-        ratios = analytics.tweets_per_release(_read_corpus(cfg), mentions)
-        store.write_csv(report / "tweets_per_release.csv", ["year", "tweets_per_release"],
-                        [[y, _fmt(v, 2)] for y, v in ratios.items()])
-        outputs.append(report / "tweets_per_release.csv")
+        write_csv("mention_series.csv", ["year", "count"],
+                  [[y, n] for y, n in analytics.mention_series(mentions)])
+        ratios = analytics.tweets_per_release(releases, mentions)
+        write_csv("tweets_per_release.csv", ["year", "tweets_per_release"],
+                  [[y, _fmt(v, 2)] for y, v in ratios.items()])
 
     linked: dict[str, dict] = {}
     if cfg.backlinks_attached.exists():
@@ -392,12 +387,11 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
                 r["window_end"] for r in linked.values() if r.get("window_end"))
 
     if mentions is not None and cfg.backlinks_attached.exists():
-        rows = analytics.coverage_table(_read_corpus(cfg), mentions, set(linked))
-        store.write_csv(report / "coverage_table.csv",
-                        ["year", "published", "tweeted", "pct_tweeted", "web_linked", "pct_web"],
-                        [[r.year, r.published, r.tweeted, _fmt(r.pct_tweeted, 2),
-                          r.web_linked, _fmt(r.pct_web, 1)] for r in rows])
-        outputs.append(report / "coverage_table.csv")
+        rows = analytics.coverage_table(releases, mentions, set(linked))
+        write_csv("coverage_table.csv",
+                  ["year", "published", "tweeted", "pct_tweeted", "web_linked", "pct_web"],
+                  [[r.year, r.published, r.tweeted, _fmt(r.pct_tweeted, 2),
+                    r.web_linked, _fmt(r.pct_web, 1)] for r in rows])
         populations["coverage_table"] = sum(r.published for r in rows)
 
     store.write_json(report / "summary.json", populations)

@@ -4,11 +4,11 @@ journal's press-release presence against its external publication count."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .release_parser import fold_name
+from . import store
+from .release_parser import normalize_institution
 from .rounding import percentage
 
 
@@ -62,18 +62,15 @@ def journal_coverage(corpus, external_counts: dict[str, int],
         stats = {}
     alias_table = alias_table or {}
 
-    def canon(name: str) -> str:
-        folded = fold_name(name)
-        return alias_table.get(folded, folded)
-
     press_counts: dict[str, int] = {}
     for release in corpus:
-        for journal in {canon(j) for j in release.metadata.journal}:
+        for journal in {normalize_institution(j, alias_table) for j in release.metadata.journal}:
             press_counts[journal] = press_counts.get(journal, 0) + 1
 
     externals: dict[str, int] = {}
     for name, count in external_counts.items():
-        externals[canon(name)] = externals.get(canon(name), 0) + int(count)
+        journal = normalize_institution(name, alias_table)
+        externals[journal] = externals.get(journal, 0) + int(count)
 
     rows: list[JournalCoverage] = []
     for journal in set(press_counts) | set(externals):
@@ -92,17 +89,11 @@ def journal_coverage(corpus, external_counts: dict[str, int],
 
 def load_external_counts(path: str | Path) -> dict[str, int]:
     """journal,publications_with_doi"""
-    counts: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            counts[row["journal"].strip()] = int(row["publications_with_doi"])
-    return counts
+    return dict(store.read_csv(
+        path, lambda row: (row["journal"].strip(), int(row["publications_with_doi"]))))
 
 
 def load_doi_journals(path: str | Path) -> dict[str, str]:
     """Optional doi,journal enrichment table."""
-    table: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            table[row["doi"].strip().lower()] = row["journal"].strip()
-    return table
+    return dict(store.read_csv(
+        path, lambda row: (row["doi"].strip().lower(), row["journal"].strip())))

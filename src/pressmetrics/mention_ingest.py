@@ -9,14 +9,14 @@ they are the obsolescence signal the coverage reports must exclude.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .urls import canonicalize_url, under_fold
+from . import store
+from .urls import CorpusIndex, canonicalize_url
 
 DEAD = object()  # resolver sentinel: the URL no longer answers at all
 
@@ -78,30 +78,10 @@ class TweetMention:
     matches: list[MatchResult] = field(default_factory=list)
 
     def matched_release_ids(self) -> list[str]:
-        """Distinct matched releases, one entry per (tweet, release) pair."""
-        seen: list[str] = []
-        for m in self.matches:
-            if m.kind is MatchKind.MATCHED and m.release_id not in seen:
-                seen.append(m.release_id)
-        return seen
-
-
-class CorpusIndex:
-    """Canonical URL -> release id lookup plus the corpus fold boundary."""
-
-    def __init__(self, url_to_id: dict[str, str], seed_path: str):
-        self.url_to_id = url_to_id
-        self.seed_path = seed_path
-
-    @classmethod
-    def from_releases(cls, releases, seed_path: str) -> "CorpusIndex":
-        return cls({r.canonical_url: r.id for r in releases}, seed_path)
-
-    def get(self, canonical: str) -> str | None:
-        return self.url_to_id.get(canonical)
-
-    def in_fold(self, canonical: str) -> bool:
-        return under_fold(canonical, self.seed_path)
+        """Distinct matched releases, one entry per (tweet, release) pair,
+        in first-match order."""
+        return list(dict.fromkeys(m.release_id for m in self.matches
+                                  if m.kind is MatchKind.MATCHED))
 
 
 class CsvResolver:
@@ -116,11 +96,8 @@ class CsvResolver:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CsvResolver":
-        hops: dict[str, str | None] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                hops[row["from_url"].strip()] = row["to_url"].strip() or None
-        return cls(hops)
+        return cls(dict(store.read_csv(
+            path, lambda row: (row["from_url"].strip(), row["to_url"].strip() or None))))
 
     def __call__(self, url: str):
         if url not in self._hops:
@@ -130,13 +107,6 @@ class CsvResolver:
 
     def known_urls(self) -> list[str]:
         return list(self._hops)
-
-
-def build_archive_query(target_path: str) -> str:
-    """Archive-search expression: URL containment plus retweet exclusion."""
-    if not target_path.strip():
-        raise ValueError("target_path must be non-empty")
-    return f'url:"{target_path}" -is:retweet'
 
 
 def resolve_chain(url: str, resolver, max_depth: int = 5) -> UrlResolution:

@@ -10,7 +10,6 @@ fixed through a data-driven rewrite table.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 from urllib.parse import unquote
 
+from . import store
 from .pagescan import PageScan, scan_page
 from .urls import release_id_from_url
 
@@ -284,12 +284,9 @@ def load_alias_table(path: str | Path) -> dict[str, str]:
     """Load a variant->canonical CSV; canonicals self-map so direct uses of
     a canonical name merge with their aliases. Chained aliases are refused."""
     table: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            variant, canonical = row["variant"].strip(), row["canonical"].strip()
-            if not variant or not canonical:
-                continue
+    pairs = store.read_csv(path, lambda row: (row["variant"].strip(), row["canonical"].strip()))
+    for variant, canonical in pairs:
+        if variant and canonical:
             table[fold_name(variant)] = canonical
     for canonical in list(table.values()):
         folded = fold_name(canonical)
@@ -302,11 +299,7 @@ def load_alias_table(path: str | Path) -> dict[str, str]:
 
 def load_rewrite_table(path: str | Path) -> list[tuple[str, str, str]]:
     """Rows of (journal_pattern, find, replace) for per-journal DOI fixes."""
-    rows: list[tuple[str, str, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((row["journal_pattern"], row["find"], row["replace"]))
-    return rows
+    return store.read_csv(path, lambda row: (row["journal_pattern"], row["find"], row["replace"]))
 
 
 def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:

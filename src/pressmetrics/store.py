@@ -49,6 +49,22 @@ def read_jsonl(path: str | Path):
                 yield json.loads(line)
 
 
+def read_csv(path: str | Path, convert) -> list:
+    """``convert`` applied to each row (a dict keyed by the header) of a
+    headed CSV. A row whose conversion raises KeyError or ValueError fails
+    with a ValueError that names the file and the line."""
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                out.append(convert(row))
+            except (KeyError, ValueError) as err:
+                detail = f"missing column {err}" if isinstance(err, KeyError) else err
+                raise ValueError(f"{path}:{reader.line_num}: {detail}") from err
+    return out
+
+
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

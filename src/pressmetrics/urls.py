@@ -71,6 +71,24 @@ def under_fold(canonical_url: str, seed_path: str) -> bool:
     return strip_scheme(canonical_url).startswith(normalize_fold(seed_path))
 
 
+class CorpusIndex:
+    """Canonical URL -> release id lookup plus the corpus fold boundary."""
+
+    def __init__(self, url_to_id: dict[str, str], seed_path: str):
+        self.url_to_id = url_to_id
+        self.seed_path = normalize_fold(seed_path)  # normalized once, matched as is
+
+    @classmethod
+    def from_releases(cls, releases, seed_path: str) -> "CorpusIndex":
+        return cls({r.canonical_url: r.id for r in releases}, seed_path)
+
+    def get(self, canonical: str) -> str | None:
+        return self.url_to_id.get(canonical)
+
+    def in_fold(self, canonical: str) -> bool:
+        return strip_scheme(canonical).startswith(self.seed_path)
+
+
 def release_id_from_url(canonical_url: str) -> str:
     """Terminal path segment without its file extension; the corpus join key."""
     tail = posixpath.basename(url_path(canonical_url).rstrip("/"))

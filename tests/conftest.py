@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pressmetrics import harvester
-from pressmetrics.mention_ingest import CorpusIndex, CsvResolver, resolve_chain
+from pressmetrics.mention_ingest import CsvResolver, resolve_chain
 from pressmetrics.release_parser import (
     DoiRef,
     MetadataRecord,
@@ -19,6 +19,7 @@ from pressmetrics.release_parser import (
     load_rewrite_table,
     parse_release,
 )
+from pressmetrics.urls import CorpusIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FOLD = "www.eksci.test/releases/"

@@ -11,7 +11,7 @@ from pressmetrics.backlink_ingest import (
     merge_protocol_variants,
     read_raw_links_csv,
 )
-from pressmetrics.mention_ingest import CorpusIndex
+from pressmetrics.urls import CorpusIndex
 
 
 def test_hand_derived_protocol_merge():
@@ -119,9 +119,21 @@ class TestCoverageIndex:
         agg = coverage.attached["rel-1"]
         assert agg.mentioning_webpages == 17 and agg.mentioning_websites == 7
         assert agg.citation_flow == 30 and agg.trust_flow == 28
+        assert agg.websites_is_upper_bound
 
     def test_window_union(self, fixtures_dir):
         aggregates = merge_protocol_variants(read_raw_links_csv(fixtures_dir / "backlinks_micro.csv"))
         for agg in aggregates:
             assert agg.window_start.isoformat() == "2015-09-01"
             assert agg.window_end.isoformat() == "2021-04-01"
+
+
+def test_bad_csv_value_names_file_and_line(tmp_path):
+    path = tmp_path / "links.csv"
+    path.write_text(
+        "target_url,mentioning_webpages,mentioning_websites,citation_flow,trust_flow\n"
+        "https://h.test/fold/a.html,10,4,30,20\n"
+        "https://h.test/fold/b.html,abc,4,30,20\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_raw_links_csv(path)
+    assert f"{path}:3:" in str(err.value)

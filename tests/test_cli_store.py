@@ -217,6 +217,26 @@ class TestOneScanPerPage:
         assert sorted(scanned) == sorted(press)
 
 
+class TestOneDecodePerStage:
+    def test_each_stage_decodes_the_corpus_once(self, tmp_path, fixtures_dir, monkeypatch):
+        decoded: list[str] = []
+
+        def counting_decode(record):
+            decoded.append(record["id"])
+            return release_parser.release_from_dict(record)
+
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cli.run("parse", cfg)
+        corpus_ids = sorted(r["id"] for r in store.read_jsonl(cfg.corpus_file))
+        assert len(corpus_ids) == 50
+        monkeypatch.setattr(cli, "release_from_dict", counting_decode)
+        for command in ("ingest-tweets", "ingest-links", "couple", "analyze"):
+            decoded.clear()
+            cli.run(command, cfg)
+            assert sorted(decoded) == corpus_ids, command
+
+
 class TestDailyGranularity:
     def test_peak_day_recorded(self, tmp_path, fixtures_dir):
         cfg = fixture_config(tmp_path, fixtures_dir)

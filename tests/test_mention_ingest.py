@@ -4,11 +4,9 @@ import pytest
 
 import oracle
 from pressmetrics.mention_ingest import (
-    CorpusIndex,
     CsvResolver,
     MatchKind,
     Terminated,
-    build_archive_query,
     ingest_tweets,
     match_to_release,
     mention_from_dict,
@@ -16,19 +14,6 @@ from pressmetrics.mention_ingest import (
     resolve_chain,
 )
 from pressmetrics.store import read_jsonl
-
-
-class TestArchiveQuery:
-    def test_query_grammar_byte_exact(self):
-        assert build_archive_query("EurekAlert.org/press_release") == \
-            'url:"EurekAlert.org/press_release" -is:retweet'
-
-    def test_substitution(self):
-        assert build_archive_query("example.org/p") == 'url:"example.org/p" -is:retweet'
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            build_archive_query("  ")
 
 
 class TestResolveChain:

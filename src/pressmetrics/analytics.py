@@ -14,26 +14,21 @@ from dataclasses import dataclass, field
 from datetime import date
 from itertools import combinations
 
-from .release_parser import PressRelease, PressType, Region, normalize_institution
+from .release_parser import PressType, Region, normalize_institution
 from .rounding import percentage, ratio
 
 
-def _year_eligible(release: PressRelease, include_anomalous: bool) -> bool:
-    return include_anomalous or not release.date_anomaly
-
-
-def output_series(corpus, granularity: str = "yearly",
-                  include_anomalous: bool = False) -> list[tuple[int | date, int]]:
+def output_series(corpus, granularity: str = "yearly") -> list[tuple[int | date, int]]:
     """Publication counts per year (or per day), buckets sorted ascending.
 
-    Date-anomalous releases are excluded from year-bucketed output by
-    default; they still count toward corpus totals elsewhere.
+    Date-anomalous releases are excluded from bucketed output; they still
+    count toward corpus totals elsewhere.
     """
     if granularity not in ("yearly", "daily"):
         raise ValueError(f"unknown granularity {granularity!r}")
     counts: dict = {}
     for release in corpus:
-        if not _year_eligible(release, include_anomalous):
+        if release.date_anomaly:
             continue
         bucket = release.metadata.date.year if granularity == "yearly" else release.metadata.date
         counts[bucket] = counts.get(bucket, 0) + 1
@@ -48,11 +43,11 @@ def peak_bucket(series: list[tuple]) -> tuple | None:
     return max(series, key=lambda item: item[1])
 
 
-def distribution_percentages(counts: dict, places: int = 1) -> dict:
-    """Attach half-up percentages to a count mapping; the denominator is
-    the mapping's own total."""
+def distribution_percentages(counts: dict) -> dict:
+    """Attach one-decimal half-up percentages to a count mapping; the
+    denominator is the mapping's own total."""
     total = sum(counts.values())
-    return {key: (n, percentage(n, total, places) if total else 0.0)
+    return {key: (n, percentage(n, total, 1) if total else 0.0)
             for key, n in counts.items()}
 
 

@@ -48,7 +48,6 @@ class PipelineConfig:
     fixtures_dir: Path | None = None
     max_depth: int = 5
     granularity: str = "yearly"
-    scheme: str = "https"
     alias_institutions: Path | None = None
     alias_journals: Path | None = None
     doi_rewrites: Path | None = None
@@ -169,9 +168,9 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         fetcher = harvester.DirectoryFetcher(_require("crawl", cfg.fixtures_dir, "fixtures_dir"))
         clock = harvester.VirtualClock()
     else:
-        fetcher = harvester.HttpFetcher(force_scheme=None if cfg.scheme == "https" else cfg.scheme)
+        fetcher = harvester.HttpFetcher()
         clock = harvester.SystemClock()
-    result = harvester.crawl(scope, fetcher, clock=clock)
+    result = harvester.crawl(scope, fetcher, harvester.RateLimiter(scope.rate_limit, clock))
 
     cfg.pages_dir.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -185,7 +184,7 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
             "status": record.status,
             "digest": record.body_digest,
             "fetched_at": record.fetched_at.isoformat().replace("+00:00", "Z"),
-            "class": page_class.label,
+            "class": page_class.value,
         }, ensure_ascii=False))
     store.write_jsonl(cfg.crawl_manifest, lines)
     manifest.output_digests.update(_digests([cfg.crawl_manifest]))
@@ -197,8 +196,9 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     manifest.input_digests.update(_digests([crawl_manifest]))
     rewrite_table = load_rewrite_table(cfg.doi_rewrites) if cfg.doi_rewrites else ()
     unshorten = None
-    if cfg.resolver_file and Path(cfg.resolver_file).exists():
-        resolver = mention_ingest.CsvResolver.from_csv(cfg.resolver_file)
+    if cfg.resolver_file:
+        resolver = mention_ingest.CsvResolver.from_csv(
+            _require("parse", cfg.resolver_file, "resolver fixture"))
         unshorten = {
             url: mention_ingest.resolve_chain(url, resolver, cfg.max_depth).final
             for url in resolver.known_urls()
@@ -207,7 +207,7 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     stats: dict = {"parsed": 0, "parse_errors": 0, "skipped_non_content": 0}
     lines = []
     for entry in store.read_jsonl(crawl_manifest):
-        if entry["class"] != "press_release":
+        if entry["class"] != harvester.PageClass.PRESS_RELEASE:
             stats["skipped_non_content"] += 1
             continue
         body = (cfg.pages_dir / (url_digest(entry["url"]) + ".body")).read_bytes()

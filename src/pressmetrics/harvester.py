@@ -5,7 +5,8 @@ non-content.
 The crawl frontier only ever holds canonical URLs under the configured seed
 fold, so every downstream join key is minted here. Politeness is a shared
 per-host limiter that serializes request release times; with the default
-limit no host sees more than one request per second.
+limit no host sees more than one request per second. Waits, retry backoff
+and fetch timestamps all come from the limiter's clock.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ from urllib.parse import urljoin
 
 import requests
 
+from . import __version__
 from .pagescan import PageScan, scan_page
 from .urls import canonicalize_url, normalize_fold, strip_scheme, url_host, url_path
+
+FETCH_ATTEMPTS = 3
+HTTP_TIMEOUT_S = 30.0
 
 
 class ScopeViolation(Exception):
@@ -34,11 +39,10 @@ class ScopeViolation(Exception):
 class FetchRetryError(Exception):
     """Network-level failure that survived all retry attempts."""
 
-    def __init__(self, url: str, attempts: int, cause: Exception | None = None):
+    def __init__(self, url: str, attempts: int):
         super().__init__(f"fetch failed after {attempts} attempts: {url}")
         self.url = url
         self.attempts = attempts
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class FetchRecord:
     url: str
     status: int
     body_digest: str
-    fetched_at: datetime | None
+    fetched_at: datetime
     body: bytes
 
     @property
@@ -86,36 +90,20 @@ class FetchRecord:
         return 200 <= self.status < 300
 
 
-class NonContentReason(str, Enum):
+class PageClass(str, Enum):
+    """Press-release content, or one kind of non-content; each value is the
+    label the crawl manifest records."""
+
+    PRESS_RELEASE = "press_release"
     SITEMAP = "sitemap"
     FORM = "form"
     SERVER_MESSAGE = "server_message"
     EMPTY = "empty"
     OTHER = "other"
 
-
-@dataclass(frozen=True)
-class PageClass:
-    """Exactly one of: press-release content, or non-content with a reason."""
-
-    press_release: bool
-    reason: NonContentReason | None = None
-
-    def __post_init__(self):
-        if self.press_release == (self.reason is not None):
-            raise ValueError("reason must be set iff the page is non-content")
-
     @property
-    def label(self) -> str:
-        return "press_release" if self.press_release else self.reason.value
-
-    @classmethod
-    def press(cls) -> "PageClass":
-        return cls(press_release=True)
-
-    @classmethod
-    def non_content(cls, reason: NonContentReason) -> "PageClass":
-        return cls(press_release=False, reason=reason)
+    def press_release(self) -> bool:
+        return self is PageClass.PRESS_RELEASE
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +127,12 @@ class SystemClock:
 class VirtualClock:
     """Deterministic clock for fixture runs: sleep() advances time exactly.
 
-    utcnow() maps virtual seconds onto a fixed epoch so recorded timestamps
-    are byte-identical across reruns.
+    utcnow() maps virtual seconds onto the Unix epoch so recorded
+    timestamps are byte-identical across reruns.
     """
 
-    def __init__(self, epoch: datetime | None = None):
+    def __init__(self):
         self._now = 0.0
-        self._epoch = epoch or datetime(1970, 1, 1, tzinfo=timezone.utc)
 
     def monotonic(self) -> float:
         return self._now
@@ -155,7 +142,7 @@ class VirtualClock:
             self._now += seconds
 
     def utcnow(self) -> datetime:
-        return self._epoch + timedelta(seconds=self._now)
+        return datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=self._now)
 
 
 class RateLimiter:
@@ -200,16 +187,16 @@ class HttpFetcher:
     """Live fetcher. force_scheme lets tests hit a plain-http fixture server
     while identities stay canonical (https)."""
 
-    def __init__(self, timeout: float = 30.0, force_scheme: str | None = None):
-        self.timeout = timeout
+    def __init__(self, force_scheme: str | None = None):
         self.force_scheme = force_scheme
         self.session = requests.Session()
+        self.session.headers["User-Agent"] = f"pressmetrics/{__version__}"
 
     def fetch(self, canonical_url: str) -> tuple[int, bytes]:
         url = canonical_url
         if self.force_scheme:
             url = self.force_scheme + "://" + url.split("://", 1)[1]
-        resp = self.session.get(url, timeout=self.timeout)
+        resp = self.session.get(url, timeout=HTTP_TIMEOUT_S)
         return resp.status_code, resp.content
 
 
@@ -239,42 +226,39 @@ class DirectoryFetcher:
 # Operations
 # ---------------------------------------------------------------------------
 
-def fetch_page(url, scope, fetcher, limiter=None, clock=None, retries: int = 3) -> FetchRecord:
+def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
     """Fetch one in-scope URL politely.
 
     Blocks on the shared limiter until the previous request to the same host
-    is at least ``scope.rate_limit`` seconds old. Network failures retry up
-    to ``retries`` attempts with doubling backoff starting at the rate
+    is at least ``limiter.rate_limit`` seconds old. Network failures retry
+    up to FETCH_ATTEMPTS attempts with doubling backoff starting at the rate
     limit; non-success statuses are recorded, never raised.
     """
-    clock = clock or SystemClock()
     canonical = canonicalize_url(url)
     if not scope.contains(canonical):
         raise ScopeViolation(f"{canonical} is outside fold {scope.seed_path}")
-    if limiter is None:
-        limiter = RateLimiter(scope.rate_limit, clock=clock)
     host = url_host(canonical)
 
-    backoff = scope.rate_limit
+    backoff = limiter.rate_limit
     last_error: Exception | None = None
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, FETCH_ATTEMPTS + 1):
         limiter.acquire(host)
         try:
             status, body = fetcher.fetch(canonical)
         except Exception as exc:  # network-level only; HTTP errors come back as statuses
             last_error = exc
-            if attempt < retries:
-                clock.sleep(backoff)
-                backoff = backoff * 2 if backoff > 0 else 0.0
+            if attempt < FETCH_ATTEMPTS:
+                limiter.clock.sleep(backoff)
+                backoff *= 2
             continue
         return FetchRecord(
             url=canonical,
             status=status,
             body_digest=hashlib.sha256(body).hexdigest(),
-            fetched_at=clock.utcnow(),
+            fetched_at=limiter.clock.utcnow(),
             body=body,
         )
-    raise FetchRetryError(canonical, retries, last_error)
+    raise FetchRetryError(canonical, FETCH_ATTEMPTS) from last_error
 
 
 def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[str],
@@ -283,15 +267,15 @@ def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[
     given that page's scan.
 
     Non-hypertext payloads expand to nothing. Output preserves document
-    order, is duplicate-free, and excludes everything in ``seen``;
-    malformed or non-http links are skipped and counted in ``stats``.
+    order, is duplicate-free, and excludes everything in ``seen``; each URL
+    returned is added to ``seen``. Malformed or non-http links are skipped
+    and counted in ``stats``.
     """
     if stats is None:
         stats = {}
     if not scan.is_html:
         return []
     out: list[str] = []
-    emitted: set[str] = set()
     for href in scan.anchors:
         try:
             canonical = canonicalize_url(urljoin(page_url, href.strip()))
@@ -301,9 +285,9 @@ def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[
         if not scope.contains(canonical):
             stats["offscope_links"] = stats.get("offscope_links", 0) + 1
             continue
-        if canonical in seen or canonical in emitted:
+        if canonical in seen:
             continue
-        emitted.add(canonical)
+        seen.add(canonical)
         out.append(canonical)
     return out
 
@@ -323,18 +307,18 @@ def classify_page(scan: PageScan, status: int = 200) -> PageClass:
     payload is a ``server_message``, even when it carries the metadata block.
     """
     if scan.empty:
-        return PageClass.non_content(NonContentReason.EMPTY)
+        return PageClass.EMPTY
     if not 200 <= status < 300:
-        return PageClass.non_content(NonContentReason.SERVER_MESSAGE)
+        return PageClass.SERVER_MESSAGE
     if scan.xml_root in ("urlset", "sitemapindex"):
-        return PageClass.non_content(NonContentReason.SITEMAP)
+        return PageClass.SITEMAP
     if scan.meta.get("date") and scan.meta.get("type"):
-        return PageClass.press()
+        return PageClass.PRESS_RELEASE
     if _SERVER_MESSAGE.search(scan.title):
-        return PageClass.non_content(NonContentReason.SERVER_MESSAGE)
+        return PageClass.SERVER_MESSAGE
     if scan.has_form:
-        return PageClass.non_content(NonContentReason.FORM)
-    return PageClass.non_content(NonContentReason.OTHER)
+        return PageClass.FORM
+    return PageClass.OTHER
 
 
 @dataclass
@@ -344,7 +328,7 @@ class CrawlResult:
     stats: dict = field(default_factory=dict)
 
 
-def crawl(scope: CrawlScope, fetcher, clock=None, limiter=None, retries: int = 3) -> CrawlResult:
+def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
     """Breadth-first crawl of the whole fold, each URL fetched exactly once.
 
     The frontier seeds from the fold root; only press-release pages and the
@@ -353,9 +337,6 @@ def crawl(scope: CrawlScope, fetcher, clock=None, limiter=None, retries: int = 3
     Each payload is scanned once; classification and frontier expansion
     share that scan.
     """
-    clock = clock or SystemClock()
-    if limiter is None:
-        limiter = RateLimiter(scope.rate_limit, clock=clock)
     result = CrawlResult()
     seed = scope.seed_url
     frontier: deque[str] = deque([seed])
@@ -363,7 +344,7 @@ def crawl(scope: CrawlScope, fetcher, clock=None, limiter=None, retries: int = 3
     while frontier:
         url = frontier.popleft()
         try:
-            record = fetch_page(url, scope, fetcher, limiter=limiter, clock=clock, retries=retries)
+            record = fetch_page(url, scope, fetcher, limiter)
         except FetchRetryError as err:
             result.failures.append((url, err.attempts))
             continue
@@ -371,9 +352,7 @@ def crawl(scope: CrawlScope, fetcher, clock=None, limiter=None, retries: int = 3
         page_class = classify_page(scan, record.status)
         result.entries.append((record, page_class))
         if record.ok:
-            for new_url in expand_frontier(record.url, scan, scope, seen, stats=result.stats):
-                seen.add(new_url)
-                frontier.append(new_url)
+            frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=result.stats))
     result.stats["fetched"] = len(result.entries)
     result.stats["failed"] = len(result.failures)
     result.stats["press_releases"] = sum(1 for _, c in result.entries if c.press_release)

@@ -52,18 +52,6 @@ class MatchResult:
     kind: MatchKind
     release_id: str | None = None
 
-    @classmethod
-    def matched(cls, release_id: str) -> "MatchResult":
-        return cls(MatchKind.MATCHED, release_id)
-
-    @classmethod
-    def outdated(cls) -> "MatchResult":
-        return cls(MatchKind.OUTDATED_URL)
-
-    @classmethod
-    def out_of_scope(cls) -> "MatchResult":
-        return cls(MatchKind.OUT_OF_SCOPE)
-
 
 @dataclass
 class TweetMention:
@@ -149,10 +137,10 @@ def match_to_release(final: str, index: CorpusIndex) -> MatchResult:
     the corpus fold but matches nothing; out-of-scope otherwise."""
     release_id = index.get(final)
     if release_id is not None:
-        return MatchResult.matched(release_id)
+        return MatchResult(MatchKind.MATCHED, release_id)
     if index.in_fold(final):
-        return MatchResult.outdated()
-    return MatchResult.out_of_scope()
+        return MatchResult(MatchKind.OUTDATED_URL)
+    return MatchResult(MatchKind.OUT_OF_SCOPE)
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -163,8 +151,7 @@ def _parse_timestamp(raw: str) -> datetime:
 
 
 def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
-                  stats: dict | None = None,
-                  cache: dict[str, UrlResolution] | None = None) -> list[TweetMention]:
+                  stats: dict | None = None) -> list[TweetMention]:
     """Cleanse a raw tweet stream into corpus mentions.
 
     Retweets are dropped; every embedded URL is resolved (memoized) and
@@ -175,8 +162,7 @@ def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
     """
     if stats is None:
         stats = {}
-    if cache is None:
-        cache = {}
+    cache: dict[str, UrlResolution] = {}
     kept: dict[str, TweetMention] = {}
     for record in records:
         try:
@@ -200,10 +186,9 @@ def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
             if not isinstance(url, str) or not url.strip():
                 stats["bad_urls"] = stats.get("bad_urls", 0) + 1
                 continue
-            resolution = cache.get(url)
-            if resolution is None:
-                resolution = resolve_chain(url, resolver, max_depth=max_depth)
-                cache[url] = resolution
+            if url not in cache:
+                cache[url] = resolve_chain(url, resolver, max_depth=max_depth)
+            resolution = cache[url]
             resolved.append(resolution.final)
             matches.append(match_to_release(resolution.final, index))
         if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):

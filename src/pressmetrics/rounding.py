@@ -9,9 +9,7 @@ from __future__ import annotations
 from decimal import Decimal, ROUND_HALF_UP
 
 
-def round_half_up(value: float | Decimal, places: int) -> float:
-    if not isinstance(value, Decimal):
-        value = Decimal(str(value))
+def round_half_up(value: Decimal, places: int) -> float:
     quantum = Decimal(1).scaleb(-places)
     return float(value.quantize(quantum, rounding=ROUND_HALF_UP))
 

@@ -51,14 +51,21 @@ def read_jsonl(path: str | Path):
 
 def read_csv(path: str | Path, convert) -> list:
     """``convert`` applied to each row (a dict keyed by the header) of a
-    headed CSV. A row whose conversion raises KeyError or ValueError fails
-    with a ValueError that names the file and the line."""
+    headed CSV; blank lines are skipped. A row whose field count differs
+    from the header's, or whose conversion raises KeyError or ValueError,
+    fails with a ValueError that names the file and the line."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                                 f"got {len(fields)}")
             try:
-                out.append(convert(row))
+                out.append(convert(dict(zip(header, fields))))
             except (KeyError, ValueError) as err:
                 detail = f"missing column {err}" if isinstance(err, KeyError) else err
                 raise ValueError(f"{path}:{reader.line_num}: {detail}") from err

@@ -1,8 +1,8 @@
 """URL canonicalization shared by every stage.
 
 One press release has one identity: scheme is folded to https, the host is
-lowercased, query strings and fragments are dropped, and duplicate slashes
-in the path collapse. All cross-stage joins (crawl manifest, corpus index,
+lowercased, the scheme's default port is dropped, query strings and
+fragments are dropped, and duplicate slashes in the path collapse. All cross-stage joins (crawl manifest, corpus index,
 tweet matching, backlink merging) happen on these canonical forms.
 """
 
@@ -14,14 +14,15 @@ import re
 from urllib.parse import urlsplit, urlunsplit
 
 _DUP_SLASH = re.compile(r"/{2,}")
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 def canonicalize_url(url: str) -> str:
     """Return the canonical form of ``url``.
 
-    http and https variants of one URL canonicalize identically. Raises
-    ValueError for non-http(s) schemes (mailto:, javascript:, ...) or
-    host-less URLs.
+    http and https variants of one URL, with or without the scheme's default
+    port (RFC 3986 section 6.2.3), canonicalize identically. Raises ValueError
+    for non-http(s) schemes (mailto:, javascript:, ...) or host-less URLs.
     """
     url = url.strip()
     parts = urlsplit(url)
@@ -37,7 +38,7 @@ def canonicalize_url(url: str) -> str:
         raise ValueError(f"unparseable host in URL: {url!r}") from None
     if not host:
         raise ValueError(f"URL has no host: {url!r}")
-    if port is not None:
+    if port is not None and port != _DEFAULT_PORTS[scheme]:
         host = f"{host}:{port}"
     path = _DUP_SLASH.sub("/", parts.path) or "/"
     return urlunsplit(("https", host, path, "", ""))
@@ -64,11 +65,6 @@ def normalize_fold(seed_path: str) -> str:
         host, _, rest = fold.partition("/")
         return host.lower() + "/" + _DUP_SLASH.sub("/", rest)
     return fold.lower()
-
-
-def under_fold(canonical_url: str, seed_path: str) -> bool:
-    """True when the canonical URL lies under the host+path prefix."""
-    return strip_scheme(canonical_url).startswith(normalize_fold(seed_path))
 
 
 class CorpusIndex:

@@ -43,7 +43,8 @@ def fixture_scope() -> harvester.CrawlScope:
 @pytest.fixture(scope="session")
 def crawl_result(fixture_scope) -> harvester.CrawlResult:
     fetcher = harvester.DirectoryFetcher(FIXTURES / "site")
-    return harvester.crawl(fixture_scope, fetcher, clock=harvester.VirtualClock())
+    return harvester.crawl(fixture_scope, fetcher,
+                           harvester.RateLimiter(0.0, harvester.VirtualClock()))
 
 
 @pytest.fixture(scope="session")
@@ -95,7 +96,7 @@ def make_release():
 
 @pytest.fixture()
 def make_mention():
-    from pressmetrics.mention_ingest import MatchResult, TweetMention
+    from pressmetrics.mention_ingest import MatchKind, MatchResult, TweetMention
 
     def _make(tweet_id: str, when: str, release_ids=()):
         return TweetMention(
@@ -105,7 +106,7 @@ def make_mention():
             embedded_urls=[],
             resolved_urls=[],
             is_retweet=False,
-            matches=[MatchResult.matched(rid) for rid in release_ids],
+            matches=[MatchResult(MatchKind.MATCHED, rid) for rid in release_ids],
         )
 
     return _make

@@ -79,6 +79,15 @@ class TestPrerequisites:
         assert err.value.stage == "parse"
         assert "missing prerequisite" in str(err.value)
 
+    def test_parse_requires_configured_resolver(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cfg.resolver_file = tmp_path / "no_resolver.csv"
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run("parse", cfg)
+        assert err.value.stage == "parse"
+        assert "missing prerequisite" in str(err.value)
+
     def test_unknown_command(self, tmp_path, fixtures_dir):
         with pytest.raises(cli.PipelineError):
             cli.run("transmogrify", fixture_config(tmp_path, fixtures_dir))

@@ -78,3 +78,13 @@ class TestJournalCoverage:
         assert by_name["quarterly null results"].press_release_count == 0
         assert by_name["quarterly null results"].coverage_pct == 0.0
         assert by_name["midnight preprints"].coverage_pct is None
+
+
+@pytest.mark.parametrize("line3,got", [("Science", 1), ("Science,7,extra", 3)])
+def test_external_counts_row_width_names_file_and_line(tmp_path, line3, got):
+    from pressmetrics.coupling import load_external_counts
+    path = tmp_path / "external_counts.csv"
+    path.write_text(f"journal,publications_with_doi\nNature,12\n{line3}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_external_counts(path)
+    assert f"{path}:3: expected 2 fields, got {got}" in str(err.value)

@@ -1,15 +1,16 @@
 import threading
 from collections import Counter
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 import oracle
+from pressmetrics import __version__
 from pressmetrics.harvester import (
     CrawlScope,
     DirectoryFetcher,
     FetchRetryError,
     HttpFetcher,
-    NonContentReason,
     PageClass,
     RateLimiter,
     ScopeViolation,
@@ -39,21 +40,21 @@ def test_scope_validation():
 
 def test_rate_limit_spacing_one_second():
     clock = VirtualClock()
-    limiter = RateLimiter(1.0, clock=clock)
+    limiter = RateLimiter(1.0, clock)
     scope = CrawlScope("files.test/", rate_limit=1.0)
     fetcher = _StaticFetcher({"https://files.test/a": b"a", "https://files.test/b": b"b"})
-    fetch_page("https://files.test/a", scope, fetcher, limiter=limiter, clock=clock)
-    fetch_page("https://files.test/b", scope, fetcher, limiter=limiter, clock=clock)
+    fetch_page("https://files.test/a", scope, fetcher, limiter)
+    fetch_page("https://files.test/b", scope, fetcher, limiter)
     assert all(gap >= 1.0 for gap in limiter.spacings("files.test"))
 
 
 def test_rate_limit_zero_means_no_delay():
     clock = VirtualClock()
-    limiter = RateLimiter(0.0, clock=clock)
+    limiter = RateLimiter(0.0, clock)
     scope = CrawlScope("files.test/", rate_limit=0.0)
     fetcher = _StaticFetcher({"https://files.test/a": b"a", "https://files.test/b": b"b"})
-    fetch_page("https://files.test/a", scope, fetcher, limiter=limiter, clock=clock)
-    fetch_page("https://files.test/b", scope, fetcher, limiter=limiter, clock=clock)
+    fetch_page("https://files.test/a", scope, fetcher, limiter)
+    fetch_page("https://files.test/b", scope, fetcher, limiter)
     assert clock.monotonic() == 0.0
 
 
@@ -102,7 +103,7 @@ def test_fetch_digest_matches_precomputed_hash(tmp_path):
     blob.write_bytes(b"hello world\n")
     scope = CrawlScope("files.test/", rate_limit=0.0)
     record = fetch_page("https://files.test/blob.bin", scope, DirectoryFetcher(tmp_path),
-                        clock=VirtualClock())
+                        RateLimiter(0.0, VirtualClock()))
     assert record.status == 200
     assert record.body_digest == HELLO_DIGEST
     assert record.fetched_at is not None
@@ -111,28 +112,41 @@ def test_fetch_digest_matches_precomputed_hash(tmp_path):
 def test_fetch_out_of_scope():
     scope = CrawlScope("files.test/sub/", rate_limit=0.0)
     with pytest.raises(ScopeViolation):
-        fetch_page("https://files.test/other/x", scope, _StaticFetcher({}), clock=VirtualClock())
+        fetch_page("https://files.test/other/x", scope, _StaticFetcher({}),
+                   RateLimiter(0.0, VirtualClock()))
 
 
 def test_fetch_retries_with_doubling_backoff():
     clock = VirtualClock()
     scope = CrawlScope("files.test/", rate_limit=1.0)
-    limiter = RateLimiter(1.0, clock=clock)
+    limiter = RateLimiter(1.0, clock)
     fetcher = _FlakyFetcher(failures=2)
-    record = fetch_page("https://files.test/a", scope, fetcher, limiter=limiter, clock=clock)
+    record = fetch_page("https://files.test/a", scope, fetcher, limiter)
     assert record.status == 200 and fetcher.calls == 3
     assert all(gap >= 1.0 for gap in limiter.spacings("files.test"))
 
     fetcher = _FlakyFetcher(failures=99)
     with pytest.raises(FetchRetryError) as err:
-        fetch_page("https://files.test/b", scope, fetcher, limiter=limiter, clock=clock)
+        fetch_page("https://files.test/b", scope, fetcher, limiter)
     assert err.value.attempts == 3
+
+
+def test_fetch_uses_the_limiter_clock():
+    """Backoff sleeps and the fetch timestamp come from the limiter's clock:
+    grant at 0, back off 1, grant at 1, back off 2, grant at 3."""
+    clock = VirtualClock()
+    fetcher = _FlakyFetcher(failures=2)
+    record = fetch_page("https://files.test/a", CrawlScope("files.test/"), fetcher,
+                        RateLimiter(1.0, clock))
+    assert fetcher.calls == 3
+    assert clock.monotonic() == 3.0
+    assert record.fetched_at == clock.utcnow()
 
 
 def test_non_success_status_recorded_not_raised():
     scope = CrawlScope("files.test/", rate_limit=0.0)
     record = fetch_page("https://files.test/missing", scope, _StaticFetcher({}),
-                        clock=VirtualClock())
+                        RateLimiter(0.0, VirtualClock()))
     assert record.status == 404 and record.body == b""
 
 
@@ -177,24 +191,24 @@ def test_classify_press_release_page(corpus, crawl_result, truth):
         path = record.url.split("www.eksci.test/", 1)[1]
         if path.endswith("/"):
             path += "index.html"
-        assert page_class.label == by_path[path], record.url
+        assert page_class.value == by_path[path], record.url
 
 
 @pytest.mark.parametrize("body,reason", [
-    (b"", NonContentReason.EMPTY),
-    (b"   \n ", NonContentReason.EMPTY),
-    (b'<?xml version="1.0"?><urlset><url><loc>x</loc></url></urlset>', NonContentReason.SITEMAP),
+    (b"", PageClass.EMPTY),
+    (b"   \n ", PageClass.EMPTY),
+    (b'<?xml version="1.0"?><urlset><url><loc>x</loc></url></urlset>', PageClass.SITEMAP),
     (b"<html><head><title>404 Not Found</title></head><body>gone</body></html>",
-     NonContentReason.SERVER_MESSAGE),
+     PageClass.SERVER_MESSAGE),
     (b'<html><body><form action="/s"><input name="q"></form></body></html>',
-     NonContentReason.FORM),
-    (b"just some plain text", NonContentReason.OTHER),
-    (b"<!-- only a comment -->", NonContentReason.OTHER),
+     PageClass.FORM),
+    (b"just some plain text", PageClass.OTHER),
+    (b"<!-- only a comment -->", PageClass.OTHER),
 ])
 def test_classify_non_content(body, reason):
     page_class = classify_page(scan_page(body))
     assert not page_class.press_release
-    assert page_class.reason is reason
+    assert page_class is reason
 
 
 def test_classify_requires_date_and_type():
@@ -222,8 +236,9 @@ def test_crawl_non_success_page_is_never_press_release():
         "https://h.test/fold/gone.html": (404, press_body),
         "https://h.test/fold/down.html": (503, press_body),
     })
-    result = crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher, clock=VirtualClock())
-    labels = {record.url: page_class.label for record, page_class in result.entries}
+    result = crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher,
+                   RateLimiter(0.0, VirtualClock()))
+    labels = {record.url: page_class.value for record, page_class in result.entries}
     assert labels == {
         "https://h.test/fold/": "other",
         "https://h.test/fold/gone.html": "server_message",
@@ -231,13 +246,6 @@ def test_crawl_non_success_page_is_never_press_release():
         "https://h.test/fold/dead.html": "empty",
     }
     assert result.stats["press_releases"] == 0
-
-
-def test_page_class_variant_exclusive():
-    with pytest.raises(ValueError):
-        PageClass(press_release=True, reason=NonContentReason.OTHER)
-    with pytest.raises(ValueError):
-        PageClass(press_release=False)
 
 
 def test_crawl_visits_each_url_once_and_stays_in_scope(crawl_result, fixture_scope):
@@ -248,7 +256,7 @@ def test_crawl_visits_each_url_once_and_stays_in_scope(crawl_result, fixture_sco
 
 
 def test_crawl_classification_partition(crawl_result, truth):
-    got = Counter(page_class.label for _, page_class in crawl_result.entries)
+    got = Counter(page_class.value for _, page_class in crawl_result.entries)
     assert dict(got) == oracle.page_class_counts(truth)
     press = got["press_release"]
     assert press + (len(crawl_result.entries) - press) == len(crawl_result.entries)
@@ -256,7 +264,8 @@ def test_crawl_classification_partition(crawl_result, truth):
 
 
 def test_crawl_deterministic(fixture_scope, fixtures_dir, crawl_result):
-    again = crawl(fixture_scope, DirectoryFetcher(fixtures_dir / "site"), clock=VirtualClock())
+    again = crawl(fixture_scope, DirectoryFetcher(fixtures_dir / "site"),
+                  RateLimiter(0.0, VirtualClock()))
     assert [r.url for r, _ in again.entries] == [r.url for r, _ in crawl_result.entries]
 
 
@@ -269,3 +278,32 @@ def test_crawl_over_http_server(site_server):
     assert press == 50
     assert len(result.entries) == 62
     assert all(gap >= 0.02 - 1e-9 for gap in limiter.spacings(site_server))
+
+
+def test_http_fetcher_sends_user_agent():
+    agents = []
+
+    class _Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            agents.append(self.headers.get("User-Agent"))
+            self.send_response(200)
+            self.send_header("Content-Length", "2")
+            self.end_headers()
+            self.wfile.write(b"ok")
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        status, body = HttpFetcher(force_scheme="http").fetch(
+            f"https://127.0.0.1:{server.server_address[1]}/x")
+    finally:
+        server.shutdown()
+        server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert (status, body) == (200, b"ok")
+    assert agents == [f"pressmetrics/{__version__}"]

@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pressmetrics.urls import (
+    CorpusIndex,
     canonicalize_url,
     release_id_from_url,
-    under_fold,
     url_digest,
     url_host,
 )
@@ -18,6 +18,11 @@ from pressmetrics.urls import (
     ("https://www.eksci.test//releases///a.html", "https://www.eksci.test/releases/a.html"),
     ("www.eksci.test/releases/", "https://www.eksci.test/releases/"),
     ("https://host.test", "https://host.test/"),
+    ("http://h.test:80/a", "https://h.test/a"),
+    ("https://h.test:443/a", "https://h.test/a"),
+    ("http://h.test:8080/a", "https://h.test:8080/a"),
+    ("https://h.test:80/a", "https://h.test:80/a"),
+    ("http://h.test:443/a", "https://h.test:443/a"),
 ])
 def test_canonical_forms(raw, expected):
     assert canonicalize_url(raw) == expected
@@ -38,10 +43,11 @@ def test_non_http_rejected(bad):
 
 def test_fold_matching():
     url = canonicalize_url("http://WWW.EKSCI.TEST/releases/2016/x.html")
-    assert under_fold(url, "www.eksci.test/releases/")
-    assert under_fold(url, "WWW.Eksci.Test/releases/")
-    assert not under_fold(canonicalize_url("https://www.eksci.test/outside/x"), "www.eksci.test/releases/")
-    assert not under_fold(canonicalize_url("https://other.test/releases/x"), "www.eksci.test/releases/")
+    index = CorpusIndex({}, "www.eksci.test/releases/")
+    assert index.in_fold(url)
+    assert CorpusIndex({}, "WWW.Eksci.Test/releases/").in_fold(url)
+    assert not index.in_fold(canonicalize_url("https://www.eksci.test/outside/x"))
+    assert not index.in_fold(canonicalize_url("https://other.test/releases/x"))
 
 
 def test_release_id():
@@ -58,3 +64,14 @@ def test_canonicalization_idempotent(scheme, host, segments):
     url = f"{scheme}://{host}/" + "/".join(segments)
     canonical = canonicalize_url(url)
     assert canonicalize_url(canonical) == canonical
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789.-", min_size=1, max_size=20).filter(
+           lambda h: not h.startswith((".", "-"))),
+       st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0-9_", min_size=1, max_size=8), max_size=4))
+def test_default_port_spellings_share_identity(host, segments):
+    path = "/" + "/".join(segments)
+    spellings = {canonicalize_url(f"http://{host}{path}"),
+                 canonicalize_url(f"http://{host}:80{path}"),
+                 canonicalize_url(f"https://{host}:443{path}")}
+    assert len(spellings) == 1

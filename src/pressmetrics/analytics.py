@@ -2,8 +2,7 @@
 keyword and region distributions, the keyword co-occurrence network, PIO
 rankings, mention series, and the per-year mention-coverage table.
 
-Every operation is a pure single pass over an iterable of releases, so
-callers can stream a corpus file without materializing it. All rankings
+Every operation is a pure single pass over the releases. All rankings
 break count ties lexicographically on the entity name, and all percentages
 round half-up at the precision their report prints.
 """

@@ -11,7 +11,6 @@ websites_is_upper_bound so reports can say so.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -160,7 +159,3 @@ def aggregate_to_dict(release_id: str, agg: BacklinkAggregate) -> dict:
         "websites_is_upper_bound": agg.websites_is_upper_bound,
         "merged_from": len(agg.sources),
     }
-
-
-def aggregate_to_json(release_id: str, agg: BacklinkAggregate) -> str:
-    return json.dumps(aggregate_to_dict(release_id, agg), ensure_ascii=False)

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import analytics, backlink_ingest, coupling, harvester, mention_ingest, store
@@ -23,7 +24,7 @@ from .release_parser import (
     load_rewrite_table,
     parse_release,
     release_from_dict,
-    release_to_json,
+    release_to_dict,
 )
 from .urls import CorpusIndex, url_digest
 
@@ -143,17 +144,27 @@ class RunManifest:
         return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
 
 
-def _require(stage: str, path: Path | None, what: str) -> Path:
+def _optional(manifest: RunManifest, path: Path) -> Path | None:
+    """``path`` when it is a file, recorded as a stage input; else None."""
+    if not path.is_file():
+        return None
+    manifest.input_digests[str(path)] = store.file_digest(path)
+    return path
+
+
+def _require(manifest: RunManifest, path: Path | None, what: str) -> Path:
+    """``path``, which the stage cannot run without; a file is recorded."""
     if path is None:
-        raise PipelineError(stage, f"{what} not configured")
-    if not Path(path).exists():
-        raise PipelineError(stage, f"missing prerequisite: {what} at {path} "
-                                    f"(run the producing stage first)")
-    return Path(path)
+        raise PipelineError(manifest.command, f"{what} not configured")
+    if not path.exists():
+        raise PipelineError(manifest.command, f"missing prerequisite: {what} at {path} "
+                                              f"(run the producing stage first)")
+    return _optional(manifest, path) or path
 
 
-def _digests(paths) -> dict:
-    return {str(p): store.file_digest(p) for p in paths if Path(p).is_file()}
+def _write(manifest: RunManifest, write, path: Path, *args) -> None:
+    """A store writer's call, with the digest it returns recorded as an output."""
+    manifest.output_digests[str(path)] = write(path, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +176,7 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         raise PipelineError("crawl", "seed_path not configured")
     scope = harvester.CrawlScope(cfg.seed_path, frozenset(cfg.allowed_hosts), cfg.rate_limit)
     if cfg.fixtures_dir is not None:
-        fetcher = harvester.DirectoryFetcher(_require("crawl", cfg.fixtures_dir, "fixtures_dir"))
+        fetcher = harvester.DirectoryFetcher(_require(manifest, cfg.fixtures_dir, "fixtures_dir"))
         clock = harvester.VirtualClock()
     else:
         fetcher = harvester.HttpFetcher()
@@ -173,39 +184,35 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
     result = harvester.crawl(scope, fetcher, harvester.RateLimiter(scope.rate_limit, clock))
 
     cfg.pages_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
+    entries = []
     for record, page_class in result.entries:
         body_path = cfg.pages_dir / (url_digest(record.url) + ".body")
         store.atomic_write_bytes(body_path, record.body)
-        # the fetch already hashed exactly these bytes; no need to read them back
+        # the fetch already hashed exactly these bytes
         manifest.output_digests[str(body_path)] = record.body_digest
-        lines.append(json.dumps({
+        entries.append({
             "url": record.url,
             "status": record.status,
             "digest": record.body_digest,
             "fetched_at": record.fetched_at.isoformat().replace("+00:00", "Z"),
             "class": page_class.value,
-        }, ensure_ascii=False))
-    store.write_jsonl(cfg.crawl_manifest, lines)
-    manifest.output_digests.update(_digests([cfg.crawl_manifest]))
+        })
+    _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries)
     manifest.counts.update(result.stats)
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    crawl_manifest = _require("parse", cfg.crawl_manifest, "crawl manifest")
-    manifest.input_digests.update(_digests([crawl_manifest]))
-    rewrite_table = load_rewrite_table(cfg.doi_rewrites) if cfg.doi_rewrites else ()
+    crawl_manifest = _require(manifest, cfg.crawl_manifest, "crawl manifest")
+    rewrite_table = (load_rewrite_table(_require(manifest, cfg.doi_rewrites, "DOI rewrite table"))
+                     if cfg.doi_rewrites else ())
     unshorten = None
     if cfg.resolver_file:
         resolver = mention_ingest.CsvResolver.from_csv(
-            _require("parse", cfg.resolver_file, "resolver fixture"))
-        unshorten = {
-            url: mention_ingest.resolve_chain(url, resolver, cfg.max_depth).final
-            for url in resolver.known_urls()
-        }
+            _require(manifest, cfg.resolver_file, "resolver fixture"))
+        unshorten = partial(resolver.unshorten, max_depth=cfg.max_depth)
 
     stats: dict = {"parsed": 0, "parse_errors": 0, "skipped_non_content": 0}
-    lines = []
+    parsed: dict[str, dict] = {}  # release id -> corpus record
     for entry in store.read_jsonl(crawl_manifest):
         if entry["class"] != harvester.PageClass.PRESS_RELEASE:
             stats["skipped_non_content"] += 1
@@ -218,62 +225,59 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
             stats["parse_errors"] += 1
             stats[f"parse_errors_{err.field_name}"] = stats.get(f"parse_errors_{err.field_name}", 0) + 1
             continue
+        if release.id in parsed:
+            raise PipelineError("parse", f"release id {release.id!r} from both "
+                                f"{parsed[release.id]['canonical_url']} and {entry['url']}")
         stats["parsed"] += 1
-        lines.append(release_to_json(release))
-    store.write_jsonl(cfg.corpus_file, lines)
-    manifest.output_digests.update(_digests([cfg.corpus_file]))
+        parsed[release.id] = release_to_dict(release)
+    _write(manifest, store.write_jsonl, cfg.corpus_file, list(parsed.values()))
     manifest.counts.update(stats)
 
 
-def _read_corpus(cfg: PipelineConfig) -> list:
+def _read_corpus(cfg: PipelineConfig, manifest: RunManifest) -> list:
     """The whole corpus, decoded once; each stage calls this at most once."""
-    return [release_from_dict(record) for record in store.read_jsonl(cfg.corpus_file)]
+    corpus = _require(manifest, cfg.corpus_file, "parsed corpus")
+    return [release_from_dict(record) for record in store.read_jsonl(corpus)]
 
 
-def _corpus_index(cfg: PipelineConfig, stage: str) -> CorpusIndex:
-    _require(stage, cfg.corpus_file, "parsed corpus")
+def _corpus_index(cfg: PipelineConfig, manifest: RunManifest) -> CorpusIndex:
+    releases = _read_corpus(cfg, manifest)
     if not cfg.seed_path:
-        raise PipelineError(stage, "seed_path not configured")
-    return CorpusIndex.from_releases(_read_corpus(cfg), cfg.seed_path)
+        raise PipelineError(manifest.command, "seed_path not configured")
+    return CorpusIndex.from_releases(releases, cfg.seed_path)
 
 
 def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    tweets_path = _require("ingest-tweets", cfg.tweets_file, "tweet archive")
-    index = _corpus_index(cfg, "ingest-tweets")
+    tweets_path = _require(manifest, cfg.tweets_file, "tweet archive")
+    index = _corpus_index(cfg, manifest)
     if cfg.resolver_file:
         resolver = mention_ingest.CsvResolver.from_csv(
-            _require("ingest-tweets", cfg.resolver_file, "resolver fixture"))
+            _require(manifest, cfg.resolver_file, "resolver fixture"))
     else:
         resolver = lambda url: None  # no recorded redirects: every URL is terminal
-    manifest.input_digests.update(_digests(filter(None, [tweets_path, cfg.resolver_file,
-                                                         cfg.corpus_file])))
     stats: dict = {}
     mentions = mention_ingest.ingest_tweets(
         store.read_jsonl(tweets_path), resolver, index, max_depth=cfg.max_depth, stats=stats)
-    store.write_jsonl(cfg.mentions_file, [mention_ingest.mention_to_json(m) for m in mentions])
-    manifest.output_digests.update(_digests([cfg.mentions_file]))
+    _write(manifest, store.write_jsonl, cfg.mentions_file,
+           [mention_ingest.mention_to_dict(m) for m in mentions])
     stats["mentions_kept"] = len(mentions)
     manifest.counts.update(stats)
 
 
 def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    links_path = _require("ingest-links", cfg.backlinks_file, "backlink CSV")
-    index = _corpus_index(cfg, "ingest-links")
-    manifest.input_digests.update(_digests([links_path, cfg.corpus_file]))
+    links_path = _require(manifest, cfg.backlinks_file, "backlink CSV")
+    index = _corpus_index(cfg, manifest)
     records = backlink_ingest.read_raw_links_csv(links_path)
     try:
         aggregates = backlink_ingest.merge_protocol_variants(records)
     except backlink_ingest.LinkValidationError as err:
         raise PipelineError("ingest-links", str(err)) from err
     coverage = backlink_ingest.link_coverage_index(aggregates, index)
-    attached_lines = [
-        backlink_ingest.aggregate_to_json(rid, coverage.attached[rid])
-        for rid in sorted(coverage.attached)
-    ]
-    store.write_jsonl(cfg.backlinks_attached, attached_lines)
-    store.write_jsonl(cfg.backlinks_outdated,
-                      [json.dumps({"target": t}) for t in sorted(coverage.outdated)])
-    manifest.output_digests.update(_digests([cfg.backlinks_attached, cfg.backlinks_outdated]))
+    _write(manifest, store.write_jsonl, cfg.backlinks_attached,
+           [backlink_ingest.aggregate_to_dict(rid, coverage.attached[rid])
+            for rid in sorted(coverage.attached)])
+    _write(manifest, store.write_jsonl, cfg.backlinks_outdated,
+           [{"target": t} for t in sorted(coverage.outdated)])
     manifest.counts.update({
         "raw_records": len(records),
         "aggregates": len(aggregates),
@@ -288,30 +292,26 @@ def _fmt(value: float, places: int) -> str:
 
 
 def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    _require("couple", cfg.corpus_file, "parsed corpus")
-    counts_path = _require("couple", cfg.external_counts, "external counts CSV")
-    manifest.input_digests.update(_digests(filter(None, [cfg.corpus_file, counts_path,
-                                                         cfg.alias_journals])))
-    aliases = load_alias_table(cfg.alias_journals) if cfg.alias_journals else {}
-    doi_journals = coupling.load_doi_journals(cfg.doi_journals) if cfg.doi_journals else None
-
-    releases = _read_corpus(cfg)
+    releases = _read_corpus(cfg, manifest)
+    counts_path = _require(manifest, cfg.external_counts, "external counts CSV")
+    aliases = (load_alias_table(_require(manifest, cfg.alias_journals, "journal aliases"))
+               if cfg.alias_journals else {})
+    doi_journals = (coupling.load_doi_journals(_require(manifest, cfg.doi_journals, "DOI journals"))
+                    if cfg.doi_journals else None)
     edges = coupling.build_coupling_graph(releases, doi_journals)
     stats: dict = {}
     rows = coupling.journal_coverage(releases,
                                      coupling.load_external_counts(counts_path),
                                      alias_table=aliases, stats=stats)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
-    store.write_csv(cfg.report_dir / "coupling_edges.csv",
-                    ["release_id", "doi", "journal"],
-                    [[e.release_id, e.doi, e.journal or ""] for e in edges])
-    store.write_csv(cfg.report_dir / "journal_coverage.csv",
-                    ["journal", "publications_with_doi", "press_release_count", "coverage_pct"],
-                    [[r.journal, r.publications_with_doi, r.press_release_count,
-                      "" if r.coverage_pct is None else _fmt(r.coverage_pct, 1)]
-                     for r in rows])
-    manifest.output_digests.update(_digests([cfg.report_dir / "coupling_edges.csv",
-                                             cfg.report_dir / "journal_coverage.csv"]))
+    _write(manifest, store.write_csv, cfg.report_dir / "coupling_edges.csv",
+           ["release_id", "doi", "journal"],
+           [[e.release_id, e.doi, e.journal or ""] for e in edges])
+    _write(manifest, store.write_csv, cfg.report_dir / "journal_coverage.csv",
+           ["journal", "publications_with_doi", "press_release_count", "coverage_pct"],
+           [[r.journal, r.publications_with_doi, r.press_release_count,
+             "" if r.coverage_pct is None else _fmt(r.coverage_pct, 1)]
+            for r in rows])
     manifest.counts.update({"edges": len(edges), "journals": len(rows), **stats})
 
 
@@ -322,18 +322,15 @@ def _distribution_rows(dist: dict) -> list[list]:
 
 
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    _require("analyze", cfg.corpus_file, "parsed corpus")
-    manifest.input_digests.update(_digests([cfg.corpus_file]))
-    aliases = load_alias_table(cfg.alias_institutions) if cfg.alias_institutions else {}
+    releases = _read_corpus(cfg, manifest)
+    aliases = (load_alias_table(_require(manifest, cfg.alias_institutions, "institution aliases"))
+               if cfg.alias_institutions else {})
     report = cfg.report_dir
     report.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
 
     def write_csv(name: str, header: list[str], rows: list[list]) -> None:
-        store.write_csv(report / name, header, rows)
-        outputs.append(report / name)
+        _write(manifest, store.write_csv, report / name, header, rows)
 
-    releases = _read_corpus(cfg)
     populations: dict = {
         "corpus_total": len(releases),
         "date_anomalous_excluded_from_series": sum(r.date_anomaly for r in releases),
@@ -357,8 +354,8 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
               [[k, n] for k, n in analytics.keyword_frequency(releases)])
 
     graph = analytics.cooccurrence_graph(releases)
-    store.write_json(report / "cooccurrence_graph.json", analytics.cograph_to_json_dict(graph))
-    outputs.append(report / "cooccurrence_graph.json")
+    _write(manifest, store.write_json, report / "cooccurrence_graph.json",
+           analytics.cograph_to_json_dict(graph))
 
     regions = analytics.region_distribution(releases)
     write_csv("region_distribution.csv", ["region", "count", "pct"], _distribution_rows(regions))
@@ -368,8 +365,9 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
               [[name, n] for name, n in analytics.pio_ranking(releases, aliases)])
 
     mentions = None
-    if cfg.mentions_file.exists():
-        mentions = [mention_ingest.mention_from_dict(r) for r in store.read_jsonl(cfg.mentions_file)]
+    mentions_path = _optional(manifest, cfg.mentions_file)
+    if mentions_path:
+        mentions = [mention_ingest.mention_from_dict(r) for r in store.read_jsonl(mentions_path)]
         populations["mentions"] = len(mentions)
         write_csv("mention_series.csv", ["year", "count"],
                   [[y, n] for y, n in analytics.mention_series(mentions)])
@@ -378,15 +376,16 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
                   [[y, _fmt(v, 2)] for y, v in ratios.items()])
 
     linked: dict[str, dict] = {}
-    if cfg.backlinks_attached.exists():
-        linked = {r["release_id"]: r for r in store.read_jsonl(cfg.backlinks_attached)}
+    backlinks_path = _optional(manifest, cfg.backlinks_attached)
+    if backlinks_path:
+        linked = {r["release_id"]: r for r in store.read_jsonl(backlinks_path)}
         windows = [r["window_start"] for r in linked.values() if r.get("window_start")]
         if windows:
             populations["backlink_window_start"] = min(windows)
             populations["backlink_window_end"] = max(
                 r["window_end"] for r in linked.values() if r.get("window_end"))
 
-    if mentions is not None and cfg.backlinks_attached.exists():
+    if mentions is not None and backlinks_path:
         rows = analytics.coverage_table(releases, mentions, set(linked))
         write_csv("coverage_table.csv",
                   ["year", "published", "tweeted", "pct_tweeted", "web_linked", "pct_web"],
@@ -394,23 +393,19 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
                     r.web_linked, _fmt(r.pct_web, 1)] for r in rows])
         populations["coverage_table"] = sum(r.published for r in rows)
 
-    store.write_json(report / "summary.json", populations)
-    outputs.append(report / "summary.json")
-    manifest.output_digests.update(_digests(outputs))
+    _write(manifest, store.write_json, report / "summary.json", populations)
     manifest.counts.update(populations)
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    summary = _require("report", cfg.report_dir / "summary.json", "analyze output")
+    summary = _require(manifest, cfg.report_dir / "summary.json", "analyze output")
     report_files = sorted(p for p in cfg.report_dir.iterdir()
                           if p.is_file() and p.name != "report_manifest.json")
-    manifest.input_digests.update(_digests([summary]))
     payload = {
         "reports": {p.name: store.file_digest(p) for p in report_files},
         "populations": json.loads(summary.read_text(encoding="utf-8")),
     }
-    store.write_json(cfg.report_dir / "report_manifest.json", payload)
-    manifest.output_digests.update(_digests([cfg.report_dir / "report_manifest.json"]))
+    _write(manifest, store.write_json, cfg.report_dir / "report_manifest.json", payload)
     manifest.counts["report_files"] = len(report_files)
 
 

@@ -9,7 +9,6 @@ they are the obsolescence signal the coverage reports must exclude.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -93,8 +92,9 @@ class CsvResolver:
         nxt = self._hops[url]
         return DEAD if nxt is None else nxt
 
-    def known_urls(self) -> list[str]:
-        return list(self._hops)
+    def unshorten(self, url: str, max_depth: int = 5) -> str | None:
+        """The final URL of ``url``'s chain when the table lists ``url``."""
+        return resolve_chain(url, self, max_depth).final if url in self._hops else None
 
 
 def resolve_chain(url: str, resolver, max_depth: int = 5) -> UrlResolution:
@@ -232,7 +232,3 @@ def mention_from_dict(record: dict) -> TweetMention:
         matches=[MatchResult(MatchKind(m["kind"]), m.get("release_id"))
                  for m in record.get("matches", [])],
     )
-
-
-def mention_to_json(mention: TweetMention) -> str:
-    return json.dumps(mention_to_dict(mention), ensure_ascii=False)

@@ -10,7 +10,6 @@ fixed through a data-driven rewrite table.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -80,12 +79,7 @@ class Repair(str, Enum):
     UNSHORTENED = "unshortened"
 
 
-_REPAIR_SEVERITY = {
-    Repair.NONE: 0,
-    Repair.STRIPPED_WRAPPER: 1,
-    Repair.BROKEN_URL_FIXED: 2,
-    Repair.UNSHORTENED: 3,
-}
+_REPAIR_SEVERITY = {r: i for i, r in enumerate(Repair)}
 
 
 @dataclass(frozen=True)
@@ -228,17 +222,17 @@ def extract_dois(scan: PageScan, description: str = "", rewrites=(), unshorten=N
 
     Duplicates collapse on the normalized value, keeping the least-repaired
     variant. ``rewrites`` is a sequence of (find, replace) regex pairs for
-    systematic malformations; ``unshorten`` maps short URLs to their known
-    expansions so DOIs behind shorteners are still recovered. Unrepairable
-    candidates are dropped and counted in ``stats``.
+    systematic malformations; ``unshorten`` maps a short URL to its known
+    expansion, or to None, so DOIs behind shorteners are still recovered.
+    Unrepairable candidates are dropped and counted in ``stats``.
     """
     if stats is None:
         stats = {}
     candidates: list[tuple[str, Repair]] = []
     for href in scan.anchors:
         href = href.strip()
-        if unshorten and href in unshorten:
-            expanded = unshorten[href]
+        expanded = unshorten(href) if unshorten else None
+        if expanded is not None:
             candidates.extend((cand, Repair.UNSHORTENED) for cand, _ in _candidates_from_href(expanded))
             continue
         candidates.extend(_candidates_from_href(href))
@@ -378,7 +372,3 @@ def release_from_dict(record: dict) -> PressRelease:
               for d in record.get("dois", [])],
         date_anomaly=bool(record.get("date_anomaly", False)),
     )
-
-
-def release_to_json(release: PressRelease) -> str:
-    return json.dumps(release_to_dict(release), ensure_ascii=False)

@@ -20,9 +20,7 @@ def percentage(numerator: int, denominator: int, places: int) -> float:
     Exact integer arithmetic before the final quantize, so printed-table
     recomputation never drifts through binary floats.
     """
-    if denominator <= 0:
-        raise ZeroDivisionError("percentage denominator must be positive")
-    return round_half_up(Decimal(numerator) * 100 / Decimal(denominator), places)
+    return ratio(100 * numerator, denominator, places)
 
 
 def ratio(numerator: int, denominator: int, places: int = 2) -> float:

@@ -3,7 +3,9 @@
 Every stage output is written to a temp file in the destination directory
 and renamed into place, so an interrupted run never leaves partial output
 where a later stage could read it. CSVs are UTF-8, comma-separated, LF
-line endings, header row always present.
+line endings, header row always present. Every text writer returns the
+SHA-256 hex digest of the bytes it wrote, so a stage records its outputs
+without reading them back.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_text(path: str | Path, text: str) -> str:
+    data = text.encode("utf-8")
+    atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_jsonl(path: str | Path, lines: list[str]) -> None:
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+def write_jsonl(path: str | Path, records: list[dict]) -> str:
+    return atomic_write_text(path, "".join(json.dumps(record, ensure_ascii=False) + "\n"
+                                           for record in records))
 
 
 def read_jsonl(path: str | Path):
@@ -72,16 +77,16 @@ def read_csv(path: str | Path, convert) -> list:
     return out
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    return atomic_write_text(path, buf.getvalue())
 
 
-def write_json(path: str | Path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+def write_json(path: str | Path, payload) -> str:
+    return atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def file_digest(path: str | Path) -> str:

@@ -15,6 +15,8 @@ from urllib.parse import urlsplit, urlunsplit
 
 _DUP_SLASH = re.compile(r"/{2,}")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+# "h.test:443/a": urlsplit would read the host as the scheme
+_SCHEMELESS_WITH_PORT = re.compile(r"[\w-]+(\.[\w-]+)+:\d+(/|$)")
 
 
 def canonicalize_url(url: str) -> str:
@@ -26,7 +28,7 @@ def canonicalize_url(url: str) -> str:
     """
     url = url.strip()
     parts = urlsplit(url)
-    if not parts.scheme:
+    if not parts.scheme or _SCHEMELESS_WITH_PORT.match(url):
         parts = urlsplit("https://" + url)
     scheme = parts.scheme.lower()
     if scheme not in ("http", "https"):

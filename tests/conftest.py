@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pressmetrics import harvester
-from pressmetrics.mention_ingest import CsvResolver, resolve_chain
+from pressmetrics.mention_ingest import CsvResolver
 from pressmetrics.release_parser import (
     DoiRef,
     MetadataRecord,
@@ -52,9 +52,8 @@ def corpus(crawl_result) -> list[PressRelease]:
     """Fixture corpus parsed straight from the crawled payloads."""
     rewrites = load_rewrite_table(FIXTURES / "doi_rewrites.csv")
     resolver = CsvResolver.from_csv(FIXTURES / "resolver_main.csv")
-    unshorten = {u: resolve_chain(u, resolver).final for u in resolver.known_urls()}
     return [
-        parse_release(record.url, record.body, rewrite_table=rewrites, unshorten=unshorten)
+        parse_release(record.url, record.body, rewrite_table=rewrites, unshorten=resolver.unshorten)
         for record, page_class in crawl_result.entries
         if page_class.press_release
     ]

@@ -1,9 +1,10 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from pressmetrics import cli, harvester, pagescan, release_parser, store
+from pressmetrics import cli, harvester, mention_ingest, pagescan, release_parser, store
 from pressmetrics.urls import url_digest
 
 FOLD = "www.eksci.test/releases/"
@@ -101,6 +102,24 @@ class TestPrerequisites:
             cli.run("couple", cfg)
         assert err.value.stage == "couple"
 
+    @pytest.mark.parametrize("stage,table", [
+        ("parse", "doi_rewrites"),
+        ("couple", "alias_journals"),
+        ("couple", "doi_journals"),
+        ("analyze", "alias_institutions"),
+    ])
+    def test_configured_table_missing_is_a_prerequisite_error(self, tmp_path, fixtures_dir,
+                                                              stage, table):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        if stage != "parse":
+            cli.run("parse", cfg)
+        setattr(cfg, table, tmp_path / "missing.csv")
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run(stage, cfg)
+        assert err.value.stage == stage
+        assert "missing prerequisite" in str(err.value)
+
 
 class TestPipelineOutputs:
     def test_stage_counts(self, completed_run):
@@ -190,6 +209,27 @@ class TestPipelineOutputs:
             key = f"{path.name}:{store.file_digest(path)}"
             assert seen.get(key, 0) >= 1, path.name
 
+    def test_run_log_records_every_file_read_and_written(self, completed_run):
+        cfg, _ = completed_run
+        reads = {
+            "crawl": [],
+            "parse": [cfg.crawl_manifest, cfg.doi_rewrites, cfg.resolver_file],
+            "ingest-tweets": [cfg.tweets_file, cfg.corpus_file, cfg.resolver_file],
+            "ingest-links": [cfg.backlinks_file, cfg.corpus_file],
+            "couple": [cfg.corpus_file, cfg.external_counts, cfg.alias_journals],
+            "analyze": [cfg.corpus_file, cfg.alias_institutions, cfg.mentions_file,
+                        cfg.backlinks_attached],
+            "report": [cfg.report_dir / "summary.json"],
+        }
+        logged = list(store.read_jsonl(cfg.run_log))[:len(cli.COMMANDS)]
+        assert [entry["command"] for entry in logged] == list(cli.COMMANDS)
+        for entry in logged:
+            assert entry["input_digests"] == {str(p): store.file_digest(p)
+                                              for p in reads[entry["command"]]}, entry["command"]
+            assert entry["output_digests"], entry["command"]
+            for path, digest in entry["output_digests"].items():
+                assert store.file_digest(path) == digest, path
+
     def test_summary_populations(self, completed_run):
         cfg, _ = completed_run
         summary = json.loads((cfg.report_dir / "summary.json").read_text())
@@ -244,6 +284,60 @@ class TestOneDecodePerStage:
             decoded.clear()
             cli.run(command, cfg)
             assert sorted(decoded) == corpus_ids, command
+
+
+class TestParse:
+    def test_resolves_only_the_short_links_pages_carry(self, tmp_path, fixtures_dir,
+                                                       monkeypatch):
+        resolved: list[str] = []
+        resolve_chain = mention_ingest.resolve_chain
+
+        def counting_resolve(url, resolver, max_depth=5):
+            resolved.append(url)
+            return resolve_chain(url, resolver, max_depth)
+
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        monkeypatch.setattr(mention_ingest, "resolve_chain", counting_resolve)
+        cli.run("parse", cfg)
+        assert resolved == ["https://sho.rt/doi42"]
+        unshortened = [d["normalized"] for r in store.read_jsonl(cfg.corpus_file)
+                       for d in r["dois"] if d["repair"] == "unshortened"]
+        assert unshortened == ["10.48550/fix.2020.044"]
+
+    def test_release_id_collision_names_both_urls(self, tmp_path, fixtures_dir):
+        site = tmp_path / "site"
+        shutil.copytree(fixtures_dir / "site", site)
+        releases = site / "www.eksci.test" / "releases"
+        shutil.copy(releases / "2016" / "nfu-201601.html", releases / "archive" / "nfu-201601.html")
+        index = releases / "index.html"
+        index.write_text(index.read_text(encoding="utf-8").replace(
+            "</ul>", '<li><a href="/releases/archive/nfu-201601.html">copy</a></li>\n</ul>'),
+            encoding="utf-8")
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.fixtures_dir = site
+        cli.run("crawl", cfg)
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run("parse", cfg)
+        assert err.value.stage == "parse"
+        assert "https://www.eksci.test/releases/2016/nfu-201601.html" in str(err.value)
+        assert "https://www.eksci.test/releases/archive/nfu-201601.html" in str(err.value)
+
+
+class TestIngestLinks:
+    def test_non_ascii_outdated_target_written_as_utf8(self, tmp_path, fixtures_dir):
+        target = "https://www.eksci.test/releases/2016/café.html"
+        links = tmp_path / "backlinks.csv"
+        links.write_text("target_url,mentioning_webpages,mentioning_websites,citation_flow,"
+                         f"trust_flow,window_start,window_end\n{target},3,2,10,5,,\n",
+                         encoding="utf-8")
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.backlinks_file = links
+        cli.run("crawl", cfg)
+        cli.run("parse", cfg)
+        cli.run("ingest-links", cfg)
+        assert cfg.backlinks_outdated.read_bytes() == (
+            json.dumps({"target": target}, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 class TestDailyGranularity:

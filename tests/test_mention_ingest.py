@@ -13,7 +13,7 @@ from pressmetrics.mention_ingest import (
     mention_to_dict,
     resolve_chain,
 )
-from pressmetrics.store import read_jsonl
+from pressmetrics.store import read_csv, read_jsonl
 
 
 class TestResolveChain:
@@ -50,7 +50,7 @@ class TestResolveChain:
 
     def test_idempotent_on_final_targets(self, fixtures_dir):
         resolver = CsvResolver.from_csv(fixtures_dir / "resolver_micro.csv")
-        for start in resolver.known_urls():
+        for start in read_csv(fixtures_dir / "resolver_micro.csv", lambda row: row["from_url"]):
             final = resolve_chain(start, resolver).final
             assert resolve_chain(final, resolver).depth == 0
 

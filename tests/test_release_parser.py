@@ -107,7 +107,7 @@ class TestExtractDois:
     def test_unshorten_map(self):
         body = page(body='<a href="https://sho.rt/x">mirror</a>')
         refs = extract_dois(scan_page(body),
-                            unshorten={"https://sho.rt/x": "https://doi.org/10.2000/abc"})
+                            unshorten={"https://sho.rt/x": "https://doi.org/10.2000/abc"}.get)
         assert [(r.normalized, r.repair) for r in refs] == [("10.2000/abc", Repair.UNSHORTENED)]
 
     def test_unrepairable_candidate_dropped_and_counted(self):

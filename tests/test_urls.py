@@ -23,6 +23,8 @@ from pressmetrics.urls import (
     ("http://h.test:8080/a", "https://h.test:8080/a"),
     ("https://h.test:80/a", "https://h.test:80/a"),
     ("http://h.test:443/a", "https://h.test:443/a"),
+    ("h.test:443/a", "https://h.test/a"),
+    ("www.x.test:8080/a", "https://www.x.test:8080/a"),
 ])
 def test_canonical_forms(raw, expected):
     assert canonicalize_url(raw) == expected
@@ -35,7 +37,8 @@ def test_http_and_https_share_identity():
     assert url_digest(a) == url_digest(b)
 
 
-@pytest.mark.parametrize("bad", ["mailto:press@eksci.test", "javascript:void(0)", "https://"])
+@pytest.mark.parametrize("bad", ["mailto:press@eksci.test", "javascript:void(0)", "https://",
+                                 "tel:12345"])
 def test_non_http_rejected(bad):
     with pytest.raises(ValueError):
         canonicalize_url(bad)
@@ -74,4 +77,6 @@ def test_default_port_spellings_share_identity(host, segments):
     spellings = {canonicalize_url(f"http://{host}{path}"),
                  canonicalize_url(f"http://{host}:80{path}"),
                  canonicalize_url(f"https://{host}:443{path}")}
+    if "." in host and all(host.split(".")):  # a dotless "host:443" is a scheme
+        spellings.add(canonicalize_url(f"{host}:443{path}"))
     assert len(spellings) == 1

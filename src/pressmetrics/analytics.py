@@ -9,6 +9,7 @@ round half-up at the precision their report prints.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import combinations
@@ -25,12 +26,8 @@ def output_series(corpus, granularity: str = "yearly") -> list[tuple[int | date,
     """
     if granularity not in ("yearly", "daily"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    counts: dict = {}
-    for release in corpus:
-        if release.date_anomaly:
-            continue
-        bucket = release.metadata.date.year if granularity == "yearly" else release.metadata.date
-        counts[bucket] = counts.get(bucket, 0) + 1
+    counts = Counter(release.metadata.date.year if granularity == "yearly" else release.metadata.date
+                     for release in corpus if not release.date_anomaly)
     return sorted(counts.items())
 
 
@@ -50,28 +47,23 @@ def distribution_percentages(counts: dict) -> dict:
             for key, n in counts.items()}
 
 
-def _distribution(values) -> dict:
-    """Counts and one-decimal shares per distinct value."""
-    counts: dict = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    return distribution_percentages(counts)
-
-
 def type_distribution(corpus) -> dict[PressType, tuple[int, float]]:
     """Counts and one-decimal shares per press type, over the releases that
     carry a type value."""
-    return _distribution(r.metadata.type for r in corpus if r.metadata.type is not None)
+    return distribution_percentages(Counter(r.metadata.type for r in corpus
+                                            if r.metadata.type is not None))
+
+
+def _ranked(counts: Counter) -> list[tuple[str, int]]:
+    """Count descending, ties broken on the name."""
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def keyword_frequency(corpus) -> list[tuple[str, int]]:
     """Keywords ranked by the number of releases using them (a release
     counts once per keyword no matter how often it repeats one)."""
-    counts: dict[str, int] = {}
-    for release in corpus:
-        for keyword in set(release.metadata.keywords):
-            counts[keyword] = counts.get(keyword, 0) + 1
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return _ranked(Counter(keyword for release in corpus
+                           for keyword in set(release.metadata.keywords)))
 
 
 @dataclass
@@ -83,9 +75,9 @@ class CoGraph:
     keyword's incident edge weights.
     """
 
-    nodes: dict[str, int] = field(default_factory=dict)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
-    link_strength: dict[str, int] = field(default_factory=dict)
+    nodes: Counter[str] = field(default_factory=Counter)
+    edges: Counter[tuple[str, str]] = field(default_factory=Counter)
+    link_strength: Counter[str] = field(default_factory=Counter)
 
     def total_weight(self) -> int:
         return sum(self.edges.values())
@@ -93,19 +85,14 @@ class CoGraph:
 
 def cooccurrence_graph(corpus) -> CoGraph:
     """For each release with k distinct keywords, every one of the C(k,2)
-    unordered pairs gains weight 1. No self-edges can arise."""
+    unordered pairs gains weight 1, so each of the k keywords gains link
+    strength k-1. No self-edges can arise."""
     graph = CoGraph()
     for release in corpus:
         keywords = sorted(set(release.metadata.keywords))
-        for keyword in keywords:
-            graph.nodes[keyword] = graph.nodes.get(keyword, 0) + 1
-        for pair in combinations(keywords, 2):
-            graph.edges[pair] = graph.edges.get(pair, 0) + 1
-    strength = {keyword: 0 for keyword in graph.nodes}
-    for (a, b), weight in graph.edges.items():
-        strength[a] += weight
-        strength[b] += weight
-    graph.link_strength = strength
+        graph.nodes.update(keywords)
+        graph.edges.update(combinations(keywords, 2))
+        graph.link_strength.update(dict.fromkeys(keywords, len(keywords) - 1))
     return graph
 
 
@@ -115,7 +102,7 @@ def cograph_to_json_dict(graph: CoGraph) -> dict:
     order = {keyword: i + 1 for i, keyword in enumerate(sorted(graph.nodes))}
     nodes = [
         {"id": order[k], "label": k, "occurrences": graph.nodes[k],
-         "link_strength": graph.link_strength.get(k, 0)}
+         "link_strength": graph.link_strength[k]}
         for k in sorted(graph.nodes)
     ]
     links = [
@@ -128,44 +115,29 @@ def cograph_to_json_dict(graph: CoGraph) -> dict:
 def region_distribution(corpus) -> dict[Region, tuple[int, float]]:
     """Counts and one-decimal shares per PIO region, over the releases that
     carry region metadata."""
-    return _distribution(r.metadata.region for r in corpus
-                         if r.metadata.region is not Region.UNKNOWN)
+    return distribution_percentages(Counter(r.metadata.region for r in corpus
+                                            if r.metadata.region is not Region.UNKNOWN))
 
 
 def pio_ranking(corpus, alias_table: dict[str, str] | None = None) -> list[tuple[str, int]]:
     """Submitting institutions ranked by output, internal units merged
     through the alias table; ties break on the name."""
     alias_table = alias_table or {}
-    counts: dict[str, int] = {}
-    for release in corpus:
-        if not release.metadata.institution:
-            continue
-        name = normalize_institution(release.metadata.institution, alias_table)
-        counts[name] = counts.get(name, 0) + 1
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return _ranked(Counter(normalize_institution(release.metadata.institution, alias_table)
+                           for release in corpus if release.metadata.institution))
 
 
 def mention_series(mentions) -> list[tuple[int, int]]:
     """Tweet mentions per tweet-publication year."""
-    counts: dict[int, int] = {}
-    for mention in mentions:
-        year = mention.created_at.year
-        counts[year] = counts.get(year, 0) + 1
-    return sorted(counts.items())
+    return sorted(Counter(mention.created_at.year for mention in mentions).items())
 
 
-def _release_years(corpus) -> tuple[dict[int, int], dict[str, int]]:
+def _release_years(corpus) -> tuple[Counter[int], dict[str, int]]:
     """Releases published per year, and each release's year; date-anomalous
     releases are left out of both."""
-    published: dict[int, int] = {}
-    year_of_release: dict[str, int] = {}
-    for release in corpus:
-        if release.date_anomaly:
-            continue
-        year = release.metadata.date.year
-        published[year] = published.get(year, 0) + 1
-        year_of_release[release.id] = year
-    return published, year_of_release
+    dated = [release for release in corpus if not release.date_anomaly]
+    return (Counter(release.metadata.date.year for release in dated),
+            {release.id: release.metadata.date.year for release in dated})
 
 
 def tweets_per_release(corpus, mentions) -> dict[int, float]:
@@ -176,13 +148,12 @@ def tweets_per_release(corpus, mentions) -> dict[int, float]:
     """
     published, year_of_release = _release_years(corpus)
 
-    same_year_tweets: dict[int, int] = {}
-    for mention in mentions:
-        year = mention.created_at.year
-        if any(year_of_release.get(rid) == year for rid in mention.matched_release_ids()):
-            same_year_tweets[year] = same_year_tweets.get(year, 0) + 1
+    same_year_tweets = Counter(
+        mention.created_at.year for mention in mentions
+        if any(year_of_release.get(rid) == mention.created_at.year
+               for rid in mention.matched_release_ids()))
 
-    return {year: ratio(same_year_tweets.get(year, 0), n, 2)
+    return {year: ratio(same_year_tweets[year], n, 2)
             for year, n in sorted(published.items())}
 
 
@@ -215,18 +186,15 @@ def coverage_table(corpus, mentions, backlinks) -> list[CoverageRow]:
 
     linked_releases = set(backlinks)
 
-    tweeted_by_year: dict[int, int] = {}
-    linked_by_year: dict[int, int] = {}
-    for release_id, year in year_of_release.items():
-        if release_id in tweeted_releases:
-            tweeted_by_year[year] = tweeted_by_year.get(year, 0) + 1
-        if release_id in linked_releases:
-            linked_by_year[year] = linked_by_year.get(year, 0) + 1
+    tweeted_by_year = Counter(year for release_id, year in year_of_release.items()
+                              if release_id in tweeted_releases)
+    linked_by_year = Counter(year for release_id, year in year_of_release.items()
+                             if release_id in linked_releases)
 
     rows = []
     for year, count in sorted(published.items()):
-        tweeted = tweeted_by_year.get(year, 0)
-        linked = linked_by_year.get(year, 0)
+        tweeted = tweeted_by_year[year]
+        linked = linked_by_year[year]
         rows.append(CoverageRow(
             year=year,
             published=count,

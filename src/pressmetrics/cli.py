@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -211,7 +212,7 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
             _require(manifest, cfg.resolver_file, "resolver fixture"))
         unshorten = partial(resolver.unshorten, max_depth=cfg.max_depth)
 
-    stats: dict = {"parsed": 0, "parse_errors": 0, "skipped_non_content": 0}
+    stats = Counter(parsed=0, parse_errors=0, skipped_non_content=0)
     parsed: dict[str, dict] = {}  # release id -> corpus record
     for entry in store.read_jsonl(crawl_manifest):
         if entry["class"] != harvester.PageClass.PRESS_RELEASE:
@@ -223,7 +224,7 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
                                     unshorten=unshorten, stats=stats)
         except ParseError as err:
             stats["parse_errors"] += 1
-            stats[f"parse_errors_{err.field_name}"] = stats.get(f"parse_errors_{err.field_name}", 0) + 1
+            stats[f"parse_errors_{err.field_name}"] += 1
             continue
         if release.id in parsed:
             raise PipelineError("parse", f"release id {release.id!r} from both "
@@ -379,11 +380,10 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
     backlinks_path = _optional(manifest, cfg.backlinks_attached)
     if backlinks_path:
         linked = {r["release_id"]: r for r in store.read_jsonl(backlinks_path)}
-        windows = [r["window_start"] for r in linked.values() if r.get("window_start")]
-        if windows:
-            populations["backlink_window_start"] = min(windows)
-            populations["backlink_window_end"] = max(
-                r["window_end"] for r in linked.values() if r.get("window_end"))
+        for end, pick in (("window_start", min), ("window_end", max)):
+            dates = [r[end] for r in linked.values() if r.get(end)]
+            if dates:
+                populations[f"backlink_{end}"] = pick(dates)
 
     if mentions is not None and backlinks_path:
         rows = analytics.coverage_table(releases, mentions, set(linked))

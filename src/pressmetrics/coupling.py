@@ -4,6 +4,7 @@ journal's press-release presence against its external publication count."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,20 +63,17 @@ def journal_coverage(corpus, external_counts: dict[str, int],
         stats = {}
     alias_table = alias_table or {}
 
-    press_counts: dict[str, int] = {}
-    for release in corpus:
-        for journal in {normalize_institution(j, alias_table) for j in release.metadata.journal}:
-            press_counts[journal] = press_counts.get(journal, 0) + 1
+    press_counts = Counter(journal for release in corpus for journal in
+                           {normalize_institution(j, alias_table) for j in release.metadata.journal})
 
-    externals: dict[str, int] = {}
+    externals: Counter[str] = Counter()
     for name, count in external_counts.items():
-        journal = normalize_institution(name, alias_table)
-        externals[journal] = externals.get(journal, 0) + int(count)
+        externals[normalize_institution(name, alias_table)] += int(count)
 
     rows: list[JournalCoverage] = []
     for journal in set(press_counts) | set(externals):
-        publications = externals.get(journal, 0)
-        press = press_counts.get(journal, 0)
+        publications = externals[journal]
+        press = press_counts[journal]
         if publications > 0:
             pct = percentage(press, publications, 1)
         else:

@@ -15,7 +15,7 @@ import hashlib
 import re
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -324,8 +324,7 @@ def classify_page(scan: PageScan, status: int = 200) -> PageClass:
 @dataclass
 class CrawlResult:
     entries: list[tuple[FetchRecord, PageClass]] = field(default_factory=list)
-    failures: list[tuple[str, int]] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    stats: Counter[str] = field(default_factory=Counter)
 
 
 def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
@@ -333,11 +332,11 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
 
     The frontier seeds from the fold root; only press-release pages and the
     other in-scope documents they link (directly or transitively) are
-    visited. Failed URLs land in ``failures`` and never produce records.
+    visited. Failed URLs count as ``stats["failed"]`` and never produce records.
     Each payload is scanned once; classification and frontier expansion
     share that scan.
     """
-    result = CrawlResult()
+    result = CrawlResult(stats=Counter(failed=0))
     seed = scope.seed_url
     frontier: deque[str] = deque([seed])
     seen: set[str] = {seed}
@@ -345,8 +344,8 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
         url = frontier.popleft()
         try:
             record = fetch_page(url, scope, fetcher, limiter)
-        except FetchRetryError as err:
-            result.failures.append((url, err.attempts))
+        except FetchRetryError:
+            result.stats["failed"] += 1
             continue
         scan = scan_page(record.body)
         page_class = classify_page(scan, record.status)
@@ -354,6 +353,5 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
         if record.ok:
             frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=result.stats))
     result.stats["fetched"] = len(result.entries)
-    result.stats["failed"] = len(result.failures)
     result.stats["press_releases"] = sum(1 for _, c in result.entries if c.press_release)
     return result

@@ -47,11 +47,17 @@ def write_jsonl(path: str | Path, records: list[dict]) -> str:
 
 
 def read_jsonl(path: str | Path):
+    """Each record of a JSON Lines file; blank lines are skipped. A malformed
+    line fails with a ValueError that names the file and the line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from err
+            yield record
 
 
 def read_csv(path: str | Path, convert) -> list:

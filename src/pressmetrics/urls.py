@@ -1,9 +1,12 @@
 """URL canonicalization shared by every stage.
 
 One press release has one identity: scheme is folded to https, the host is
-lowercased, the scheme's default port is dropped, query strings and
-fragments are dropped, and duplicate slashes in the path collapse. All cross-stage joins (crawl manifest, corpus index,
-tweet matching, backlink merging) happen on these canonical forms.
+lowercased, the scheme's default port is dropped, and query strings and
+fragments are dropped. In the path, escaped unreserved characters are
+decoded, the hex digits of other escapes are uppercased, duplicate slashes
+collapse, and "." and ".." segments are removed.
+All cross-stage joins (crawl manifest, corpus index, tweet matching,
+backlink merging) happen on these canonical forms.
 """
 
 from __future__ import annotations
@@ -17,14 +20,38 @@ _DUP_SLASH = re.compile(r"/{2,}")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 # "h.test:443/a": urlsplit would read the host as the scheme
 _SCHEMELESS_WITH_PORT = re.compile(r"[\w-]+(\.[\w-]+)+:\d+(/|$)")
+_ESCAPE = re.compile(r"%([0-9A-Fa-f]{2})")
+
+
+def _normalize_escape(match: re.Match) -> str:
+    char = chr(int(match.group(1), 16))
+    unreserved = char.isascii() and (char.isalnum() or char in "-._~")
+    return char if unreserved else match.group(0).upper()
+
+
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4 on an absolute path: "/a/./b" -> "/a/b",
+    "/a/b/.." -> "/a/", "/../x" -> "/x"."""
+    kept: list[str] = []
+    for segment in path.split("/")[1:]:
+        if segment == "..":
+            del kept[-1:]
+        elif segment != ".":
+            kept.append(segment)
+    if path.endswith(("/.", "/..")):  # a final dot segment names a directory
+        kept.append("")
+    return "/" + "/".join(kept)
 
 
 def canonicalize_url(url: str) -> str:
     """Return the canonical form of ``url``.
 
     http and https variants of one URL, with or without the scheme's default
-    port (RFC 3986 section 6.2.3), canonicalize identically. Raises ValueError
-    for non-http(s) schemes (mailto:, javascript:, ...) or host-less URLs.
+    port (RFC 3986 section 6.2.3), canonicalize identically, as do paths that
+    differ only in percent-encoding (6.2.2) or dot segments (5.2.4); escapes
+    are normalized first, so "%2E%2E" is a dot segment too. Raises
+    ValueError for non-http(s) schemes (mailto:, javascript:, ...) or
+    host-less URLs.
     """
     url = url.strip()
     parts = urlsplit(url)
@@ -42,7 +69,9 @@ def canonicalize_url(url: str) -> str:
         raise ValueError(f"URL has no host: {url!r}")
     if port is not None and port != _DEFAULT_PORTS[scheme]:
         host = f"{host}:{port}"
-    path = _DUP_SLASH.sub("/", parts.path) or "/"
+    path = _DUP_SLASH.sub("/", _ESCAPE.sub(_normalize_escape, parts.path)) or "/"
+    if "/." in path:
+        path = _remove_dot_segments(path)
     return urlunsplit(("https", host, path, "", ""))
 
 

@@ -339,6 +339,34 @@ class TestIngestLinks:
         assert cfg.backlinks_outdated.read_bytes() == (
             json.dumps({"target": target}, ensure_ascii=False) + "\n").encode("utf-8")
 
+    def test_one_sided_window_is_summarised_per_end(self, tmp_path, fixtures_dir):
+        rows = (fixtures_dir / "backlinks_main.csv").read_text(encoding="utf-8").splitlines()
+        links = tmp_path / "backlinks.csv"
+        links.write_text("\n".join([rows[0]] + [row.rsplit(",", 1)[0] + "," for row in rows[1:]])
+                         + "\n", encoding="utf-8")
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.backlinks_file = links
+        for command in ("crawl", "parse", "ingest-links", "analyze"):
+            cli.run(command, cfg)
+        summary = json.loads((cfg.report_dir / "summary.json").read_text())
+        assert summary["backlink_window_start"] == "2015-09-01"
+        assert "backlink_window_end" not in summary
+
+
+class TestIngestTweets:
+    def test_malformed_line_names_file_and_line(self, tmp_path, fixtures_dir, capsys):
+        first = (fixtures_dir / "tweets_main.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text(first + "\n{not json\n", encoding="utf-8")
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cli.run("parse", cfg)
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"seed_path={FOLD}\ncorpus_dir={cfg.corpus_dir}\n"
+                               f"tweets_file={tweets}\n")
+        assert cli.main(["ingest-tweets", "--config", str(config_file)]) == 1
+        assert f"{tweets}:2: " in capsys.readouterr().err
+
 
 class TestDailyGranularity:
     def test_peak_day_recorded(self, tmp_path, fixtures_dir):

@@ -248,11 +248,44 @@ def test_crawl_non_success_page_is_never_press_release():
     assert result.stats["press_releases"] == 0
 
 
+def test_crawl_counts_failed_fetches():
+    class _DownFetcher(_StatusFetcher):
+        def fetch(self, url):
+            if url.endswith("down.html"):
+                raise ConnectionError("unreachable")
+            return super().fetch(url)
+
+    fetcher = _DownFetcher({
+        "https://h.test/fold/": (200, b'<html><a href="down.html">1</a><a href="up.html">2</a></html>'),
+        "https://h.test/fold/up.html": (200, b"<html>up</html>"),
+    })
+    result = crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher,
+                   RateLimiter(0.0, VirtualClock()))
+    assert [record.url for record, _ in result.entries] == ["https://h.test/fold/",
+                                                            "https://h.test/fold/up.html"]
+    assert result.stats["failed"] == 1 and result.stats["fetched"] == 2
+
+
+def test_crawl_dot_segments_stay_inside_the_fold(tmp_path):
+    releases = tmp_path / "site" / "h.test" / "releases"
+    releases.mkdir(parents=True)
+    (releases / "index.html").write_text(
+        '<html><a href="https://h.test/releases/../other.html">1</a>'
+        '<a href="https://h.test/releases/../../../secret.txt">2</a></html>')
+    (tmp_path / "site" / "h.test" / "other.html").write_text("<html>other</html>")
+    (tmp_path / "secret.txt").write_text("secret")
+    result = crawl(CrawlScope("h.test/releases/", rate_limit=0.0),
+                   DirectoryFetcher(tmp_path / "site"),
+                   RateLimiter(0.0, VirtualClock()))
+    assert [record.url for record, _ in result.entries] == ["https://h.test/releases/"]
+    assert result.stats["offscope_links"] == 2
+
+
 def test_crawl_visits_each_url_once_and_stays_in_scope(crawl_result, fixture_scope):
     urls = [record.url for record, _ in crawl_result.entries]
     assert len(urls) == len(set(urls))
     assert all(fixture_scope.contains(url) for url in urls)
-    assert crawl_result.failures == []
+    assert crawl_result.stats["failed"] == 0
 
 
 def test_crawl_classification_partition(crawl_result, truth):

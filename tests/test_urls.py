@@ -25,6 +25,14 @@ from pressmetrics.urls import (
     ("http://h.test:443/a", "https://h.test:443/a"),
     ("h.test:443/a", "https://h.test/a"),
     ("www.x.test:8080/a", "https://www.x.test:8080/a"),
+    ("https://h.test/a/./b", "https://h.test/a/b"),
+    ("https://h.test/a/b/..", "https://h.test/a/"),
+    ("https://h.test/../x", "https://h.test/x"),
+    ("https://h.test/releases/../../../secret.txt", "https://h.test/secret.txt"),
+    ("https://h.test/%7Euser/a.html", "https://h.test/~user/a.html"),
+    ("https://h.test/%41%2d%5f%2E", "https://h.test/A-_."),
+    ("https://h.test/a%2fb%3a%20c", "https://h.test/a%2Fb%3A%20c"),
+    ("https://h.test/releases/%2E%2E/x", "https://h.test/x"),
 ])
 def test_canonical_forms(raw, expected):
     assert canonicalize_url(raw) == expected
@@ -62,7 +70,8 @@ def test_release_id():
 @given(st.sampled_from(["http", "https"]),
        st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789.-", min_size=1, max_size=20).filter(
            lambda h: not h.startswith((".", "-"))),
-       st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0-9_", min_size=1, max_size=8), max_size=4))
+       st.lists(st.one_of(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0-9_", min_size=1, max_size=8),
+                          st.sampled_from([".", ".."])), max_size=4))
 def test_canonicalization_idempotent(scheme, host, segments):
     url = f"{scheme}://{host}/" + "/".join(segments)
     canonical = canonicalize_url(url)
@@ -79,4 +88,14 @@ def test_default_port_spellings_share_identity(host, segments):
                  canonicalize_url(f"https://{host}:443{path}")}
     if "." in host and all(host.split(".")):  # a dotless "host:443" is a scheme
         spellings.add(canonicalize_url(f"{host}:443{path}"))
+    assert len(spellings) == 1
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789.-", min_size=1, max_size=20).filter(
+           lambda h: not h.startswith((".", "-"))),
+       st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0-9_~", min_size=1, max_size=8), max_size=4))
+def test_tilde_spellings_share_identity(host, segments):
+    path = "/" + "/".join(segments)
+    spellings = {canonicalize_url(f"https://{host}{path.replace('~', escape)}")
+                 for escape in ("~", "%7E", "%7e")}
     assert len(spellings) == 1

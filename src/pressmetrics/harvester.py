@@ -261,25 +261,60 @@ def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
     raise FetchRetryError(canonical, FETCH_ATTEMPTS) from last_error
 
 
+# What a canonical (https) page URL contributes to an href's join. A network
+# path ("//host", with or without a scheme) or a scheme other than http(s)
+# joins the same from every page; a bare "https:x" is directory-relative.
+# Hrefs that are empty after their scheme, start with "?", "#" or a character
+# urljoin strips, or hold a tab or line break (urljoin deletes those before
+# parsing) keep the whole page URL.
+_PAGE_INDEPENDENT = re.compile(
+    r"(?:[A-Za-z][A-Za-z0-9+.-]*:)?//[^/?#\t\n\r]|(?![Hh][Tt][Tt][Pp][Ss]?:)[A-Za-z][A-Za-z0-9+.-]*:")
+_DIRECTORY_RELATIVE = re.compile(r"(?![A-Za-z][A-Za-z0-9+.-]*:|//)[^\x00-\x20?#][^\t\n\r]*\Z")
+
+
+def _canonical_join(page_url: str, href: str, joins: dict) -> str | None:
+    """``canonicalize_url(urljoin(page_url, href))``, or None where that
+    raises ValueError, memoised in ``joins`` on the href plus as much of the
+    page URL as the join reads."""
+    if _PAGE_INDEPENDENT.match(href):
+        key = href
+    elif _DIRECTORY_RELATIVE.match(href):
+        key = page_url[:page_url.rfind("/") + 1], href
+    else:
+        key = page_url, href
+    try:
+        return joins[key]
+    except KeyError:
+        pass
+    try:
+        canonical = canonicalize_url(urljoin(page_url, href))
+    except ValueError:
+        canonical = None
+    joins[key] = canonical
+    return canonical
+
+
 def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[str],
-                    stats: dict | None = None) -> list[str]:
-    """New in-scope canonical URLs linked from the page at ``page_url``,
-    given that page's scan.
+                    stats: dict | None = None, joins: dict | None = None) -> list[str]:
+    """New in-scope canonical URLs linked from the page at canonical
+    ``page_url``, given that page's scan.
 
     Non-hypertext payloads expand to nothing. Output preserves document
     order, is duplicate-free, and excludes everything in ``seen``; each URL
     returned is added to ``seen``. Malformed or non-http links are skipped
-    and counted in ``stats``.
+    and counted in ``stats``. ``joins`` memoises each href's canonical join
+    (None for a malformed link) across the pages of one crawl.
     """
     if stats is None:
         stats = {}
+    if joins is None:
+        joins = {}
     if not scan.is_html:
         return []
     out: list[str] = []
     for href in scan.anchors:
-        try:
-            canonical = canonicalize_url(urljoin(page_url, href.strip()))
-        except ValueError:
+        canonical = _canonical_join(page_url, href.strip(), joins)
+        if canonical is None:
             stats["malformed_links"] = stats.get("malformed_links", 0) + 1
             continue
         if not scope.contains(canonical):
@@ -340,6 +375,7 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
     seed = scope.seed_url
     frontier: deque[str] = deque([seed])
     seen: set[str] = {seed}
+    joins: dict = {}
     while frontier:
         url = frontier.popleft()
         try:
@@ -351,7 +387,7 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
         page_class = classify_page(scan, record.status)
         result.entries.append((record, page_class))
         if record.ok:
-            frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=result.stats))
+            frontier.extend(expand_frontier(record.url, scan, scope, seen, result.stats, joins))
     result.stats["fetched"] = len(result.entries)
     result.stats["press_releases"] = sum(1 for _, c in result.entries if c.press_release)
     return result

@@ -1,6 +1,23 @@
 """Single-pass HTML scan used by page classification, link discovery, and
-metadata extraction. Built on html.parser so malformed markup degrades to
-"whatever was recoverable" instead of raising.
+metadata extraction.
+
+One regular-expression tokenizer walks the decoded payload once. It keeps
+the recovery rules of a tolerant HTML tokenizer, so malformed markup
+degrades to "whatever was recoverable" instead of raising:
+
+- a start tag is markup only when it closes with ``>`` or ``/>``; one cut off
+  by a stray character is text, and one left open (at end of input, or
+  before a letter, ``=`` or ``/``) is text up to the next ``>``, or else up
+  to the next ``<``, or else is just the ``<``;
+- a ``<`` that opens no construct is text, and so are comments,
+  processing instructions and declarations left open;
+- ``<script>`` and ``<style>`` bodies are raw text up to their end tag,
+  and an unclosed one swallows the rest of the payload;
+- a marked section (``<![``) with an unknown keyword ends the scan.
+
+Attributes are parsed only on the tags whose fields a PageScan keeps, and
+character references are expanded only where a ``&`` occurs.
+tests/scan_oracle.py holds the reference scanner this is checked against.
 
 Each stage scans a page body once and hands the resulting PageScan to every
 consumer: the crawl to classification and frontier expansion, the parse to
@@ -10,10 +27,39 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
+from html import unescape
 
 _XML_ROOT = re.compile(rb"<\?xml[^>]*\?>\s*(?:<!--.*?-->\s*)*<\s*([A-Za-z:_][\w:.-]*)", re.S)
-_SKIP_TEXT_TAGS = {"script", "style"}
+
+# One token per "<", so the text between two tokens is one data chunk. At
+# each "<" the alternatives are tried in order: a start tag ("close" is None
+# when a stray character cuts it off), an end tag, a construct that yields
+# nothing (comment, declaration, processing instruction, closed marked
+# section), a marked section with an unknown keyword, and text (a construct
+# left open, or a lone "<"). The start-tag body is atomic so that a tag left
+# open is never re-read as a shorter, cut-off one.
+_TOKEN = re.compile(r"""<(?:
+  (?P<start>(?>(?P<tag>[a-zA-Z][^\t\n\r\f />\x00]*)
+      (?:[\s/]*(?:(?<=['"\s/])[^\s/>][^\s/=>]*
+        (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?\s*)
+    (?:(?P<close>/?>)|(?=[^a-zA-Z=/>])))
+| (?P<end>/[^>]*>)
+| (?P<skip>!--.*?--\s*>
+    | !\[(?ai:temp|cdata|ignore|include|rcdata)(?![-_.a-zA-Z0-9]).*?\]\s*\]\s*>
+    | !\[(?ai:if|else|endif)(?![-_.a-zA-Z0-9]).*?\]\s*>
+    | !(?!--|\[)[^>]*>
+    | \?[^>]*>)
+| (?P<stop>!\[(?:(?![a-zA-Z])(?!\Z)
+    | (?!(?ai:temp|cdata|ignore|include|rcdata|if|else|endif)(?![-_.a-zA-Z0-9]))
+      [a-zA-Z][-_.a-zA-Z0-9]*+\s*+(?!\Z)))
+| (?P<data>(?=[a-zA-Z/!?])(?:[^>]*>|[^<]*(?=<))|)
+)""", re.S | re.X)
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRIBUTE = re.compile(
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
+_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_RAW_TEXT_END = {name: re.compile(r"</\s*(?ai:%s)\s*>" % name) for name in ("script", "style")}
+_TAGS_WITH_FIELDS = frozenset({"meta", "a", "form", "title", "script", "style"})
 
 
 @dataclass
@@ -30,49 +76,26 @@ class PageScan:
     empty: bool = False  # the payload was empty or whitespace-only
 
 
-class _Scanner(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.meta: dict[str, str] = {}
-        self.anchors: list[str] = []
-        self.title_parts: list[str] = []
-        self.has_form = False
-        self.text_parts: list[str] = []
-        self.saw_markup = False
-        self._in_title = False
-        self._skip_depth = 0
-
-    def handle_starttag(self, tag, attrs):
-        self.saw_markup = True
-        attrd = dict(attrs)
-        if tag == "meta":
-            name = (attrd.get("name") or "").strip().lower()
-            if name and name not in self.meta:
-                self.meta[name] = (attrd.get("content") or "").strip()
-        elif tag == "a":
-            href = attrd.get("href")
-            if href is not None:
-                self.anchors.append(href)
-        elif tag == "form":
-            self.has_form = True
-        elif tag == "title":
-            self._in_title = True
-        elif tag in _SKIP_TEXT_TAGS:
-            self._skip_depth += 1
-
-    def handle_endtag(self, tag):
-        if tag == "title":
-            self._in_title = False
-        elif tag in _SKIP_TEXT_TAGS and self._skip_depth:
-            self._skip_depth -= 1
-
-    def handle_data(self, data):
-        if self._skip_depth:
-            return
-        if self._in_title:
-            self.title_parts.append(data)
-        if data.strip():
-            self.text_parts.append(data)
+def _attributes(text: str, start: int, end: int) -> tuple[dict[str, str | None], str]:
+    """Attributes of the start tag text[start:end], the last of duplicate
+    names winning, and what is left of the tag after them (">" or "/>" for a
+    well-formed tag). A valueless attribute maps to None."""
+    k = _TAG_NAME.match(text, start + 1).end()
+    attrs: dict[str, str | None] = {}
+    while k < end:
+        m = _ATTRIBUTE.match(text, k)
+        if not m:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if value and "&" in value:
+            value = unescape(value)
+        attrs[name.lower()] = value
+        k = m.end()
+    return attrs, text[k:end].strip()
 
 
 def scan_page(body: bytes) -> PageScan:
@@ -83,16 +106,73 @@ def scan_page(body: bytes) -> PageScan:
     m = _XML_ROOT.match(body.lstrip())
     if m:
         scan.xml_root = m.group(1).decode("ascii", "replace").lower()
-    parser = _Scanner()
-    try:
-        parser.feed(body.decode("utf-8", "replace"))
-        parser.close()
-    except Exception:
-        pass  # keep whatever was recovered before the parser gave up
-    scan.meta = parser.meta
-    scan.anchors = parser.anchors
-    scan.title = " ".join(" ".join(parser.title_parts).split())
-    scan.has_form = parser.has_form
-    scan.text = "\n".join(parser.text_parts)
-    scan.is_html = parser.saw_markup
+    text = body.decode("utf-8", "replace")
+    meta, anchors = scan.meta, scan.anchors
+    title_parts: list[str] = []
+    text_parts: list[str] = []
+    in_title = False
+
+    def data(chunk: str, raw: bool = False) -> None:
+        if not raw and "&" in chunk:
+            chunk = unescape(chunk)
+        if in_title:
+            title_parts.append(chunk)
+        if chunk.strip():
+            text_parts.append(chunk)
+
+    # finditer cannot skip the body of a raw-text element, so the walk
+    # restarts past its end tag; None ends the walk
+    pos: int | None = 0
+    while pos is not None:
+        resume = None
+        for tok in _TOKEN.finditer(text, pos):
+            start = tok.start()
+            if start > pos:
+                data(text[pos:start])
+            pos = tok.end()
+            kind = tok.lastgroup
+            if kind == "start":
+                if tok.group("close") is None:
+                    data(text[start:pos], raw=True)
+                    continue
+                tag = tok.group("tag").lower()
+                if tag not in _TAGS_WITH_FIELDS:
+                    scan.is_html = True
+                    continue
+                attrs, rest = _attributes(text, start, pos)
+                if rest not in (">", "/>"):
+                    data(text[start:pos], raw=True)
+                    continue
+                scan.is_html = True
+                if tag == "a":
+                    href = attrs.get("href")
+                    if href is not None:
+                        anchors.append(href)
+                elif tag == "meta":
+                    name = (attrs.get("name") or "").strip().lower()
+                    if name and name not in meta:
+                        meta[name] = (attrs.get("content") or "").strip()
+                elif tag == "form":
+                    scan.has_form = True
+                elif tag == "title":
+                    in_title = rest == ">"
+                elif rest == ">":  # <script> or <style>: an unclosed one ends the walk
+                    close = _RAW_TEXT_END[tag].search(text, pos)
+                    resume = close.end() if close else None
+                    break
+            elif kind == "end":
+                if in_title:
+                    name = _END_TAG.match(text, start) or _TAG_NAME.match(text, start + 2)
+                    if name and name.group(1).lower() == "title":
+                        in_title = False
+            elif kind == "data":
+                data(tok.group())
+            elif kind == "stop":
+                break
+        else:
+            if pos < len(text):
+                data(text[pos:])
+        pos = resume
+    scan.title = " ".join(" ".join(title_parts).split())
+    scan.text = "\n".join(text_parts)
     return scan

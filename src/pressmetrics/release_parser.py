@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from urllib.parse import unquote
 
@@ -163,6 +164,10 @@ _RESOLVER = re.compile(r"(?:https?://)?(?:dx\.)?doi\.org/+([^\s\"'<>]+)", re.IGN
 _BROKEN_RESOLVER = re.compile(
     r"(?:https?://)?(?:dx\.)?doi\.org/+(10\.\d{4,9})[  ]+([^\s\"'<>]+)", re.IGNORECASE
 )
+# every _BROKEN_RESOLVER match contains a match of this, under the same flags;
+# unlike that pattern it has a literal prefix, so a page without one costs a
+# single fast scan
+_RESOLVER_HOST = re.compile(r"doi\.org", re.IGNORECASE)
 _TRAILING_JUNK = ".,;:!?\"'>]}"
 
 
@@ -186,7 +191,10 @@ def clean_doi(candidate: str) -> str | None:
     return None
 
 
-def _candidates_from_href(href: str) -> list[tuple[str, Repair]]:
+@lru_cache(maxsize=4096)
+def _candidates_from_href(href: str) -> tuple[tuple[str, Repair], ...]:
+    """DOI candidates in one link target; memoised, because the navigation
+    links of a site repeat on every page."""
     found: list[tuple[str, Repair]] = []
     unquoted = unquote(href)
     broken = _BROKEN_RESOLVER.search(unquoted)
@@ -200,12 +208,13 @@ def _candidates_from_href(href: str) -> list[tuple[str, Repair]]:
         hit = _DOI_CORE.search(unquoted)
         if hit:
             found.append((hit.group(0), Repair.STRIPPED_WRAPPER))
-    return found
+    return tuple(found)
 
 
 def _candidates_from_text(text: str) -> list[tuple[str, Repair]]:
     found: list[tuple[str, Repair]] = []
-    for m in _BROKEN_RESOLVER.finditer(text):
+    broken = _BROKEN_RESOLVER.finditer(text) if _RESOLVER_HOST.search(text) else ()
+    for m in broken:
         found.append((m.group(1) + "/" + m.group(2), Repair.BROKEN_URL_FIXED))
     for m in _DOI_CORE.finditer(text):
         token = m.group(0)

@@ -88,14 +88,9 @@ def strip_scheme(canonical_url: str) -> str:
 
 
 def normalize_fold(seed_path: str) -> str:
-    """Normalize a host+path prefix ("host.example/releases/") for matching."""
-    fold = seed_path.strip()
-    if "://" in fold:
-        fold = fold.split("://", 1)[1]
-    if "/" in fold:
-        host, _, rest = fold.partition("/")
-        return host.lower() + "/" + _DUP_SLASH.sub("/", rest)
-    return fold.lower()
+    """The host+path prefix ("host.example/releases/") that canonical URLs
+    inside a seed path start with, once their scheme is stripped."""
+    return strip_scheme(canonicalize_url(seed_path))
 
 
 class CorpusIndex:

@@ -1,8 +1,11 @@
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import urljoin
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracle
 from pressmetrics import __version__
@@ -16,12 +19,14 @@ from pressmetrics.harvester import (
     ScopeViolation,
     SystemClock,
     VirtualClock,
+    _canonical_join,
     classify_page,
     crawl,
     expand_frontier,
     fetch_page,
 )
 from pressmetrics.pagescan import scan_page
+from pressmetrics.urls import canonicalize_url
 
 # sha256 of the 12-byte payload b"hello world\n", computed with a standalone
 # script before the build
@@ -183,6 +188,39 @@ def test_expand_frontier_counts_malformed():
     out = expand_frontier("https://h.test/fold/", scan_page(body), scope, set(), stats)
     assert out == ["https://h.test/fold/a.html"]
     assert stats["malformed_links"] == 1
+
+
+_PAGES = st.sampled_from(["https://h.test/", "https://h.test/fold/", "https://h.test/fold/a.html",
+                         "https://h.test/fold/b.html", "https://h.test/fold/sub/c.html",
+                         "https://h.test/fold/d;p", "https://h.test:8080/fold/a.html"])
+_HREFS = st.one_of(
+    st.sampled_from(["", "?q", "#f", "//h/x", "//other.test/y", "mailto:x", "a?u=http://x", "../x",
+                     "%7e", "%7Euser/", "https:foo", "http:foo", "HTTPS://H.test/x", "///x", "//",
+                     "//?q", "https:", "https:?q", "javascript:void(0)", "/abs", "./a", "a/../../b",
+                     "http://[x", "x\ty", "/\t/evil.test/", "\x01?q", "https\t:", ";p", "a:b"]),
+    st.text(alphabet="ab/?#:.%7eE;\t\n\x01[]", max_size=10))
+
+
+@given(st.lists(st.tuples(_PAGES, _HREFS, st.sampled_from(["", " ", "\n", " \t"]),
+                          st.sampled_from(["", " ", "\n"])), max_size=25))
+def test_memoised_join_equals_direct_join(visits):
+    joins = {}
+    for page_url, href, before, after in visits:
+        href = (before + href + after).strip()
+        try:
+            expected = canonicalize_url(urljoin(page_url, href))
+        except ValueError:
+            expected = None
+        assert _canonical_join(page_url, href, joins) == expected, (page_url, href)
+
+
+@pytest.mark.parametrize("seed_path", ["www.eksci.test:443/releases/",
+                                       "www.eksci.test/releases/%7Eold/../"])
+def test_equivalent_fold_spellings_crawl_the_same_site(seed_path, fixtures_dir, crawl_result):
+    scope = CrawlScope(seed_path, rate_limit=0.0)
+    assert scope.seed_path == "www.eksci.test/releases/"
+    again = crawl(scope, DirectoryFetcher(fixtures_dir / "site"), RateLimiter(0.0, VirtualClock()))
+    assert [(r.url, c) for r, c in again.entries] == [(r.url, c) for r, c in crawl_result.entries]
 
 
 def test_classify_press_release_page(corpus, crawl_result, truth):

@@ -9,6 +9,8 @@ from pressmetrics.release_parser import (
     PressType,
     Region,
     Repair,
+    _BROKEN_RESOLVER,
+    _candidates_from_text,
     clean_doi,
     extract_dois,
     extract_metadata,
@@ -155,6 +157,18 @@ def test_dedup_by_normalized_value(dois):
     refs = extract_dois(scan_page(page(body=fragments)))
     assert sorted(r.normalized for r in refs) == sorted(dois)
     assert len(refs) == len({r.normalized for r in refs})
+
+
+@given(st.lists(st.sampled_from(["doi.org/10.1234 abc", "DOI.ORG/10.5555  x", "doİ.org/10.1234 y",
+                                 "doı.org/10.1234 z", "dx.doi.org/10.1/x", "https://doi.org/10.12345/a",
+                                 "10.1234/abc", "DoI.OrG/", "/10.1234 ", "doi", ".org", " ", "\n", "text"]),
+                max_size=8))
+def test_gated_broken_resolver_scan_equals_ungated(parts):
+    text = "".join(parts)
+    ungated = [(m.group(1) + "/" + m.group(2), Repair.BROKEN_URL_FIXED)
+               for m in _BROKEN_RESOLVER.finditer(text)]
+    gated = [c for c in _candidates_from_text(text) if c[1] is Repair.BROKEN_URL_FIXED]
+    assert gated == ungated
 
 
 class TestCorpusFixture:

@@ -57,6 +57,8 @@ def test_fold_matching():
     index = CorpusIndex({}, "www.eksci.test/releases/")
     assert index.in_fold(url)
     assert CorpusIndex({}, "WWW.Eksci.Test/releases/").in_fold(url)
+    assert CorpusIndex({}, "www.eksci.test:443/releases/").in_fold(url)
+    assert CorpusIndex({}, "www.eksci.test/releases/%7Eold/../").in_fold(url)
     assert not index.in_fold(canonicalize_url("https://www.eksci.test/outside/x"))
     assert not index.in_fold(canonicalize_url("https://other.test/releases/x"))
 

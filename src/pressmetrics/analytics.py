@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import combinations
-from operator import itemgetter
 
 from .release_parser import PressType, Region, normalize_institution
 from .rounding import percentage, ratio
@@ -55,18 +54,16 @@ def type_distribution(corpus) -> dict[PressType, tuple[int, float]]:
                                             if r.metadata.type is not None))
 
 
-def ranked(items, name=itemgetter(0), count=itemgetter(1)) -> list:
-    """Items by count descending, ties broken on the name; an item is a
-    (name, count) pair unless ``name`` and ``count`` read it otherwise.
-    Every ranked table in the reports is ordered by this one rule."""
-    return sorted(items, key=lambda item: (-count(item), name(item)))
+def _ranked(counts: Counter) -> list[tuple[str, int]]:
+    """Count descending, ties broken on the name."""
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def keyword_frequency(corpus) -> list[tuple[str, int]]:
     """Keywords ranked by the number of releases using them (a release
     counts once per keyword no matter how often it repeats one)."""
-    return ranked(Counter(keyword for release in corpus
-                          for keyword in set(release.metadata.keywords)).items())
+    return _ranked(Counter(keyword for release in corpus
+                           for keyword in set(release.metadata.keywords)))
 
 
 @dataclass
@@ -126,8 +123,8 @@ def pio_ranking(corpus, alias_table: dict[str, str] | None = None) -> list[tuple
     """Submitting institutions ranked by output, internal units merged
     through the alias table; ties break on the name."""
     alias_table = alias_table or {}
-    return ranked(Counter(normalize_institution(release.metadata.institution, alias_table)
-                          for release in corpus if release.metadata.institution).items())
+    return _ranked(Counter(normalize_institution(release.metadata.institution, alias_table)
+                           for release in corpus if release.metadata.institution))
 
 
 def mention_series(mentions) -> list[tuple[int, int]]:

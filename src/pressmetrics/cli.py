@@ -318,8 +318,8 @@ def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
 
 def _distribution_rows(dist: dict) -> list[list]:
     """Type or region table rows: count descending, ties on the value."""
-    return [[key.value, n, _fmt(p, 1)] for key, (n, p) in
-            analytics.ranked(dist.items(), name=lambda kv: kv[0].value, count=lambda kv: kv[1][0])]
+    return [[key.value, n, _fmt(p, 1)]
+            for key, (n, p) in sorted(dist.items(), key=lambda kv: (-kv[1][0], kv[0].value))]
 
 
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:

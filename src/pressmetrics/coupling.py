@@ -6,11 +6,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 from . import store
-from .analytics import ranked
 from .release_parser import normalize_institution
 from .rounding import percentage
 
@@ -83,7 +81,8 @@ def journal_coverage(corpus, external_counts: dict[str, int],
             if press > 0:
                 stats["undefined_coverage"] = stats.get("undefined_coverage", 0) + 1
         rows.append(JournalCoverage(journal, publications, press, pct))
-    return ranked(rows, name=attrgetter("journal"), count=attrgetter("press_release_count"))
+    rows.sort(key=lambda r: (-r.press_release_count, r.journal))
+    return rows
 
 
 def load_external_counts(path: str | Path) -> dict[str, int]:

@@ -19,6 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from urllib.parse import urljoin
 
@@ -270,50 +271,49 @@ def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
 _PAGE_INDEPENDENT = re.compile(
     r"(?:[A-Za-z][A-Za-z0-9+.-]*:)?//[^/?#\t\n\r]|(?![Hh][Tt][Tt][Pp][Ss]?:)[A-Za-z][A-Za-z0-9+.-]*:")
 _DIRECTORY_RELATIVE = re.compile(r"(?![A-Za-z][A-Za-z0-9+.-]*:|//)[^\x00-\x20?#][^\t\n\r]*\Z")
+_ANY_PAGE = "https://page.invalid/"  # the base of every page-independent join
 
 
-def _canonical_join(page_url: str, href: str, joins: dict) -> str | None:
-    """``canonicalize_url(urljoin(page_url, href))``, or None where that
-    raises ValueError, memoised in ``joins`` on the href plus as much of the
-    page URL as the join reads."""
-    if _PAGE_INDEPENDENT.match(href):
-        key = href
-    elif _DIRECTORY_RELATIVE.match(href):
-        key = page_url[:page_url.rfind("/") + 1], href
-    else:
-        key = page_url, href
+@lru_cache(maxsize=4096)
+def _join(base: str, href: str) -> str | None:
+    """``canonicalize_url(urljoin(base, href))``, or None where that raises
+    ValueError; memoised, because the navigation links of a site repeat on
+    every page."""
     try:
-        return joins[key]
-    except KeyError:
-        pass
-    try:
-        canonical = canonicalize_url(urljoin(page_url, href))
+        return canonicalize_url(urljoin(base, href))
     except ValueError:
-        canonical = None
-    joins[key] = canonical
-    return canonical
+        return None
+
+
+def _canonical_join(page_url: str, href: str) -> str | None:
+    """``canonicalize_url(urljoin(page_url, href))`` for a canonical page URL,
+    or None where that raises ValueError. The join is made against only the
+    part of the page URL that it reads, so every page with the same part
+    shares one memo entry."""
+    if _PAGE_INDEPENDENT.match(href):
+        return _join(_ANY_PAGE, href)
+    if _DIRECTORY_RELATIVE.match(href):
+        return _join(page_url[:page_url.rfind("/") + 1], href)
+    return _join(page_url, href)
 
 
 def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[str],
-                    stats: dict | None = None, joins: dict | None = None) -> list[str]:
+                    stats: dict | None = None) -> list[str]:
     """New in-scope canonical URLs linked from the page at canonical
     ``page_url``, given that page's scan.
 
     Non-hypertext payloads expand to nothing. Output preserves document
     order, is duplicate-free, and excludes everything in ``seen``; each URL
     returned is added to ``seen``. Malformed or non-http links are skipped
-    and counted in ``stats``. ``joins`` memoises each href's canonical join
-    (None for a malformed link) across the pages of one crawl.
+    and counted in ``stats``.
     """
     if stats is None:
         stats = {}
-    if joins is None:
-        joins = {}
     if not scan.is_html:
         return []
     out: list[str] = []
     for href in scan.anchors:
-        canonical = _canonical_join(page_url, href.strip(), joins)
+        canonical = _canonical_join(page_url, href.strip())
         if canonical is None:
             stats["malformed_links"] = stats.get("malformed_links", 0) + 1
             continue
@@ -375,7 +375,6 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
     seed = scope.seed_url
     frontier: deque[str] = deque([seed])
     seen: set[str] = {seed}
-    joins: dict = {}
     while frontier:
         url = frontier.popleft()
         try:
@@ -387,7 +386,7 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
         page_class = classify_page(scan, record.status)
         result.entries.append((record, page_class))
         if record.ok:
-            frontier.extend(expand_frontier(record.url, scan, scope, seen, result.stats, joins))
+            frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=result.stats))
     result.stats["fetched"] = len(result.entries)
     result.stats["press_releases"] = sum(1 for _, c in result.entries if c.press_release)
     return result

@@ -36,12 +36,14 @@ _XML_ROOT = re.compile(rb"<\?xml[^>]*\?>\s*(?:<!--.*?-->\s*)*<\s*([A-Za-z:_][\w:
 # when a stray character cuts it off), an end tag, a construct that yields
 # nothing (comment, declaration, processing instruction, closed marked
 # section), a marked section with an unknown keyword, and text (a construct
-# left open, or a lone "<"). The start-tag body is atomic so that a tag left
-# open is never re-read as a shorter, cut-off one.
+# left open, or a lone "<"). The start-tag body and the unknown keyword are
+# atomic, so that a tag left open is never re-read as a shorter, cut-off one
+# and a keyword is never cut short: each is matched in a lookahead, which
+# never backtracks once it has matched, and then consumed by backreference.
 _TOKEN = re.compile(r"""<(?:
-  (?P<start>(?>(?P<tag>[a-zA-Z][^\t\n\r\f />\x00]*)
+  (?P<start>(?=(?P<body>(?P<tag>[a-zA-Z][^\t\n\r\f />\x00]*)
       (?:[\s/]*(?:(?<=['"\s/])[^\s/>][^\s/=>]*
-        (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?\s*)
+        (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?\s*))(?P=body)
     (?:(?P<close>/?>)|(?=[^a-zA-Z=/>])))
 | (?P<end>/[^>]*>)
 | (?P<skip>!--.*?--\s*>
@@ -51,7 +53,7 @@ _TOKEN = re.compile(r"""<(?:
     | \?[^>]*>)
 | (?P<stop>!\[(?:(?![a-zA-Z])(?!\Z)
     | (?!(?ai:temp|cdata|ignore|include|rcdata|if|else|endif)(?![-_.a-zA-Z0-9]))
-      [a-zA-Z][-_.a-zA-Z0-9]*+\s*+(?!\Z)))
+      (?=(?P<keyword>[a-zA-Z][-_.a-zA-Z0-9]*\s*))(?P=keyword)(?!\Z)))
 | (?P<data>(?=[a-zA-Z/!?])(?:[^>]*>|[^<]*(?=<))|)
 )""", re.S | re.X)
 _TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")

@@ -4,7 +4,8 @@ replaced, kept as the oracle the differential tests compare it against.
 ``oracle_scan`` returns the PageScan the html.parser-based ``scan_page``
 produced: every field of ``pagescan.scan_page`` must equal it on every
 payload. Its behaviour is that of the html.parser shipped with the Python
-running the tests (3.11 when it was recorded).
+running the tests, and ``scan_page`` reproduces the html.parser of
+``ORACLE_PYTHON``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from html.parser import HTMLParser
 
 from pressmetrics.pagescan import _XML_ROOT, PageScan
 
+ORACLE_PYTHON = (3, 11, 7)
 _SKIP_TEXT_TAGS = {"script", "style"}
 
 

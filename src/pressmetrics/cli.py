@@ -182,24 +182,28 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
     else:
         fetcher = harvester.HttpFetcher()
         clock = harvester.SystemClock()
-    result = harvester.crawl(scope, fetcher, harvester.RateLimiter(scope.rate_limit, clock))
+    limiter = harvester.RateLimiter(scope.rate_limit, clock)
+    stats = Counter()
+
+    def entries():
+        for record, page_class in harvester.crawl(scope, fetcher, limiter, stats):
+            body_path = cfg.pages_dir / (url_digest(record.url) + ".body")
+            store.atomic_write_bytes(body_path, record.body)
+            # the fetch already hashed exactly these bytes
+            manifest.output_digests[str(body_path)] = record.body_digest
+            yield {
+                "url": record.url,
+                "status": record.status,
+                "digest": record.body_digest,
+                "fetched_at": record.fetched_at.isoformat().replace("+00:00", "Z"),
+                "class": page_class.value,
+            }
 
     cfg.pages_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for record, page_class in result.entries:
-        body_path = cfg.pages_dir / (url_digest(record.url) + ".body")
-        store.atomic_write_bytes(body_path, record.body)
-        # the fetch already hashed exactly these bytes
-        manifest.output_digests[str(body_path)] = record.body_digest
-        entries.append({
-            "url": record.url,
-            "status": record.status,
-            "digest": record.body_digest,
-            "fetched_at": record.fetched_at.isoformat().replace("+00:00", "Z"),
-            "class": page_class.value,
-        })
-    _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries)
-    manifest.counts.update(result.stats)
+    # pages are replaced as they land, so an earlier manifest no longer describes them
+    cfg.crawl_manifest.unlink(missing_ok=True)
+    _write(manifest, store.stream_jsonl, cfg.crawl_manifest, entries())
+    manifest.counts.update(stats)
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
@@ -428,7 +432,9 @@ def run(command: str, cfg: PipelineConfig) -> RunManifest:
     manifest = RunManifest(command=command,
                            started_at=datetime.now(timezone.utc).isoformat())
     cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
-    with store.DirectoryLock(cfg.corpus_dir):
+    with store.DirectoryLock(cfg.corpus_dir) as lock:
+        if lock.broke_stale:
+            manifest.counts["stale_locks_broken"] = 1
         _STAGES[command](cfg, manifest)
         manifest.finished_at = datetime.now(timezone.utc).isoformat()
         with open(cfg.run_log, "a", encoding="utf-8") as fh:

@@ -16,14 +16,12 @@ import re
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from urllib.parse import urljoin
-
-import requests
 
 from . import __version__
 from .pagescan import PageScan, scan_page
@@ -61,9 +59,11 @@ class CrawlScope:
             raise ValueError("rate_limit must be >= 0")
         fold = normalize_fold(self.seed_path)
         object.__setattr__(self, "seed_path", fold)
-        hosts = frozenset(h.lower() for h in self.allowed_hosts)
-        if not hosts:
-            hosts = frozenset({fold.split("/", 1)[0]})
+        host = fold.split("/", 1)[0]
+        hosts = frozenset(h.lower() for h in self.allowed_hosts) or frozenset({host})
+        if host not in hosts:
+            raise ValueError(f"seed_path host {host!r} is not an allowed host "
+                             f"(allowed_hosts: {', '.join(sorted(hosts))})")
         object.__setattr__(self, "allowed_hosts", hosts)
 
     @property
@@ -71,9 +71,9 @@ class CrawlScope:
         return canonicalize_url("https://" + self.seed_path)
 
     def contains(self, canonical: str) -> bool:
-        # seed_path was normalized once in __post_init__; match against it as is
-        return (url_host(canonical) in self.allowed_hosts
-                and strip_scheme(canonical).startswith(self.seed_path))
+        # A canonical URL under the fold has the fold's host, which
+        # __post_init__ checked is allowed; the fold test alone decides.
+        return strip_scheme(canonical).startswith(self.seed_path)
 
 
 @dataclass
@@ -189,6 +189,8 @@ class HttpFetcher:
     while identities stay canonical (https)."""
 
     def __init__(self, force_scheme: str | None = None):
+        import requests  # only a live crawl needs the HTTP stack
+
         self.force_scheme = force_scheme
         self.session = requests.Session()
         self.session.headers["User-Agent"] = f"pressmetrics/{__version__}"
@@ -266,11 +268,13 @@ def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
 # path ("//host", with or without a scheme) or a scheme other than http(s)
 # joins the same from every page; a bare "https:x" is directory-relative.
 # Hrefs that are empty after their scheme, start with "?", "#" or a character
-# urljoin strips, or hold a tab or line break (urljoin deletes those before
-# parsing) keep the whole page URL.
+# urljoin strips, are a lone ";" (an empty path with empty parameters) before
+# any query or fragment, or hold a tab or line break (urljoin deletes those
+# before parsing) keep the whole page URL.
 _PAGE_INDEPENDENT = re.compile(
     r"(?:[A-Za-z][A-Za-z0-9+.-]*:)?//[^/?#\t\n\r]|(?![Hh][Tt][Tt][Pp][Ss]?:)[A-Za-z][A-Za-z0-9+.-]*:")
-_DIRECTORY_RELATIVE = re.compile(r"(?![A-Za-z][A-Za-z0-9+.-]*:|//)[^\x00-\x20?#][^\t\n\r]*\Z")
+_DIRECTORY_RELATIVE = re.compile(
+    r"(?![A-Za-z][A-Za-z0-9+.-]*:|//|;(?:[?#]|\Z))[^\x00-\x20?#][^\t\n\r]*\Z")
 _ANY_PAGE = "https://page.invalid/"  # the base of every page-independent join
 
 
@@ -356,22 +360,20 @@ def classify_page(scan: PageScan, status: int = 200) -> PageClass:
     return PageClass.OTHER
 
 
-@dataclass
-class CrawlResult:
-    entries: list[tuple[FetchRecord, PageClass]] = field(default_factory=list)
-    stats: Counter[str] = field(default_factory=Counter)
-
-
-def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
+def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter | None = None):
     """Breadth-first crawl of the whole fold, each URL fetched exactly once.
+    Yields ``(record, page_class)`` as each page lands, so the caller stores
+    pages one at a time instead of holding the whole crawl in memory.
 
     The frontier seeds from the fold root; only press-release pages and the
     other in-scope documents they link (directly or transitively) are
-    visited. Failed URLs count as ``stats["failed"]`` and never produce records.
-    Each payload is scanned once; classification and frontier expansion
-    share that scan.
+    visited. ``stats`` counts ``fetched``, ``press_releases`` and ``failed``
+    as the crawl goes; failed URLs never produce records. Each payload is
+    scanned once; classification and frontier expansion share that scan.
     """
-    result = CrawlResult(stats=Counter(failed=0))
+    if stats is None:
+        stats = Counter()
+    stats.update(failed=0, fetched=0, press_releases=0)
     seed = scope.seed_url
     frontier: deque[str] = deque([seed])
     seen: set[str] = {seed}
@@ -380,13 +382,12 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter) -> CrawlResult:
         try:
             record = fetch_page(url, scope, fetcher, limiter)
         except FetchRetryError:
-            result.stats["failed"] += 1
+            stats["failed"] += 1
             continue
         scan = scan_page(record.body)
         page_class = classify_page(scan, record.status)
-        result.entries.append((record, page_class))
+        stats["fetched"] += 1
+        stats["press_releases"] += page_class.press_release
         if record.ok:
-            frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=result.stats))
-    result.stats["fetched"] = len(result.entries)
-    result.stats["press_releases"] = sum(1 for _, c in result.entries if c.press_release)
-    return result
+            frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=stats))
+        yield record, page_class

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import socket
 import tempfile
 from pathlib import Path
 
@@ -41,9 +42,32 @@ def atomic_write_text(path: str | Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _jsonl_line(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
 def write_jsonl(path: str | Path, records: list[dict]) -> str:
-    return atomic_write_text(path, "".join(json.dumps(record, ensure_ascii=False) + "\n"
-                                           for record in records))
+    return atomic_write_text(path, "".join(map(_jsonl_line, records)))
+
+
+def stream_jsonl(path: str | Path, records) -> str:
+    """Write the JSON Lines file ``path`` one record at a time, as the
+    iterable ``records`` yields them, and return the SHA-256 hex digest of
+    its bytes. Each line is appended to ``<path>.partial`` and flushed before
+    the next record is drawn; the file is renamed to ``path`` only once
+    ``records`` is exhausted. If ``records`` raises, the partial file keeps
+    every line written before it."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    digest = hashlib.sha256()
+    with open(partial, "wb") as fh:
+        for record in records:
+            data = _jsonl_line(record).encode("utf-8")
+            fh.write(data)
+            fh.flush()
+            digest.update(data)
+    os.replace(partial, path)
+    return digest.hexdigest()
 
 
 def read_jsonl(path: str | Path):
@@ -104,22 +128,50 @@ def file_digest(path: str | Path) -> str:
 
 
 class DirectoryLock:
-    """One pipeline run owns its output directory exclusively."""
+    """One pipeline run owns its output directory exclusively.
+
+    The lock file names its owner's PID and hostname. A lock whose owner was
+    on this host and no longer exists (a run that was killed) is broken, and
+    ``broke_stale`` says so. A live owner, one this process may not signal,
+    one on another host, or a lock that names no owner still blocks. Two runs
+    that break the same stale lock at the same moment can both proceed.
+    """
 
     def __init__(self, directory: str | Path):
         self.path = Path(directory) / ".pressmetrics.lock"
+        self.broke_stale = False
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run: {self.path}"
-            ) from None
+        for attempt in range(2):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._owner_is_gone():
+                    raise RuntimeError(f"output directory is locked by another run: {self.path} "
+                                       f"(remove it if no run is using the directory)") from None
+                self.path.unlink(missing_ok=True)
+                self.broke_stale = True
         with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+            fh.write(json.dumps({"pid": os.getpid(), "host": socket.gethostname()}))
         return self
+
+    def _owner_is_gone(self) -> bool:
+        try:
+            owner = json.loads(self.path.read_text(encoding="utf-8"))
+            pid, host = int(owner["pid"]), owner["host"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return False  # gone already, or names no owner
+        if host != socket.gethostname():
+            return False
+        try:
+            os.kill(pid, 0)  # signal 0 only checks that the process exists
+        except ProcessLookupError:
+            return True
+        except PermissionError:  # it exists, under another user
+            pass
+        return False
 
     def __exit__(self, *exc):
         try:

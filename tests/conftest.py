@@ -41,10 +41,10 @@ def fixture_scope() -> harvester.CrawlScope:
 
 
 @pytest.fixture(scope="session")
-def crawl_result(fixture_scope) -> harvester.CrawlResult:
+def crawl_result(fixture_scope) -> list[tuple[harvester.FetchRecord, harvester.PageClass]]:
     fetcher = harvester.DirectoryFetcher(FIXTURES / "site")
-    return harvester.crawl(fixture_scope, fetcher,
-                           harvester.RateLimiter(0.0, harvester.VirtualClock()))
+    return list(harvester.crawl(fixture_scope, fetcher,
+                                harvester.RateLimiter(0.0, harvester.VirtualClock())))
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def corpus(crawl_result) -> list[PressRelease]:
     resolver = CsvResolver.from_csv(FIXTURES / "resolver_main.csv")
     return [
         parse_release(record.url, record.body, rewrite_table=rewrites, unshorten=resolver.unshorten)
-        for record, page_class in crawl_result.entries
+        for record, page_class in crawl_result
         if page_class.press_release
     ]
 

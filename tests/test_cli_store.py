@@ -1,5 +1,10 @@
 import json
+import os
 import shutil
+import socket
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,6 +271,88 @@ class TestOneScanPerPage:
         assert sorted(scanned) == sorted(press)
 
 
+class _Interrupted(BaseException):
+    """Stands in for a kill: not an Exception, so no retry or handler takes it."""
+
+
+class TestStreamingCrawl:
+    def test_interrupted_crawl_keeps_the_pages_that_landed(self, tmp_path, fixtures_dir,
+                                                           monkeypatch, completed_run):
+        k = 7
+        fetch = harvester.DirectoryFetcher.fetch
+        calls = []
+
+        def fetch_then_die(self, url):
+            if len(calls) == k:
+                raise _Interrupted()
+            calls.append(url)
+            return fetch(self, url)
+
+        monkeypatch.setattr(harvester.DirectoryFetcher, "fetch", fetch_then_die)
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.corpus_dir.mkdir(parents=True)
+        cfg.crawl_manifest.write_text("an earlier crawl's manifest, which no longer fits pages/\n")
+        with pytest.raises(_Interrupted):
+            cli.run("crawl", cfg)
+
+        full = completed_run[0].crawl_manifest.read_text(encoding="utf-8").splitlines(True)
+        partial = cfg.crawl_manifest.with_name("crawl_manifest.jsonl.partial")
+        assert partial.read_text(encoding="utf-8").splitlines(True) == full[:k]
+        assert sorted(p.name for p in cfg.pages_dir.iterdir()) == sorted(
+            url_digest(url) + ".body" for url in calls)
+        assert not cfg.crawl_manifest.exists()
+        assert not cfg.run_log.exists()
+        with store.DirectoryLock(cfg.corpus_dir):  # released
+            pass
+
+    def test_crawl_memory_does_not_grow_with_the_site(self, tmp_path, monkeypatch):
+        page = "<html><head><title>{}</title></head><body><p>{}</p></body></html>"
+
+        def crawl_peak(pages: int) -> int:
+            def synthetic(self, url):
+                if url.endswith("/"):
+                    links = "".join(f'<a href="p{i}.html">{i}</a>' for i in range(pages))
+                    return 200, f"<html><body>{links}</body></html>".encode()
+                return 200, page.format(url, "x" * 200_000).encode()
+
+            monkeypatch.setattr(harvester.DirectoryFetcher, "fetch", synthetic)
+            cfg = cli.PipelineConfig(seed_path="big.test/site/", rate_limit=0.0,
+                                     corpus_dir=tmp_path / f"corpus{pages}", fixtures_dir=tmp_path)
+            tracemalloc.start()
+            try:
+                counts = cli.run("crawl", cfg).counts
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                shutil.rmtree(cfg.corpus_dir)
+            assert counts["fetched"] == pages + 1
+            return peak
+
+        small, large = crawl_peak(50), crawl_peak(200)
+        assert large - small < 2 * 1024 * 1024, (small, large)
+
+    def test_fixtures_pipeline_never_loads_requests(self, tmp_path, fixtures_dir):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("\n".join(
+            [f"seed_path={FOLD}", "rate_limit=0", f"corpus_dir={tmp_path / 'corpus'}",
+             f"report_dir={tmp_path / 'reports'}", f"fixtures_dir={fixtures_dir / 'site'}",
+             f"tweets_file={fixtures_dir / 'tweets_main.jsonl'}",
+             f"backlinks_file={fixtures_dir / 'backlinks_main.csv'}",
+             f"resolver_file={fixtures_dir / 'resolver_main.csv'}",
+             f"external_counts={fixtures_dir / 'external_counts.csv'}"]) + "\n")
+        code = ("import sys\n"
+                "from pressmetrics import cli\n"
+                "for command in cli.COMMANDS:\n"
+                "    assert cli.main([command, '--config', sys.argv[1]]) == 0, command\n"
+                "assert 'requests' not in sys.modules, 'requests was imported'\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, str(config_file)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestOneDecodePerStage:
     def test_each_stage_decodes_the_corpus_once(self, tmp_path, fixtures_dir, monkeypatch):
         decoded: list[str] = []
@@ -394,6 +481,17 @@ class TestEmptyCorpus:
         assert annual == "year,count\n"
 
 
+def _write_lock(directory: Path, pid: int, host: str) -> None:
+    (directory / ".pressmetrics.lock").write_text(json.dumps({"pid": pid, "host": host}))
+
+
+def _dead_pid() -> int:
+    """The PID of a process that has exited and been reaped."""
+    proc = subprocess.Popen([sys.executable, "-c", ""])
+    proc.wait(timeout=60)
+    return proc.pid
+
+
 class TestStorePrimitives:
     def test_atomic_write_no_temp_leftovers(self, tmp_path):
         target = tmp_path / "out" / "file.txt"
@@ -410,6 +508,34 @@ class TestStorePrimitives:
         with store.DirectoryLock(tmp_path):
             pass
 
+    def test_lock_of_a_dead_process_on_this_host_is_broken(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.corpus_dir.mkdir(parents=True)
+        _write_lock(cfg.corpus_dir, _dead_pid(), socket.gethostname())
+        manifest = cli.run("crawl", cfg)
+        assert manifest.counts["stale_locks_broken"] == 1
+        assert json.loads(cfg.run_log.read_text())["counts"]["stale_locks_broken"] == 1
+        assert not (cfg.corpus_dir / ".pressmetrics.lock").exists()
+        assert "stale_locks_broken" not in cli.run("parse", cfg).counts
+
+    @pytest.mark.parametrize("owner", ["live", "not permitted", "other host", "unnamed"])
+    def test_lock_that_may_be_held_blocks(self, tmp_path, monkeypatch, owner):
+        pid, host = os.getpid(), socket.gethostname()
+        if owner == "not permitted":
+            def refuse(pid, sig):
+                raise PermissionError(1, "Operation not permitted")
+            monkeypatch.setattr(os, "kill", refuse)
+        elif owner == "other host":
+            pid, host = _dead_pid(), "elsewhere.invalid"
+        if owner == "unnamed":  # a lock written before locks named their host
+            (tmp_path / ".pressmetrics.lock").write_text(str(_dead_pid()))
+        else:
+            _write_lock(tmp_path, pid, host)
+        with pytest.raises(RuntimeError, match="locked by another run"):
+            with store.DirectoryLock(tmp_path):
+                pass
+        assert (tmp_path / ".pressmetrics.lock").exists()
+
 
 class TestMainEntryPoint:
     def test_exit_zero_on_success(self, tmp_path, fixtures_dir, capsys):
@@ -422,6 +548,18 @@ class TestMainEntryPoint:
             f"report_dir={tmp_path / 'reports'}\n")
         assert cli.main(["crawl", "--config", str(config_file)]) == 0
         assert "crawl: ok" in capsys.readouterr().out
+
+    def test_fold_host_not_allowed_is_an_error(self, tmp_path, fixtures_dir, capsys):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            f"seed_path={FOLD}\n"
+            "allowed_hosts=other.test\n"
+            f"fixtures_dir={fixtures_dir / 'site'}\n"
+            f"corpus_dir={tmp_path / 'corpus'}\n")
+        assert cli.main(["crawl", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'www.eksci.test'" in err and "other.test" in err
 
     def test_exit_nonzero_names_stage(self, tmp_path, capsys):
         assert cli.main(["parse", "--corpus-dir", str(tmp_path / "nowhere")]) == 1

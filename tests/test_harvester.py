@@ -44,6 +44,14 @@ def test_scope_validation():
     assert scope.seed_url == "https://h.test/x/"
 
 
+def test_scope_rejects_a_fold_whose_host_is_not_allowed():
+    with pytest.raises(ValueError, match=r"'h\.test'.*other\.test"):
+        CrawlScope("h.test/x/", frozenset({"other.test"}))
+    scope = CrawlScope("h.test/x/", frozenset({"other.test", "H.test"}))
+    assert scope.contains("https://h.test/x/a.html")
+    assert not scope.contains("https://other.test/x/a.html")
+
+
 def test_rate_limit_spacing_one_second():
     clock = VirtualClock()
     limiter = RateLimiter(1.0, clock)
@@ -198,7 +206,8 @@ _HREFS = st.one_of(
     st.sampled_from(["", "?q", "#f", "//h/x", "//other.test/y", "mailto:x", "a?u=http://x", "../x",
                      "%7e", "%7Euser/", "https:foo", "http:foo", "HTTPS://H.test/x", "///x", "//",
                      "//?q", "https:", "https:?q", "javascript:void(0)", "/abs", "./a", "a/../../b",
-                     "http://[x", "x\ty", "/\t/evil.test/", "\x01?q", "https\t:", ";p", "a:b"]),
+                     "http://[x", "x\ty", "/\t/evil.test/", "\x01?q", "https\t:", ";p", ";", ";?q",
+                     "a:b"]),
     st.text(alphabet="ab/?#:.%7eE;\t\n\x01[]", max_size=10))
 
 
@@ -215,18 +224,28 @@ def test_memoised_join_equals_direct_join(visits):
         assert _canonical_join(page_url, href) == expected, (page_url, href)
 
 
+@pytest.mark.parametrize("page_url", ["https://h.test/fold/a.html", "https://h.test/fold/d;p"])
+@pytest.mark.parametrize("href", [";", ";?q", ";#f", ";?", ";p", ";;"])
+def test_semicolon_href_joins_like_urljoin(page_url, href):
+    """A lone ";" is an empty path with empty parameters, so urljoin keeps
+    the page's own path rather than its directory."""
+    _join.cache_clear()
+    assert _canonical_join(page_url, href) == canonicalize_url(urljoin(page_url, href))
+
+
 @pytest.mark.parametrize("seed_path", ["www.eksci.test:443/releases/",
                                        "www.eksci.test/releases/%7Eold/../"])
 def test_equivalent_fold_spellings_crawl_the_same_site(seed_path, fixtures_dir, crawl_result):
     scope = CrawlScope(seed_path, rate_limit=0.0)
     assert scope.seed_path == "www.eksci.test/releases/"
-    again = crawl(scope, DirectoryFetcher(fixtures_dir / "site"), RateLimiter(0.0, VirtualClock()))
-    assert [(r.url, c) for r, c in again.entries] == [(r.url, c) for r, c in crawl_result.entries]
+    again = list(crawl(scope, DirectoryFetcher(fixtures_dir / "site"),
+                       RateLimiter(0.0, VirtualClock())))
+    assert [(r.url, c) for r, c in again] == [(r.url, c) for r, c in crawl_result]
 
 
 def test_classify_press_release_page(corpus, crawl_result, truth):
     by_path = {page["path"]: page["class"] for page in truth["pages"]}
-    for record, page_class in crawl_result.entries:
+    for record, page_class in crawl_result:
         path = record.url.split("www.eksci.test/", 1)[1]
         if path.endswith("/"):
             path += "index.html"
@@ -275,16 +294,17 @@ def test_crawl_non_success_page_is_never_press_release():
         "https://h.test/fold/gone.html": (404, press_body),
         "https://h.test/fold/down.html": (503, press_body),
     })
-    result = crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher,
-                   RateLimiter(0.0, VirtualClock()))
-    labels = {record.url: page_class.value for record, page_class in result.entries}
+    stats = Counter()
+    result = list(crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher,
+                        RateLimiter(0.0, VirtualClock()), stats))
+    labels = {record.url: page_class.value for record, page_class in result}
     assert labels == {
         "https://h.test/fold/": "other",
         "https://h.test/fold/gone.html": "server_message",
         "https://h.test/fold/down.html": "server_message",
         "https://h.test/fold/dead.html": "empty",
     }
-    assert result.stats["press_releases"] == 0
+    assert stats["press_releases"] == 0
 
 
 def test_crawl_counts_failed_fetches():
@@ -298,11 +318,12 @@ def test_crawl_counts_failed_fetches():
         "https://h.test/fold/": (200, b'<html><a href="down.html">1</a><a href="up.html">2</a></html>'),
         "https://h.test/fold/up.html": (200, b"<html>up</html>"),
     })
-    result = crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher,
-                   RateLimiter(0.0, VirtualClock()))
-    assert [record.url for record, _ in result.entries] == ["https://h.test/fold/",
-                                                            "https://h.test/fold/up.html"]
-    assert result.stats["failed"] == 1 and result.stats["fetched"] == 2
+    stats = Counter()
+    result = list(crawl(CrawlScope("h.test/fold/", rate_limit=0.0), fetcher,
+                        RateLimiter(0.0, VirtualClock()), stats))
+    assert [record.url for record, _ in result] == ["https://h.test/fold/",
+                                                    "https://h.test/fold/up.html"]
+    assert stats["failed"] == 1 and stats["fetched"] == 2
 
 
 def test_crawl_dot_segments_stay_inside_the_fold(tmp_path):
@@ -313,42 +334,44 @@ def test_crawl_dot_segments_stay_inside_the_fold(tmp_path):
         '<a href="https://h.test/releases/../../../secret.txt">2</a></html>')
     (tmp_path / "site" / "h.test" / "other.html").write_text("<html>other</html>")
     (tmp_path / "secret.txt").write_text("secret")
-    result = crawl(CrawlScope("h.test/releases/", rate_limit=0.0),
-                   DirectoryFetcher(tmp_path / "site"),
-                   RateLimiter(0.0, VirtualClock()))
-    assert [record.url for record, _ in result.entries] == ["https://h.test/releases/"]
-    assert result.stats["offscope_links"] == 2
+    stats = Counter()
+    result = list(crawl(CrawlScope("h.test/releases/", rate_limit=0.0),
+                        DirectoryFetcher(tmp_path / "site"),
+                        RateLimiter(0.0, VirtualClock()), stats))
+    assert [record.url for record, _ in result] == ["https://h.test/releases/"]
+    assert stats["offscope_links"] == 2
 
 
 def test_crawl_visits_each_url_once_and_stays_in_scope(crawl_result, fixture_scope):
-    urls = [record.url for record, _ in crawl_result.entries]
+    urls = [record.url for record, _ in crawl_result]
     assert len(urls) == len(set(urls))
     assert all(fixture_scope.contains(url) for url in urls)
-    assert crawl_result.stats["failed"] == 0
 
 
 def test_crawl_classification_partition(crawl_result, truth):
-    got = Counter(page_class.value for _, page_class in crawl_result.entries)
+    got = Counter(page_class.value for _, page_class in crawl_result)
     assert dict(got) == oracle.page_class_counts(truth)
     press = got["press_release"]
-    assert press + (len(crawl_result.entries) - press) == len(crawl_result.entries)
+    assert press + (len(crawl_result) - press) == len(crawl_result)
     assert press == 50
 
 
 def test_crawl_deterministic(fixture_scope, fixtures_dir, crawl_result):
-    again = crawl(fixture_scope, DirectoryFetcher(fixtures_dir / "site"),
-                  RateLimiter(0.0, VirtualClock()))
-    assert [r.url for r, _ in again.entries] == [r.url for r, _ in crawl_result.entries]
+    stats = Counter()
+    again = list(crawl(fixture_scope, DirectoryFetcher(fixtures_dir / "site"),
+                       RateLimiter(0.0, VirtualClock()), stats))
+    assert [r.url for r, _ in again] == [r.url for r, _ in crawl_result]
+    assert (stats["failed"], stats["fetched"], stats["press_releases"]) == (0, len(again), 50)
 
 
 def test_crawl_over_http_server(site_server):
     """Same site served over a real socket; identical URL set, politely spaced."""
     scope = CrawlScope(f"{site_server}/releases/", rate_limit=0.02)
     limiter = RateLimiter(scope.rate_limit)
-    result = crawl(scope, HttpFetcher(force_scheme="http"), limiter=limiter)
-    press = sum(1 for _, c in result.entries if c.press_release)
+    result = list(crawl(scope, HttpFetcher(force_scheme="http"), limiter=limiter))
+    press = sum(1 for _, c in result if c.press_release)
     assert press == 50
-    assert len(result.entries) == 62
+    assert len(result) == 62
     assert all(gap >= 0.02 - 1e-9 for gap in limiter.spacings(site_server))
 
 

@@ -34,9 +34,7 @@ def output_series(corpus, granularity: str = "yearly") -> list[tuple[int | date,
 def peak_bucket(series: list[tuple]) -> tuple | None:
     """Bucket with the highest count; earliest bucket wins a tie (the
     series is bucket-sorted and max keeps the first maximum)."""
-    if not series:
-        return None
-    return max(series, key=lambda item: item[1])
+    return max(series, key=lambda item: item[1], default=None)
 
 
 def distribution_percentages(counts: dict) -> dict:

@@ -2,18 +2,19 @@
 
 Stages: crawl -> parse -> ingest-tweets / ingest-links -> couple -> analyze
 -> report. Each stage reads the previous stage's files, writes its own
-atomically, and appends a run manifest to the run log. In fixtures mode
-(--fixtures) fetching and unshortening come from recorded files and a
-deterministic clock, so complete runs are byte-identical.
+atomically (the crawl manifest commits pages) and appends a run manifest to
+the run log. Fixtures mode (--fixtures) fetches and unshortens from
+recorded files on a deterministic clock, so complete runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -29,9 +30,6 @@ from .release_parser import (
 )
 from .urls import CorpusIndex, url_digest
 
-COMMANDS = ("crawl", "parse", "ingest-tweets", "ingest-links", "couple", "analyze", "report")
-
-
 class PipelineError(Exception):
     """Stage-level failure with an actionable, stage-named message."""
 
@@ -43,7 +41,6 @@ class PipelineError(Exception):
 @dataclass
 class PipelineConfig:
     seed_path: str = ""
-    allowed_hosts: tuple[str, ...] = ()
     rate_limit: float = 1.0
     corpus_dir: Path = Path("corpus")
     report_dir: Path = Path("reports")
@@ -93,9 +90,7 @@ class PipelineConfig:
         return self.corpus_dir / "run_log.jsonl"
 
 
-_PATH_KEYS = {"corpus_dir", "report_dir", "fixtures_dir", "alias_institutions",
-              "alias_journals", "doi_rewrites", "doi_journals", "external_counts",
-              "tweets_file", "backlinks_file", "resolver_file"}
+_PATH_KEYS = {f.name for f in fields(PipelineConfig) if f.type.startswith("Path")}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -117,9 +112,7 @@ def build_config(file_values: dict, overrides: dict) -> PipelineConfig:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     kwargs: dict = {}
     for key, value in merged.items():
-        if key == "allowed_hosts":
-            kwargs[key] = tuple(h.strip() for h in str(value).split(",") if h.strip())
-        elif key == "rate_limit":
+        if key == "rate_limit":
             kwargs[key] = float(value)
         elif key == "max_depth":
             kwargs[key] = int(value)
@@ -175,7 +168,7 @@ def _write(manifest: RunManifest, write, path: Path, *args) -> None:
 def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
     if not cfg.seed_path:
         raise PipelineError("crawl", "seed_path not configured")
-    scope = harvester.CrawlScope(cfg.seed_path, frozenset(cfg.allowed_hosts), cfg.rate_limit)
+    scope = harvester.CrawlScope(cfg.seed_path, cfg.rate_limit)
     if cfg.fixtures_dir is not None:
         fetcher = harvester.DirectoryFetcher(_require(manifest, cfg.fixtures_dir, "fixtures_dir"))
         clock = harvester.VirtualClock()
@@ -187,10 +180,8 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
 
     def entries():
         for record, page_class in harvester.crawl(scope, fetcher, limiter, stats):
-            body_path = cfg.pages_dir / (url_digest(record.url) + ".body")
-            store.atomic_write_bytes(body_path, record.body)
-            # the fetch already hashed exactly these bytes
-            manifest.output_digests[str(body_path)] = record.body_digest
+            # the manifest line naming this body, written after it, commits it
+            (cfg.pages_dir / (url_digest(record.url) + ".body")).write_bytes(record.body)
             yield {
                 "url": record.url,
                 "status": record.status,
@@ -199,10 +190,13 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
                 "class": page_class.value,
             }
 
-    cfg.pages_dir.mkdir(parents=True, exist_ok=True)
-    # pages are replaced as they land, so an earlier manifest no longer describes them
-    cfg.crawl_manifest.unlink(missing_ok=True)
-    _write(manifest, store.stream_jsonl, cfg.crawl_manifest, entries())
+    try:
+        cfg.pages_dir.mkdir(parents=True, exist_ok=True)
+        # pages are replaced as they land, so an earlier manifest no longer describes them
+        cfg.crawl_manifest.unlink(missing_ok=True)
+        _write(manifest, store.stream_jsonl, cfg.crawl_manifest, entries())
+    finally:
+        fetcher.close()
     manifest.counts.update(stats)
 
 
@@ -222,7 +216,11 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
         if entry["class"] != harvester.PageClass.PRESS_RELEASE:
             stats["skipped_non_content"] += 1
             continue
-        body = (cfg.pages_dir / (url_digest(entry["url"]) + ".body")).read_bytes()
+        body_path = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
+        body = body_path.read_bytes()
+        if hashlib.sha256(body).hexdigest() != entry["digest"]:
+            raise PipelineError("parse", f"{body_path} differs from the digest that "
+                                f"{crawl_manifest} records for {entry['url']}")
         try:
             release = parse_release(entry["url"], body, rewrite_table=rewrite_table,
                                     unshorten=unshorten, stats=stats)
@@ -422,6 +420,7 @@ _STAGES = {
     "analyze": stage_analyze,
     "report": stage_report,
 }
+COMMANDS = tuple(_STAGES)
 
 
 def run(command: str, cfg: PipelineConfig) -> RunManifest:
@@ -460,9 +459,7 @@ def main(argv=None) -> int:
 
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        overrides = {k: getattr(args, k) for k in
-                     ("corpus_dir", "report_dir", "rate_limit", "max_depth",
-                      "fixtures_dir", "granularity", "seed_path")}
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         cfg = build_config(file_values, overrides)
         manifest = run(args.command, cfg)
     except (PipelineError, ValueError, RuntimeError, OSError) as err:

@@ -87,11 +87,11 @@ def journal_coverage(corpus, external_counts: dict[str, int],
 
 def load_external_counts(path: str | Path) -> dict[str, int]:
     """journal,publications_with_doi"""
-    return dict(store.read_csv(
-        path, lambda row: (row["journal"].strip(), int(row["publications_with_doi"]))))
+    return store.read_mapping(
+        path, lambda row: (row["journal"].strip(), int(row["publications_with_doi"])))
 
 
 def load_doi_journals(path: str | Path) -> dict[str, str]:
     """Optional doi,journal enrichment table."""
-    return dict(store.read_csv(
-        path, lambda row: (row["doi"].strip().lower(), row["journal"].strip())))
+    return store.read_mapping(
+        path, lambda row: (row["doi"].strip().lower(), row["journal"].strip()))

@@ -25,7 +25,7 @@ from urllib.parse import urljoin
 
 from . import __version__
 from .pagescan import PageScan, scan_page
-from .urls import canonicalize_url, normalize_fold, strip_scheme, url_host, url_path
+from .urls import canonicalize_url, normalize_fold, url_host, url_path
 
 FETCH_ATTEMPTS = 3
 HTTP_TIMEOUT_S = 30.0
@@ -46,10 +46,9 @@ class FetchRetryError(Exception):
 
 @dataclass(frozen=True)
 class CrawlScope:
-    """Scoped URL space: a host+path fold, allowed hosts, and politeness rate."""
+    """Scoped URL space: a host+path fold and the politeness rate."""
 
     seed_path: str
-    allowed_hosts: frozenset[str] = frozenset()
     rate_limit: float = 1.0
 
     def __post_init__(self):
@@ -57,23 +56,15 @@ class CrawlScope:
             raise ValueError("seed_path must be non-empty")
         if self.rate_limit < 0:
             raise ValueError("rate_limit must be >= 0")
-        fold = normalize_fold(self.seed_path)
-        object.__setattr__(self, "seed_path", fold)
-        host = fold.split("/", 1)[0]
-        hosts = frozenset(h.lower() for h in self.allowed_hosts) or frozenset({host})
-        if host not in hosts:
-            raise ValueError(f"seed_path host {host!r} is not an allowed host "
-                             f"(allowed_hosts: {', '.join(sorted(hosts))})")
-        object.__setattr__(self, "allowed_hosts", hosts)
+        object.__setattr__(self, "seed_path", normalize_fold(self.seed_path))
 
     @property
     def seed_url(self) -> str:
         return canonicalize_url("https://" + self.seed_path)
 
     def contains(self, canonical: str) -> bool:
-        # A canonical URL under the fold has the fold's host, which
-        # __post_init__ checked is allowed; the fold test alone decides.
-        return strip_scheme(canonical).startswith(self.seed_path)
+        # a URL that does not canonicalise never starts with "https://" and the fold
+        return canonical.startswith("https://" + self.seed_path)
 
 
 @dataclass
@@ -85,10 +76,6 @@ class FetchRecord:
     body_digest: str
     fetched_at: datetime
     body: bytes
-
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
 
 
 class PageClass(str, Enum):
@@ -202,6 +189,9 @@ class HttpFetcher:
         resp = self.session.get(url, timeout=HTTP_TIMEOUT_S)
         return resp.status_code, resp.content
 
+    def close(self) -> None:
+        self.session.close()
+
 
 class DirectoryFetcher:
     """Recorded-response fetcher for fixtures mode: root/<host>/<path>.
@@ -223,6 +213,9 @@ class DirectoryFetcher:
         if not candidate.is_file():
             return 404, b""
         return 200, candidate.read_bytes()
+
+    def close(self) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +381,6 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter | Non
         page_class = classify_page(scan, record.status)
         stats["fetched"] += 1
         stats["press_releases"] += page_class.press_release
-        if record.ok:
+        if 200 <= record.status < 300:
             frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=stats))
         yield record, page_class

@@ -83,8 +83,8 @@ class CsvResolver:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CsvResolver":
-        return cls(dict(store.read_csv(
-            path, lambda row: (row["from_url"].strip(), row["to_url"].strip() or None))))
+        return cls(store.read_mapping(
+            path, lambda row: (row["from_url"].strip(), row["to_url"].strip() or None)))
 
     def __call__(self, url: str):
         if url not in self._hops:

@@ -284,13 +284,12 @@ def normalize_institution(name: str, alias_table: dict[str, str]) -> str:
 
 
 def load_alias_table(path: str | Path) -> dict[str, str]:
-    """Load a variant->canonical CSV; canonicals self-map so direct uses of
-    a canonical name merge with their aliases. Chained aliases are refused."""
-    table: dict[str, str] = {}
-    pairs = store.read_csv(path, lambda row: (row["variant"].strip(), row["canonical"].strip()))
-    for variant, canonical in pairs:
-        if variant and canonical:
-            table[fold_name(variant)] = canonical
+    """Load a variant->canonical CSV, keyed on the folded variant; canonicals
+    self-map so direct uses of a canonical name merge with their aliases.
+    Two canonicals for one folded variant, and chained aliases, are refused."""
+    pairs = store.read_mapping(path, lambda row: (fold_name(row["variant"]),
+                                                  row["canonical"].strip()))
+    table = {variant: canonical for variant, canonical in pairs.items() if variant and canonical}
     for canonical in list(table.values()):
         folded = fold_name(canonical)
         existing = table.get(folded)
@@ -307,11 +306,8 @@ def load_rewrite_table(path: str | Path) -> list[tuple[str, str, str]]:
 
 def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:
     """Select rewrite rules whose journal pattern matches any named journal."""
-    out = []
-    for journal_pattern, find, replace in table:
-        if any(re.search(journal_pattern, j, re.IGNORECASE) for j in journals):
-            out.append((find, replace))
-    return out
+    return [(find, replace) for journal_pattern, find, replace in table
+            if any(re.search(journal_pattern, j, re.IGNORECASE) for j in journals)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every stage output is written to a temp file in the destination directory
 and renamed into place, so an interrupted run never leaves partial output
-where a later stage could read it. CSVs are UTF-8, comma-separated, LF
+where a later stage could read it (crawled pages are committed by the crawl
+manifest, which names a page only once it is written). CSVs are UTF-8, LF
 line endings, header row always present. Every text writer returns the
 SHA-256 hex digest of the bytes it wrote, so a stage records its outputs
 without reading them back.
@@ -84,12 +85,8 @@ def read_jsonl(path: str | Path):
             yield record
 
 
-def read_csv(path: str | Path, convert) -> list:
-    """``convert`` applied to each row (a dict keyed by the header) of a
-    headed CSV; blank lines are skipped. A row whose field count differs
-    from the header's, or whose conversion raises KeyError or ValueError,
-    fails with a ValueError that names the file and the line."""
-    out = []
+def _csv_rows(path: str | Path, convert):
+    """Each ``(line number, convert(row))`` of a headed CSV; see read_csv."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -100,11 +97,33 @@ def read_csv(path: str | Path, convert) -> list:
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
                                  f"got {len(fields)}")
             try:
-                out.append(convert(dict(zip(header, fields))))
+                value = convert(dict(zip(header, fields)))
             except (KeyError, ValueError) as err:
                 detail = f"missing column {err}" if isinstance(err, KeyError) else err
                 raise ValueError(f"{path}:{reader.line_num}: {detail}") from err
-    return out
+            yield reader.line_num, value
+
+
+def read_csv(path: str | Path, convert) -> list:
+    """``convert`` applied to each row (a dict keyed by the header) of a
+    headed CSV; blank lines are skipped. A row whose field count differs
+    from the header's, or whose conversion raises KeyError or ValueError,
+    fails with a ValueError that names the file and the line."""
+    return [value for _, value in _csv_rows(path, convert)]
+
+
+def read_mapping(path: str | Path, convert) -> dict:
+    """The table of ``(key, value)`` pairs that ``convert`` makes of the rows
+    of a headed CSV, read as read_csv reads them. A key repeated with its
+    value is accepted; a key given two values fails with a ValueError that
+    names the file and both lines."""
+    first: dict = {}  # key -> (value, line)
+    for lineno, (key, value) in _csv_rows(path, convert):
+        kept, kept_line = first.setdefault(key, (value, lineno))
+        if kept != value:
+            raise ValueError(f"{path}:{lineno}: {key!r} maps to {value!r}, but to {kept!r} "
+                             f"on line {kept_line}")
+    return {key: value for key, (value, _) in first.items()}
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> str:

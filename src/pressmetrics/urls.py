@@ -83,14 +83,10 @@ def url_path(canonical_url: str) -> str:
     return urlsplit(canonical_url).path
 
 
-def strip_scheme(canonical_url: str) -> str:
-    return canonical_url.split("://", 1)[1]
-
-
 def normalize_fold(seed_path: str) -> str:
     """The host+path prefix ("host.example/releases/") that canonical URLs
-    inside a seed path start with, once their scheme is stripped."""
-    return strip_scheme(canonicalize_url(seed_path))
+    inside a seed path start with, after their "https://"."""
+    return canonicalize_url(seed_path)[len("https://"):]
 
 
 class CorpusIndex:
@@ -107,8 +103,9 @@ class CorpusIndex:
     def get(self, canonical: str) -> str | None:
         return self.url_to_id.get(canonical)
 
-    def in_fold(self, canonical: str) -> bool:
-        return strip_scheme(canonical).startswith(self.seed_path)
+    def in_fold(self, url: str) -> bool:
+        # a URL that does not canonicalise never starts with "https://" and the fold
+        return url.startswith("https://" + self.seed_path)
 
 
 def release_id_from_url(canonical_url: str) -> str:

@@ -127,3 +127,5 @@ def site_server():
         yield f"127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

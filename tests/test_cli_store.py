@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,14 @@ class TestConfig:
     def test_max_depth_validated(self):
         with pytest.raises(ValueError):
             cli.PipelineConfig(max_depth=0)
+
+    def test_every_path_field_converts_from_a_string(self):
+        hints = typing.get_type_hints(cli.PipelineConfig)
+        path_fields = [name for name, hint in hints.items()
+                       if Path in (hint, *typing.get_args(hint))]
+        assert {"corpus_dir", "fixtures_dir", "resolver_file"} <= set(path_fields)
+        cfg = cli.build_config({name: f"d/{name}" for name in path_fields}, {})
+        assert all(getattr(cfg, name) == Path(f"d/{name}") for name in path_fields)
 
 
 class TestPrerequisites:
@@ -156,9 +165,11 @@ class TestPipelineOutputs:
 
     def test_crawl_digests_match_stored_files(self, completed_run):
         cfg, manifests = completed_run
-        digests = manifests["crawl"].output_digests
-        stored = sorted(cfg.pages_dir.glob("*.body")) + [cfg.crawl_manifest]
-        assert digests == {str(p): store.file_digest(p) for p in stored}
+        assert manifests["crawl"].output_digests == {
+            str(cfg.crawl_manifest): store.file_digest(cfg.crawl_manifest)}
+        for entry in store.read_jsonl(cfg.crawl_manifest):
+            body = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
+            assert entry["digest"] == store.file_digest(body), entry["url"]
 
     def test_report_files_present(self, completed_run):
         cfg, _ = completed_run
@@ -275,6 +286,19 @@ class _Interrupted(BaseException):
     """Stands in for a kill: not an Exception, so no retry or handler takes it."""
 
 
+def _serve_synthetic_site(monkeypatch, pages: int, filler: int) -> None:
+    """Fixtures mode serves an index linking ``pages`` pages of ``filler`` bytes."""
+    page = "<html><head><title>{}</title></head><body><p>{}</p></body></html>"
+
+    def synthetic(self, url):
+        if url.endswith("/"):
+            links = "".join(f'<a href="p{i}.html">{i}</a>' for i in range(pages))
+            return 200, f"<html><body>{links}</body></html>".encode()
+        return 200, page.format(url, "x" * filler).encode()
+
+    monkeypatch.setattr(harvester.DirectoryFetcher, "fetch", synthetic)
+
+
 class TestStreamingCrawl:
     def test_interrupted_crawl_keeps_the_pages_that_landed(self, tmp_path, fixtures_dir,
                                                            monkeypatch, completed_run):
@@ -305,17 +329,47 @@ class TestStreamingCrawl:
         with store.DirectoryLock(cfg.corpus_dir):  # released
             pass
 
+    def test_crawl_killed_inside_a_body_write_commits_no_line_for_it(
+            self, tmp_path, fixtures_dir, monkeypatch, completed_run):
+        k = 7
+        write_bytes = Path.write_bytes
+        written: list[Path] = []
+
+        def write_then_die(self, data):
+            if len(written) == k:
+                write_bytes(self, data[:len(data) // 2])
+                raise _Interrupted()
+            written.append(self)
+            return write_bytes(self, data)
+
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        monkeypatch.setattr(Path, "write_bytes", write_then_die)
+        with pytest.raises(_Interrupted):
+            cli.run("crawl", cfg)
+        monkeypatch.undo()
+
+        partial = cfg.crawl_manifest.with_name("crawl_manifest.jsonl.partial")
+        lines = list(store.read_jsonl(partial))
+        assert lines == list(store.read_jsonl(completed_run[0].crawl_manifest))[:k]
+        assert [cfg.pages_dir / (url_digest(e["url"]) + ".body") for e in lines] == written
+        assert len(list(cfg.pages_dir.iterdir())) == k + 1  # the torn body is named nowhere
+        assert not cfg.crawl_manifest.exists()
+
+    def test_run_log_holds_one_output_digest_whatever_the_site_size(self, tmp_path,
+                                                                    monkeypatch):
+        for pages in (50, 200):
+            _serve_synthetic_site(monkeypatch, pages, 100)
+            cfg = cli.PipelineConfig(seed_path="big.test/site/", rate_limit=0.0,
+                                     corpus_dir=tmp_path / f"corpus{pages}", fixtures_dir=tmp_path)
+            cli.run("crawl", cfg)
+            [logged] = store.read_jsonl(cfg.run_log)
+            assert logged["counts"]["fetched"] == pages + 1
+            assert logged["output_digests"] == {
+                str(cfg.crawl_manifest): store.file_digest(cfg.crawl_manifest)}
+
     def test_crawl_memory_does_not_grow_with_the_site(self, tmp_path, monkeypatch):
-        page = "<html><head><title>{}</title></head><body><p>{}</p></body></html>"
-
         def crawl_peak(pages: int) -> int:
-            def synthetic(self, url):
-                if url.endswith("/"):
-                    links = "".join(f'<a href="p{i}.html">{i}</a>' for i in range(pages))
-                    return 200, f"<html><body>{links}</body></html>".encode()
-                return 200, page.format(url, "x" * 200_000).encode()
-
-            monkeypatch.setattr(harvester.DirectoryFetcher, "fetch", synthetic)
+            _serve_synthetic_site(monkeypatch, pages, 200_000)
             cfg = cli.PipelineConfig(seed_path="big.test/site/", rate_limit=0.0,
                                      corpus_dir=tmp_path / f"corpus{pages}", fixtures_dir=tmp_path)
             tracemalloc.start()
@@ -330,6 +384,29 @@ class TestStreamingCrawl:
 
         small, large = crawl_peak(50), crawl_peak(200)
         assert large - small < 2 * 1024 * 1024, (small, large)
+
+    @pytest.mark.parametrize("dies", [False, True], ids=["success", "crawl raises"])
+    def test_stage_closes_the_live_fetcher(self, tmp_path, monkeypatch, dies):
+        closed = []
+
+        class _LiveFetcher:
+            def fetch(self, url):
+                if dies:
+                    raise _Interrupted()
+                return 200, b"<html><body><p>one page</p></body></html>"
+
+            def close(self):
+                closed.append(self)
+
+        monkeypatch.setattr(harvester, "HttpFetcher", _LiveFetcher)
+        cfg = cli.PipelineConfig(seed_path="live.test/site/", rate_limit=0.0,
+                                 corpus_dir=tmp_path / "corpus")
+        if dies:
+            with pytest.raises(_Interrupted):
+                cli.run("crawl", cfg)
+        else:
+            assert cli.run("crawl", cfg).counts["fetched"] == 1
+        assert len(closed) == 1
 
     def test_fixtures_pipeline_never_loads_requests(self, tmp_path, fixtures_dir):
         config_file = tmp_path / "run.cfg"
@@ -391,6 +468,20 @@ class TestParse:
         unshortened = [d["normalized"] for r in store.read_jsonl(cfg.corpus_file)
                        for d in r["dois"] if d["repair"] == "unshortened"]
         assert unshortened == ["10.48550/fix.2020.044"]
+
+    def test_refuses_a_body_altered_after_the_crawl(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        entry = next(e for e in store.read_jsonl(cfg.crawl_manifest)
+                     if e["class"] == "press_release")
+        body = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
+        body.write_bytes(body.read_bytes() + b"\n")
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run("parse", cfg)
+        assert err.value.stage == "parse"
+        for named in (str(body), entry["url"], str(cfg.crawl_manifest)):
+            assert named in str(err.value)
+        assert not cfg.corpus_file.exists()
 
     def test_release_id_collision_names_both_urls(self, tmp_path, fixtures_dir):
         site = tmp_path / "site"
@@ -499,6 +590,18 @@ class TestStorePrimitives:
         assert target.read_text() == "payload"
         assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
 
+    def test_read_mapping_accepts_a_repeat_and_refuses_a_conflict(self, tmp_path):
+        path = tmp_path / "table.csv"
+        def pair(row):
+            return row["key"], row["value"]
+
+        path.write_text("key,value\na,1\nb,2\na,1\n")
+        assert store.read_mapping(path, pair) == {"a": "1", "b": "2"}
+        path.write_text("key,value\na,1\nb,2\na,1\n\na,3\n")
+        with pytest.raises(ValueError) as err:
+            store.read_mapping(path, pair)
+        assert str(err.value) == f"{path}:6: 'a' maps to '3', but to '1' on line 2"
+
     def test_lock_is_exclusive(self, tmp_path):
         with store.DirectoryLock(tmp_path):
             with pytest.raises(RuntimeError):
@@ -549,17 +652,23 @@ class TestMainEntryPoint:
         assert cli.main(["crawl", "--config", str(config_file)]) == 0
         assert "crawl: ok" in capsys.readouterr().out
 
-    def test_fold_host_not_allowed_is_an_error(self, tmp_path, fixtures_dir, capsys):
+    def test_allowed_hosts_is_an_unknown_key(self, tmp_path, fixtures_dir, capsys):
         config_file = tmp_path / "run.cfg"
         config_file.write_text(
             f"seed_path={FOLD}\n"
-            "allowed_hosts=other.test\n"
+            "allowed_hosts=www.eksci.test\n"
             f"fixtures_dir={fixtures_dir / 'site'}\n"
             f"corpus_dir={tmp_path / 'corpus'}\n")
         assert cli.main(["crawl", "--config", str(config_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "'www.eksci.test'" in err and "other.test" in err
+        assert capsys.readouterr().err == "error: unknown config key 'allowed_hosts'\n"
+        assert not (tmp_path / "corpus").exists()
+
+    def test_every_flag_reaches_the_config(self, tmp_path, fixtures_dir, capsys):
+        assert cli.main(["crawl", "--seed-path", FOLD, "--fixtures", str(fixtures_dir / "site"),
+                         "--corpus-dir", str(tmp_path / "corpus"),
+                         "--report-dir", str(tmp_path / "reports"), "--rate-limit", "0",
+                         "--max-depth", "3", "--granularity", "daily"]) == 0
+        assert "crawl: ok" in capsys.readouterr().out
 
     def test_exit_nonzero_names_stage(self, tmp_path, capsys):
         assert cli.main(["parse", "--corpus-dir", str(tmp_path / "nowhere")]) == 1

@@ -55,6 +55,23 @@ class TestResolveChain:
             assert resolve_chain(final, resolver).depth == 0
 
 
+class TestCsvResolver:
+    def test_two_hops_for_one_url_name_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "resolver.csv"
+        path.write_text("from_url,to_url\nhttps://t.sh/a,https://h.test/1\n"
+                        "https://t.sh/b,\nhttps://t.sh/a,https://h.test/2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            CsvResolver.from_csv(path)
+        assert str(err.value).startswith(f"{path}:4: 'https://t.sh/a'")
+        assert "on line 2" in str(err.value)
+
+    def test_a_repeated_identical_row_is_accepted(self, tmp_path):
+        path = tmp_path / "resolver.csv"
+        path.write_text("from_url,to_url\nhttps://t.sh/a,https://h.test/1\n"
+                        "https://t.sh/a,https://h.test/1\n", encoding="utf-8")
+        assert CsvResolver.from_csv(path).unshorten("https://t.sh/a") == "https://h.test/1"
+
+
 class TestMatch:
     def test_partition(self, corpus_index, corpus):
         hit = match_to_release(corpus[0].canonical_url, corpus_index)
@@ -105,6 +122,16 @@ class TestIngest:
 
     def test_empty_stream(self, resolver, corpus_index):
         assert ingest_tweets([], resolver, corpus_index) == []
+
+    @pytest.mark.parametrize("url", ["mailto:press@www.eksci.test",
+                                     "ftp://www.eksci.test/releases/2016/nfu-201601.html"])
+    def test_url_that_does_not_canonicalise_is_out_of_scope(self, resolver, corpus_index, url):
+        stats = {}
+        records = [{"tweet_id": "t1", "created_at": "2019-05-01T00:00:00Z", "urls": [url],
+                    "is_retweet": False}]
+        assert ingest_tweets(records, resolver, corpus_index, stats=stats) == []
+        assert stats == {"no_corpus_url": 1}
+        assert match_to_release(url, corpus_index).kind is MatchKind.OUT_OF_SCOPE
 
     def test_malformed_record_skipped_and_counted(self, resolver, corpus_index):
         stats = {}

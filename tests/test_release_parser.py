@@ -232,6 +232,14 @@ class TestNormalizeInstitution:
         with pytest.raises(ValueError):
             load_alias_table(table)
 
+    def test_two_canonicals_for_one_folded_variant_are_refused(self, tmp_path):
+        table = tmp_path / "aliases.csv"
+        table.write_text("variant,canonical\nMIT Press Office,MIT\nmit  press office,Harvard\n")
+        with pytest.raises(ValueError) as err:
+            load_alias_table(table)
+        assert str(err.value).startswith(f"{table}:3: 'mit press office' maps to 'Harvard'")
+        assert "on line 2" in str(err.value)
+
     def test_canonicals_self_map(self, tmp_path):
         table = tmp_path / "aliases.csv"
         table.write_text("variant,canonical\nNorthfield Univ.,Northfield University\n")

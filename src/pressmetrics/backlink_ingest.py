@@ -62,12 +62,12 @@ class BacklinkAggregate:
     trust_flow: int
     window_start: date | None = None
     window_end: date | None = None
-    sources: list[RawLinkRecord] = field(default_factory=list)
+    merged_from: int = 1  # raw records summed into this aggregate
 
     @property
     def websites_is_upper_bound(self) -> bool:
         """The site count is a sum over more than one raw record."""
-        return len(self.sources) > 1
+        return self.merged_from > 1
 
 
 def merge_protocol_variants(records) -> list[BacklinkAggregate]:
@@ -83,7 +83,7 @@ def merge_protocol_variants(records) -> list[BacklinkAggregate]:
         target = canonicalize_url(record.target_url)
         single = BacklinkAggregate(target, record.mentioning_webpages, record.mentioning_websites,
                                    record.citation_flow, record.trust_flow,
-                                   record.window_start, record.window_end, [record])
+                                   record.window_start, record.window_end)
         merged[target] = _combine(merged[target], single) if target in merged else single
     return [merged[target] for target in sorted(merged)]
 
@@ -101,7 +101,7 @@ def _combine(a: BacklinkAggregate, b: BacklinkAggregate) -> BacklinkAggregate:
         trust_flow=max(a.trust_flow, b.trust_flow),
         window_start=min(starts) if starts else None,
         window_end=max(ends) if ends else None,
-        sources=a.sources + b.sources,
+        merged_from=a.merged_from + b.merged_from,
     )
 
 
@@ -157,5 +157,5 @@ def aggregate_to_dict(release_id: str, agg: BacklinkAggregate) -> dict:
         "window_start": agg.window_start.isoformat() if agg.window_start else None,
         "window_end": agg.window_end.isoformat() if agg.window_end else None,
         "websites_is_upper_bound": agg.websites_is_upper_bound,
-        "merged_from": len(agg.sources),
+        "merged_from": agg.merged_from,
     }

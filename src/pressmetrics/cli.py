@@ -1,9 +1,9 @@
 """Command-line pipeline binding all stages together.
 
 Stages: crawl -> parse -> ingest-tweets / ingest-links -> couple -> analyze
--> report. Each stage reads the previous stage's files, writes its own
-atomically (the crawl manifest commits pages) and appends a run manifest to
-the run log. Fixtures mode (--fixtures) fetches and unshortens from
+-> report. Each stage reads the previous stage's files, commits its own by
+rename (the crawl manifest commits pages) and appends a run manifest to the
+run log. Fixtures mode (--fixtures) fetches and unshortens from
 recorded files on a deterministic clock, so complete runs are byte-identical.
 """
 
@@ -194,7 +194,7 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         cfg.pages_dir.mkdir(parents=True, exist_ok=True)
         # pages are replaced as they land, so an earlier manifest no longer describes them
         cfg.crawl_manifest.unlink(missing_ok=True)
-        _write(manifest, store.stream_jsonl, cfg.crawl_manifest, entries())
+        _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries())
     finally:
         fetcher.close()
     manifest.counts.update(stats)
@@ -211,29 +211,33 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
         unshorten = partial(resolver.unshorten, max_depth=cfg.max_depth)
 
     stats = Counter(parsed=0, parse_errors=0, skipped_non_content=0)
-    parsed: dict[str, dict] = {}  # release id -> corpus record
-    for entry in store.read_jsonl(crawl_manifest):
-        if entry["class"] != harvester.PageClass.PRESS_RELEASE:
-            stats["skipped_non_content"] += 1
-            continue
-        body_path = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
-        body = body_path.read_bytes()
-        if hashlib.sha256(body).hexdigest() != entry["digest"]:
-            raise PipelineError("parse", f"{body_path} differs from the digest that "
-                                f"{crawl_manifest} records for {entry['url']}")
-        try:
-            release = parse_release(entry["url"], body, rewrite_table=rewrite_table,
-                                    unshorten=unshorten, stats=stats)
-        except ParseError as err:
-            stats["parse_errors"] += 1
-            stats[f"parse_errors_{err.field_name}"] += 1
-            continue
-        if release.id in parsed:
-            raise PipelineError("parse", f"release id {release.id!r} from both "
-                                f"{parsed[release.id]['canonical_url']} and {entry['url']}")
-        stats["parsed"] += 1
-        parsed[release.id] = release_to_dict(release)
-    _write(manifest, store.write_jsonl, cfg.corpus_file, list(parsed.values()))
+    urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
+
+    def records():
+        for entry in store.read_jsonl(crawl_manifest):
+            if entry["class"] != harvester.PageClass.PRESS_RELEASE:
+                stats["skipped_non_content"] += 1
+                continue
+            body_path = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
+            body = body_path.read_bytes()
+            if hashlib.sha256(body).hexdigest() != entry["digest"]:
+                raise PipelineError("parse", f"{body_path} differs from the digest that "
+                                    f"{crawl_manifest} records for {entry['url']}")
+            try:
+                release = parse_release(entry["url"], body, rewrite_table=rewrite_table,
+                                        unshorten=unshorten, stats=stats)
+            except ParseError as err:
+                stats["parse_errors"] += 1
+                stats[f"parse_errors_{err.field_name}"] += 1
+                continue
+            if release.id in urls:
+                raise PipelineError("parse", f"release id {release.id!r} from both "
+                                    f"{urls[release.id]} and {entry['url']}")
+            stats["parsed"] += 1
+            urls[release.id] = release.canonical_url
+            yield release_to_dict(release)
+
+    _write(manifest, store.write_jsonl, cfg.corpus_file, records())
     manifest.counts.update(stats)
 
 
@@ -262,7 +266,7 @@ def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
     mentions = mention_ingest.ingest_tweets(
         store.read_jsonl(tweets_path), resolver, index, max_depth=cfg.max_depth, stats=stats)
     _write(manifest, store.write_jsonl, cfg.mentions_file,
-           [mention_ingest.mention_to_dict(m) for m in mentions])
+           map(mention_ingest.mention_to_dict, mentions))
     stats["mentions_kept"] = len(mentions)
     manifest.counts.update(stats)
 
@@ -277,10 +281,10 @@ def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest) -> None:
         raise PipelineError("ingest-links", str(err)) from err
     coverage = backlink_ingest.link_coverage_index(aggregates, index)
     _write(manifest, store.write_jsonl, cfg.backlinks_attached,
-           [backlink_ingest.aggregate_to_dict(rid, coverage.attached[rid])
-            for rid in sorted(coverage.attached)])
+           (backlink_ingest.aggregate_to_dict(rid, coverage.attached[rid])
+            for rid in sorted(coverage.attached)))
     _write(manifest, store.write_jsonl, cfg.backlinks_outdated,
-           [{"target": t} for t in sorted(coverage.outdated)])
+           ({"target": t} for t in sorted(coverage.outdated)))
     manifest.counts.update({
         "raw_records": len(records),
         "aggregates": len(aggregates),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import store
-from .release_parser import normalize_institution
+from .release_parser import fold_name, normalize_institution
 from .rounding import percentage
 
 
@@ -86,9 +86,10 @@ def journal_coverage(corpus, external_counts: dict[str, int],
 
 
 def load_external_counts(path: str | Path) -> dict[str, int]:
-    """journal,publications_with_doi"""
+    """journal,publications_with_doi, keyed on the folded journal name, so
+    two rows whose names fold to one journal must give one count."""
     return store.read_mapping(
-        path, lambda row: (row["journal"].strip(), int(row["publications_with_doi"])))
+        path, lambda row: (fold_name(row["journal"]), int(row["publications_with_doi"])))
 
 
 def load_doi_journals(path: str | Path) -> dict[str, str]:

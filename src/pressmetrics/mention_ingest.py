@@ -162,7 +162,7 @@ def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
     """
     if stats is None:
         stats = {}
-    cache: dict[str, UrlResolution] = {}
+    finals: dict[str, str] = {}  # embedded URL -> the final URL of its chain
     kept: dict[str, TweetMention] = {}
     for record in records:
         try:
@@ -186,11 +186,10 @@ def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
             if not isinstance(url, str) or not url.strip():
                 stats["bad_urls"] = stats.get("bad_urls", 0) + 1
                 continue
-            if url not in cache:
-                cache[url] = resolve_chain(url, resolver, max_depth=max_depth)
-            resolution = cache[url]
-            resolved.append(resolution.final)
-            matches.append(match_to_release(resolution.final, index))
+            if url not in finals:
+                finals[url] = resolve_chain(url, resolver, max_depth=max_depth).final
+            resolved.append(finals[url])
+            matches.append(match_to_release(finals[url], index))
         if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):
             stats["no_corpus_url"] = stats.get("no_corpus_url", 0) + 1
             continue

@@ -1,12 +1,13 @@
-"""Plain-file persistence: JSON Lines and CSV with atomic writes.
+"""Plain-file persistence: JSON Lines and CSV, committed by rename.
 
-Every stage output is written to a temp file in the destination directory
-and renamed into place, so an interrupted run never leaves partial output
-where a later stage could read it (crawled pages are committed by the crawl
-manifest, which names a page only once it is written). CSVs are UTF-8, LF
-line endings, header row always present. Every text writer returns the
-SHA-256 hex digest of the bytes it wrote, so a stage records its outputs
-without reading them back.
+JSON Lines outputs stream to ``<name>.partial`` one record at a time and are
+renamed into place after the last record, so a failed stage leaves the
+partial file and the previous output. CSV and JSON reports are written to a
+mkstemp file in the destination directory and renamed. Crawled pages are
+committed by the crawl manifest, which names a page only once it is written.
+CSVs are UTF-8, LF line endings, header row always present. Every text
+writer returns the SHA-256 hex digest of the bytes it wrote, so a stage
+records its outputs without reading them back.
 """
 
 from __future__ import annotations
@@ -43,27 +44,19 @@ def atomic_write_text(path: str | Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _jsonl_line(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False) + "\n"
-
-
-def write_jsonl(path: str | Path, records: list[dict]) -> str:
-    return atomic_write_text(path, "".join(map(_jsonl_line, records)))
-
-
-def stream_jsonl(path: str | Path, records) -> str:
+def write_jsonl(path: str | Path, records) -> str:
     """Write the JSON Lines file ``path`` one record at a time, as the
     iterable ``records`` yields them, and return the SHA-256 hex digest of
     its bytes. Each line is appended to ``<path>.partial`` and flushed before
     the next record is drawn; the file is renamed to ``path`` only once
     ``records`` is exhausted. If ``records`` raises, the partial file keeps
-    every line written before it."""
+    every line written before it and ``path`` is left as it was."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     digest = hashlib.sha256()
     with open(partial, "wb") as fh:
         for record in records:
-            data = _jsonl_line(record).encode("utf-8")
+            data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
             fh.write(data)
             fh.flush()
             digest.update(data)

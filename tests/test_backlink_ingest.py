@@ -34,7 +34,7 @@ def test_single_record_identity_merge():
     assert (agg.mentioning_webpages, agg.mentioning_websites,
             agg.citation_flow, agg.trust_flow) == (5, 2, 40, 30)
     assert not agg.websites_is_upper_bound
-    assert agg.sources == [record]
+    assert agg.merged_from == 1
 
 
 @pytest.mark.parametrize("record", [

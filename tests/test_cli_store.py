@@ -286,9 +286,15 @@ class _Interrupted(BaseException):
     """Stands in for a kill: not an Exception, so no retry or handler takes it."""
 
 
-def _serve_synthetic_site(monkeypatch, pages: int, filler: int) -> None:
-    """Fixtures mode serves an index linking ``pages`` pages of ``filler`` bytes."""
-    page = "<html><head><title>{}</title></head><body><p>{}</p></body></html>"
+_PLAIN_PAGE = "<html><head><title>{}</title></head><body><p>{}</p></body></html>"
+_RELEASE_PAGE = ('<html><head><title>{}</title><meta name="date" content="2020-01-02">'
+                 '<meta name="type" content="Research"><meta name="description" content="{}">'
+                 '</head><body><p>A release.</p></body></html>')
+
+
+def _serve_synthetic_site(monkeypatch, pages: int, filler: int, page: str = _PLAIN_PAGE) -> None:
+    """Fixtures mode serves an index linking ``pages`` pages, each ``page``
+    filled in with its URL and ``filler`` bytes."""
 
     def synthetic(self, url):
         if url.endswith("/"):
@@ -468,6 +474,42 @@ class TestParse:
         unshortened = [d["normalized"] for r in store.read_jsonl(cfg.corpus_file)
                        for d in r["dois"] if d["repair"] == "unshortened"]
         assert unshortened == ["10.48550/fix.2020.044"]
+
+    def test_parse_memory_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch):
+        def parse_peak(pages: int) -> int:
+            _serve_synthetic_site(monkeypatch, pages, 20_000, _RELEASE_PAGE)
+            cfg = cli.PipelineConfig(seed_path="big.test/site/", rate_limit=0.0,
+                                     corpus_dir=tmp_path / f"corpus{pages}", fixtures_dir=tmp_path)
+            cli.run("crawl", cfg)
+            tracemalloc.start()
+            try:
+                counts = cli.run("parse", cfg).counts
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                shutil.rmtree(cfg.corpus_dir)
+            assert counts["parsed"] == pages
+            return peak
+
+        small, large = parse_peak(50), parse_peak(200)
+        assert large - small < 1024 * 1024, (small, large)
+
+    def test_failed_parse_leaves_the_previous_corpus(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cli.run("parse", cfg)
+        corpus = cfg.corpus_file.read_bytes()
+        run_log = cfg.run_log.read_bytes()
+        entry = [e for e in store.read_jsonl(cfg.crawl_manifest)
+                 if e["class"] == "press_release"][-1]
+        body = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
+        body.write_bytes(body.read_bytes() + b"\n")
+        with pytest.raises(cli.PipelineError):
+            cli.run("parse", cfg)
+        assert cfg.corpus_file.read_bytes() == corpus
+        partial = cfg.corpus_file.with_name("corpus.jsonl.partial").read_bytes()
+        assert partial and corpus.startswith(partial)
+        assert cfg.run_log.read_bytes() == run_log
 
     def test_refuses_a_body_altered_after_the_crawl(self, tmp_path, fixtures_dir):
         cfg = fixture_config(tmp_path, fixtures_dir)

@@ -92,6 +92,7 @@ def test_external_counts_row_width_names_file_and_line(tmp_path, line3, got):
 
 @pytest.mark.parametrize("loader,text", [
     ("load_external_counts", "journal,publications_with_doi\nActa X,100\nActa Y,7\nActa X,5\n"),
+    ("load_external_counts", "journal,publications_with_doi\nActa X,100\nActa Y,7\nACTA  X,5\n"),
     ("load_doi_journals", "doi,journal\n10.1/a,Acta X\n10.2/b,Acta Y\n10.1/A,Acta Z\n"),
 ])
 def test_a_key_with_two_values_names_file_and_both_lines(tmp_path, loader, text):
@@ -108,4 +109,4 @@ def test_external_counts_accept_a_repeated_identical_row(tmp_path):
     from pressmetrics.coupling import load_external_counts
     path = tmp_path / "external_counts.csv"
     path.write_text("journal,publications_with_doi\nActa X,100\nActa X,100\n", encoding="utf-8")
-    assert load_external_counts(path) == {"Acta X": 100}
+    assert load_external_counts(path) == {"acta x": 100}

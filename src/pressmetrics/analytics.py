@@ -2,9 +2,14 @@
 keyword and region distributions, the keyword co-occurrence network, PIO
 rankings, mention series, and the per-year mention-coverage table.
 
-Every operation is a pure single pass over the releases. All rankings
-break count ties lexicographically on the entity name, and all percentages
-round half-up at the precision their report prints.
+Every statistic is read off one ``Fold``: releases, mentions and linked
+release ids are added one at a time and dropped, and the fold keeps only
+counts keyed by day, year, type, region, institution, keyword and keyword
+pair, plus the year of each dated release and the dated releases that are
+tweeted or web-linked. The public functions fold what they are given and
+read their statistic off it. All rankings break count ties
+lexicographically on the entity name, and all percentages round half-up at
+the precision their report prints.
 """
 
 from __future__ import annotations
@@ -16,19 +21,6 @@ from itertools import combinations
 
 from .release_parser import PressType, Region, normalize_institution
 from .rounding import percentage, ratio
-
-
-def output_series(corpus, granularity: str = "yearly") -> list[tuple[int | date, int]]:
-    """Publication counts per year (or per day), buckets sorted ascending.
-
-    Date-anomalous releases are excluded from bucketed output; they still
-    count toward corpus totals elsewhere.
-    """
-    if granularity not in ("yearly", "daily"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    counts = Counter(release.metadata.date.year if granularity == "yearly" else release.metadata.date
-                     for release in corpus if not release.date_anomaly)
-    return sorted(counts.items())
 
 
 def peak_bucket(series: list[tuple]) -> tuple | None:
@@ -45,23 +37,9 @@ def distribution_percentages(counts: dict) -> dict:
             for key, n in counts.items()}
 
 
-def type_distribution(corpus) -> dict[PressType, tuple[int, float]]:
-    """Counts and one-decimal shares per press type, over the releases that
-    carry a type value."""
-    return distribution_percentages(Counter(r.metadata.type for r in corpus
-                                            if r.metadata.type is not None))
-
-
 def _ranked(counts: Counter) -> list[tuple[str, int]]:
     """Count descending, ties broken on the name."""
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-
-
-def keyword_frequency(corpus) -> list[tuple[str, int]]:
-    """Keywords ranked by the number of releases using them (a release
-    counts once per keyword no matter how often it repeats one)."""
-    return _ranked(Counter(keyword for release in corpus
-                           for keyword in set(release.metadata.keywords)))
 
 
 @dataclass
@@ -81,19 +59,6 @@ class CoGraph:
         return sum(self.edges.values())
 
 
-def cooccurrence_graph(corpus) -> CoGraph:
-    """For each release with k distinct keywords, every one of the C(k,2)
-    unordered pairs gains weight 1, so each of the k keywords gains link
-    strength k-1. No self-edges can arise."""
-    graph = CoGraph()
-    for release in corpus:
-        keywords = sorted(set(release.metadata.keywords))
-        graph.nodes.update(keywords)
-        graph.edges.update(combinations(keywords, 2))
-        graph.link_strength.update(dict.fromkeys(keywords, len(keywords) - 1))
-    return graph
-
-
 def cograph_to_json_dict(graph: CoGraph) -> dict:
     """Network JSON for co-occurrence map viewers: nodes carry occurrence
     counts and link strength, links carry pair weights."""
@@ -110,51 +75,6 @@ def cograph_to_json_dict(graph: CoGraph) -> dict:
     return {"nodes": nodes, "links": links}
 
 
-def region_distribution(corpus) -> dict[Region, tuple[int, float]]:
-    """Counts and one-decimal shares per PIO region, over the releases that
-    carry region metadata."""
-    return distribution_percentages(Counter(r.metadata.region for r in corpus
-                                            if r.metadata.region is not Region.UNKNOWN))
-
-
-def pio_ranking(corpus, alias_table: dict[str, str] | None = None) -> list[tuple[str, int]]:
-    """Submitting institutions ranked by output, internal units merged
-    through the alias table; ties break on the name."""
-    alias_table = alias_table or {}
-    return _ranked(Counter(normalize_institution(release.metadata.institution, alias_table)
-                           for release in corpus if release.metadata.institution))
-
-
-def mention_series(mentions) -> list[tuple[int, int]]:
-    """Tweet mentions per tweet-publication year."""
-    return sorted(Counter(mention.created_at.year for mention in mentions).items())
-
-
-def _release_years(corpus) -> tuple[Counter[int], dict[str, int]]:
-    """Releases published per year, and each release's year; date-anomalous
-    releases are left out of both."""
-    dated = [release for release in corpus if not release.date_anomaly]
-    return (Counter(release.metadata.date.year for release in dated),
-            {release.id: release.metadata.date.year for release in dated})
-
-
-def tweets_per_release(corpus, mentions) -> dict[int, float]:
-    """Tweets over releases for pairs published the same year, two-decimal.
-
-    The numerator counts tweets from year Y that link at least one release
-    also published in Y; years without published releases are omitted.
-    """
-    published, year_of_release = _release_years(corpus)
-
-    same_year_tweets = Counter(
-        mention.created_at.year for mention in mentions
-        if any(year_of_release.get(rid) == mention.created_at.year
-               for rid in mention.matched_release_ids()))
-
-    return {year: ratio(same_year_tweets[year], n, 2)
-            for year, n in sorted(published.items())}
-
-
 @dataclass
 class CoverageRow:
     """One release-publication year of the mention-coverage table."""
@@ -167,6 +87,173 @@ class CoverageRow:
     pct_web: float
 
 
+class Fold:
+    """What the statistics read of a corpus, its mentions and its backlinks.
+
+    Add every release before the first mention or link: both count only
+    through the year of a dated release. Date-anomalous releases count
+    toward the corpus totals but stay out of every bucketed statistic.
+    """
+
+    def __init__(self):
+        self.releases = 0
+        self.date_anomalous = 0
+        self.days: Counter[date] = Counter()  # dated releases per publication day
+        self.published: Counter[int] = Counter()  # dated releases per publication year
+        self.year_of: dict[str, int] = {}  # dated release id -> publication year
+        self.types: Counter[PressType] = Counter()
+        self.regions: Counter[Region] = Counter()
+        self.institutions: Counter[str] = Counter()  # as written; merged when ranked
+        self.graph = CoGraph()
+        self.mentions = 0
+        self.mention_years: Counter[int] = Counter()
+        self.same_year: Counter[int] = Counter()  # tweets linking a release of their year
+        self.tweeted: set[str] = set()  # dated releases that a mention matched
+        self.linked: set[str] = set()  # dated releases with an attached backlink aggregate
+
+    def add_release(self, release) -> None:
+        """Count the release toward every corpus statistic. A release with
+        k distinct keywords adds weight 1 to each of its C(k,2) unordered
+        keyword pairs, so each of the k keywords gains link strength k-1.
+        No self-edges can arise."""
+        md = release.metadata
+        self.releases += 1
+        if release.date_anomaly:
+            self.date_anomalous += 1
+        else:
+            self.days[md.date] += 1
+            self.published[md.date.year] += 1
+            self.year_of[release.id] = md.date.year
+        if md.type is not None:
+            self.types[md.type] += 1
+        if md.region is not Region.UNKNOWN:
+            self.regions[md.region] += 1
+        if md.institution:
+            self.institutions[md.institution] += 1
+        keywords = sorted(set(md.keywords))
+        self.graph.nodes.update(keywords)
+        self.graph.edges.update(combinations(keywords, 2))
+        self.graph.link_strength.update(dict.fromkeys(keywords, len(keywords) - 1))
+
+    def add_mention(self, mention) -> None:
+        """A mention counts toward its tweet year, and toward that year's
+        same-year tweets when one of its matched releases was published
+        then."""
+        year = mention.created_at.year
+        years = {rid: self.year_of[rid] for rid in mention.matched_release_ids()
+                 if rid in self.year_of}
+        self.mentions += 1
+        self.mention_years[year] += 1
+        self.tweeted.update(years)
+        if year in years.values():
+            self.same_year[year] += 1
+
+    def add_link(self, release_id: str) -> None:
+        """The release carries an attached backlink aggregate."""
+        if release_id in self.year_of:
+            self.linked.add(release_id)
+
+    def output_series(self, granularity: str = "yearly") -> list[tuple[int | date, int]]:
+        if granularity == "yearly":
+            return sorted(self.published.items())
+        if granularity == "daily":
+            return sorted(self.days.items())
+        raise ValueError(f"unknown granularity {granularity!r}")
+
+    def type_distribution(self) -> dict[PressType, tuple[int, float]]:
+        return distribution_percentages(self.types)
+
+    def keyword_frequency(self) -> list[tuple[str, int]]:
+        return _ranked(self.graph.nodes)
+
+    def region_distribution(self) -> dict[Region, tuple[int, float]]:
+        return distribution_percentages(self.regions)
+
+    def pio_ranking(self, alias_table: dict[str, str]) -> list[tuple[str, int]]:
+        merged: Counter[str] = Counter()
+        for name, n in self.institutions.items():
+            merged[normalize_institution(name, alias_table)] += n
+        return _ranked(merged)
+
+    def mention_series(self) -> list[tuple[int, int]]:
+        return sorted(self.mention_years.items())
+
+    def tweets_per_release(self) -> dict[int, float]:
+        return {year: ratio(self.same_year[year], n, 2)
+                for year, n in sorted(self.published.items())}
+
+    def coverage_table(self) -> list[CoverageRow]:
+        tweeted = Counter(self.year_of[rid] for rid in self.tweeted)
+        linked = Counter(self.year_of[rid] for rid in self.linked)
+        return [CoverageRow(year=year, published=count,
+                            tweeted=tweeted[year], pct_tweeted=percentage(tweeted[year], count, 2),
+                            web_linked=linked[year], pct_web=percentage(linked[year], count, 1))
+                for year, count in sorted(self.published.items())]
+
+
+def _fold(corpus=(), mentions=(), linked=()) -> Fold:
+    fold = Fold()
+    for release in corpus:
+        fold.add_release(release)
+    for mention in mentions:
+        fold.add_mention(mention)
+    for release_id in linked:
+        fold.add_link(release_id)
+    return fold
+
+
+def output_series(corpus, granularity: str = "yearly") -> list[tuple[int | date, int]]:
+    """Publication counts per year (or per day), buckets sorted ascending.
+
+    Date-anomalous releases are excluded from bucketed output; they still
+    count toward corpus totals elsewhere.
+    """
+    return _fold(corpus).output_series(granularity)
+
+
+def type_distribution(corpus) -> dict[PressType, tuple[int, float]]:
+    """Counts and one-decimal shares per press type, over the releases that
+    carry a type value."""
+    return _fold(corpus).type_distribution()
+
+
+def keyword_frequency(corpus) -> list[tuple[str, int]]:
+    """Keywords ranked by the number of releases using them (a release
+    counts once per keyword no matter how often it repeats one)."""
+    return _fold(corpus).keyword_frequency()
+
+
+def cooccurrence_graph(corpus) -> CoGraph:
+    """The keyword network of ``corpus``; see Fold.add_release."""
+    return _fold(corpus).graph
+
+
+def region_distribution(corpus) -> dict[Region, tuple[int, float]]:
+    """Counts and one-decimal shares per PIO region, over the releases that
+    carry region metadata."""
+    return _fold(corpus).region_distribution()
+
+
+def pio_ranking(corpus, alias_table: dict[str, str] | None = None) -> list[tuple[str, int]]:
+    """Submitting institutions ranked by output, internal units merged
+    through the alias table; ties break on the name."""
+    return _fold(corpus).pio_ranking(alias_table or {})
+
+
+def mention_series(mentions) -> list[tuple[int, int]]:
+    """Tweet mentions per tweet-publication year."""
+    return _fold(mentions=mentions).mention_series()
+
+
+def tweets_per_release(corpus, mentions) -> dict[int, float]:
+    """Tweets over releases for pairs published the same year, two-decimal.
+
+    The numerator counts tweets from year Y that link at least one release
+    also published in Y; years without published releases are omitted.
+    """
+    return _fold(corpus, mentions).tweets_per_release()
+
+
 def coverage_table(corpus, mentions, backlinks) -> list[CoverageRow]:
     """Share of each year's releases mentioned at least once.
 
@@ -176,29 +263,4 @@ def coverage_table(corpus, mentions, backlinks) -> list[CoverageRow]:
     construction. Percentages print at two decimals for tweets and one for
     web links.
     """
-    published, year_of_release = _release_years(corpus)
-
-    tweeted_releases: set[str] = set()
-    for mention in mentions:
-        tweeted_releases.update(mention.matched_release_ids())
-
-    linked_releases = set(backlinks)
-
-    tweeted_by_year = Counter(year for release_id, year in year_of_release.items()
-                              if release_id in tweeted_releases)
-    linked_by_year = Counter(year for release_id, year in year_of_release.items()
-                             if release_id in linked_releases)
-
-    rows = []
-    for year, count in sorted(published.items()):
-        tweeted = tweeted_by_year[year]
-        linked = linked_by_year[year]
-        rows.append(CoverageRow(
-            year=year,
-            published=count,
-            tweeted=tweeted,
-            pct_tweeted=percentage(tweeted, count, 2),
-            web_linked=linked,
-            pct_web=percentage(linked, count, 1),
-        ))
-    return rows
+    return _fold(corpus, mentions, backlinks).coverage_table()

@@ -138,22 +138,24 @@ class RunManifest:
         return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
 
 
-def _optional(manifest: RunManifest, path: Path) -> Path | None:
-    """``path`` when it is a file, recorded as a stage input; else None."""
-    if not path.is_file():
-        return None
-    manifest.input_digests[str(path)] = store.file_digest(path)
-    return path
-
-
-def _require(manifest: RunManifest, path: Path | None, what: str) -> Path:
-    """``path``, which the stage cannot run without; a file is recorded."""
+def _existing(manifest: RunManifest, path: Path | None, what: str) -> Path:
+    """``path``, which the stage cannot run without."""
     if path is None:
         raise PipelineError(manifest.command, f"{what} not configured")
     if not path.exists():
         raise PipelineError(manifest.command, f"missing prerequisite: {what} at {path} "
                                               f"(run the producing stage first)")
-    return _optional(manifest, path) or path
+    return path
+
+
+def _require(manifest: RunManifest, path: Path | None, what: str) -> Path:
+    """``path``, which the stage cannot run without; a file is recorded as
+    an input. A JSON Lines input is read with ``_existing`` instead, and
+    recorded by the read that decodes it."""
+    path = _existing(manifest, path, what)
+    if path.is_file():
+        manifest.input_digests[str(path)] = store.file_digest(path)
+    return path
 
 
 def _write(manifest: RunManifest, write, path: Path, *args) -> None:
@@ -201,7 +203,7 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    crawl_manifest = _require(manifest, cfg.crawl_manifest, "crawl manifest")
+    crawl_manifest = _existing(manifest, cfg.crawl_manifest, "crawl manifest")
     rewrite_table = (load_rewrite_table(_require(manifest, cfg.doi_rewrites, "DOI rewrite table"))
                      if cfg.doi_rewrites else ())
     unshorten = None
@@ -214,7 +216,7 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
 
     def records():
-        for entry in store.read_jsonl(crawl_manifest):
+        for entry in store.read_jsonl(crawl_manifest, manifest.input_digests):
             if entry["class"] != harvester.PageClass.PRESS_RELEASE:
                 stats["skipped_non_content"] += 1
                 continue
@@ -241,21 +243,21 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     manifest.counts.update(stats)
 
 
-def _read_corpus(cfg: PipelineConfig, manifest: RunManifest) -> list:
-    """The whole corpus, decoded once; each stage calls this at most once."""
-    corpus = _require(manifest, cfg.corpus_file, "parsed corpus")
-    return [release_from_dict(record) for record in store.read_jsonl(corpus)]
+def _releases(cfg: PipelineConfig, manifest: RunManifest):
+    """Each corpus release, decoded as it is read; a stage calls this at most once."""
+    corpus = _existing(manifest, cfg.corpus_file, "parsed corpus")
+    return map(release_from_dict, store.read_jsonl(corpus, manifest.input_digests))
 
 
 def _corpus_index(cfg: PipelineConfig, manifest: RunManifest) -> CorpusIndex:
-    releases = _read_corpus(cfg, manifest)
+    releases = _releases(cfg, manifest)
     if not cfg.seed_path:
         raise PipelineError(manifest.command, "seed_path not configured")
     return CorpusIndex.from_releases(releases, cfg.seed_path)
 
 
 def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    tweets_path = _require(manifest, cfg.tweets_file, "tweet archive")
+    tweets_path = _existing(manifest, cfg.tweets_file, "tweet archive")
     index = _corpus_index(cfg, manifest)
     if cfg.resolver_file:
         resolver = mention_ingest.CsvResolver.from_csv(
@@ -264,7 +266,8 @@ def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
         resolver = lambda url: None  # no recorded redirects: every URL is terminal
     stats: dict = {}
     mentions = mention_ingest.ingest_tweets(
-        store.read_jsonl(tweets_path), resolver, index, max_depth=cfg.max_depth, stats=stats)
+        store.read_jsonl(tweets_path, manifest.input_digests), resolver, index,
+        max_depth=cfg.max_depth, stats=stats)
     _write(manifest, store.write_jsonl, cfg.mentions_file,
            map(mention_ingest.mention_to_dict, mentions))
     stats["mentions_kept"] = len(mentions)
@@ -299,17 +302,20 @@ def _fmt(value: float, places: int) -> str:
 
 
 def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    releases = _read_corpus(cfg, manifest)
+    releases = list(_releases(cfg, manifest))
     counts_path = _require(manifest, cfg.external_counts, "external counts CSV")
     aliases = (load_alias_table(_require(manifest, cfg.alias_journals, "journal aliases"))
                if cfg.alias_journals else {})
     doi_journals = (coupling.load_doi_journals(_require(manifest, cfg.doi_journals, "DOI journals"))
                     if cfg.doi_journals else None)
     edges = coupling.build_coupling_graph(releases, doi_journals)
+    external_counts = coupling.load_external_counts(counts_path)
     stats: dict = {}
-    rows = coupling.journal_coverage(releases,
-                                     coupling.load_external_counts(counts_path),
-                                     alias_table=aliases, stats=stats)
+    try:
+        rows = coupling.journal_coverage(releases, external_counts,
+                                         alias_table=aliases, stats=stats)
+    except ValueError as err:
+        raise PipelineError("couple", f"{counts_path}: {err}") from err
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     _write(manifest, store.write_csv, cfg.report_dir / "coupling_edges.csv",
            ["release_id", "doi", "journal"],
@@ -329,9 +335,25 @@ def _distribution_rows(dist: dict) -> list[list]:
 
 
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    releases = _read_corpus(cfg, manifest)
+    releases = _releases(cfg, manifest)
     aliases = (load_alias_table(_require(manifest, cfg.alias_institutions, "institution aliases"))
                if cfg.alias_institutions else {})
+    fold = analytics.Fold()
+    for release in releases:
+        fold.add_release(release)
+    has_mentions = cfg.mentions_file.is_file()
+    if has_mentions:
+        for record in store.read_jsonl(cfg.mentions_file, manifest.input_digests):
+            fold.add_mention(mention_ingest.mention_from_dict(record))
+    has_backlinks = cfg.backlinks_attached.is_file()
+    windows: dict[str, str] = {}
+    if has_backlinks:
+        for record in store.read_jsonl(cfg.backlinks_attached, manifest.input_digests):
+            fold.add_link(record["release_id"])
+            for end, pick in (("window_start", min), ("window_end", max)):
+                if record.get(end):
+                    windows[end] = pick(windows.get(end, record[end]), record[end])
+
     report = cfg.report_dir
     report.mkdir(parents=True, exist_ok=True)
 
@@ -339,11 +361,12 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
         _write(manifest, store.write_csv, report / name, header, rows)
 
     populations: dict = {
-        "corpus_total": len(releases),
-        "date_anomalous_excluded_from_series": sum(r.date_anomaly for r in releases),
+        "corpus_total": fold.releases,
+        "date_anomalous_excluded_from_series": fold.date_anomalous,
+        **{f"backlink_{end}": value for end, value in windows.items()},
     }
 
-    series = analytics.output_series(releases, cfg.granularity)
+    series = fold.output_series(cfg.granularity)
     write_csv("annual_output.csv", ["year" if cfg.granularity == "yearly" else "date", "count"],
               [[str(b), n] for b, n in series])
     populations["annual_output"] = sum(n for _, n in series)
@@ -353,46 +376,32 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
             populations["peak_day"] = str(peak[0])
             populations["peak_day_count"] = peak[1]
 
-    types = analytics.type_distribution(releases)
+    types = fold.type_distribution()
     write_csv("type_distribution.csv", ["type", "count", "pct"], _distribution_rows(types))
     populations["type_distribution"] = sum(n for n, _ in types.values())
 
     write_csv("keyword_frequency.csv", ["keyword", "occurrences"],
-              [[k, n] for k, n in analytics.keyword_frequency(releases)])
+              [[k, n] for k, n in fold.keyword_frequency()])
 
-    graph = analytics.cooccurrence_graph(releases)
     _write(manifest, store.write_json, report / "cooccurrence_graph.json",
-           analytics.cograph_to_json_dict(graph))
+           analytics.cograph_to_json_dict(fold.graph))
 
-    regions = analytics.region_distribution(releases)
+    regions = fold.region_distribution()
     write_csv("region_distribution.csv", ["region", "count", "pct"], _distribution_rows(regions))
     populations["region_distribution"] = sum(n for n, _ in regions.values())
 
     write_csv("pio_ranking.csv", ["institution", "count"],
-              [[name, n] for name, n in analytics.pio_ranking(releases, aliases)])
+              [[name, n] for name, n in fold.pio_ranking(aliases)])
 
-    mentions = None
-    mentions_path = _optional(manifest, cfg.mentions_file)
-    if mentions_path:
-        mentions = [mention_ingest.mention_from_dict(r) for r in store.read_jsonl(mentions_path)]
-        populations["mentions"] = len(mentions)
+    if has_mentions:
+        populations["mentions"] = fold.mentions
         write_csv("mention_series.csv", ["year", "count"],
-                  [[y, n] for y, n in analytics.mention_series(mentions)])
-        ratios = analytics.tweets_per_release(releases, mentions)
+                  [[y, n] for y, n in fold.mention_series()])
         write_csv("tweets_per_release.csv", ["year", "tweets_per_release"],
-                  [[y, _fmt(v, 2)] for y, v in ratios.items()])
+                  [[y, _fmt(v, 2)] for y, v in fold.tweets_per_release().items()])
 
-    linked: dict[str, dict] = {}
-    backlinks_path = _optional(manifest, cfg.backlinks_attached)
-    if backlinks_path:
-        linked = {r["release_id"]: r for r in store.read_jsonl(backlinks_path)}
-        for end, pick in (("window_start", min), ("window_end", max)):
-            dates = [r[end] for r in linked.values() if r.get(end)]
-            if dates:
-                populations[f"backlink_{end}"] = pick(dates)
-
-    if mentions is not None and backlinks_path:
-        rows = analytics.coverage_table(releases, mentions, set(linked))
+    if has_mentions and has_backlinks:
+        rows = fold.coverage_table()
         write_csv("coverage_table.csv",
                   ["year", "published", "tweeted", "pct_tweeted", "web_linked", "pct_web"],
                   [[r.year, r.published, r.tweeted, _fmt(r.pct_tweeted, 2),

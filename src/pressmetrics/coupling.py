@@ -56,7 +56,9 @@ def journal_coverage(corpus, external_counts: dict[str, int],
     Each release contributes at most once per named journal. Journals known
     only to the external counts appear with zero press releases; a journal
     with press releases but no external count gets a null percentage and a
-    warning counted in ``stats``. Rows sort by press-release count
+    warning counted in ``stats``. Two external names that the alias table
+    maps to one journal may repeat a count but not give two: that fails
+    with a ValueError naming both. Rows sort by press-release count
     descending, ties broken on the journal name.
     """
     if stats is None:
@@ -67,8 +69,13 @@ def journal_coverage(corpus, external_counts: dict[str, int],
                            {normalize_institution(j, alias_table) for j in release.metadata.journal})
 
     externals: Counter[str] = Counter()
+    named: dict[str, str] = {}  # journal -> the external name its count came from
     for name, count in external_counts.items():
-        externals[normalize_institution(name, alias_table)] += int(count)
+        journal = normalize_institution(name, alias_table)
+        if externals.setdefault(journal, int(count)) != int(count):
+            raise ValueError(f"{named[journal]!r} and {name!r} both name {journal!r}, with "
+                             f"{externals[journal]} and {count} publications")
+        named.setdefault(journal, name)
 
     rows: list[JournalCoverage] = []
     for journal in set(press_counts) | set(externals):

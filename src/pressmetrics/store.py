@@ -64,11 +64,17 @@ def write_jsonl(path: str | Path, records) -> str:
     return digest.hexdigest()
 
 
-def read_jsonl(path: str | Path):
+def read_jsonl(path: str | Path, digests: dict | None = None):
     """Each record of a JSON Lines file; blank lines are skipped. A malformed
-    line fails with a ValueError that names the file and the line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    line fails with a ValueError that names the file and the line. Given
+    ``digests``, the SHA-256 hex digest of the bytes read is stored under
+    ``str(path)`` after the last record, so a reader records its input
+    without a second pass over it."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            digest.update(raw)
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
             try:
@@ -76,6 +82,8 @@ def read_jsonl(path: str | Path):
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from err
             yield record
+    if digests is not None:
+        digests[str(path)] = digest.hexdigest()
 
 
 def _csv_rows(path: str | Path, convert):
@@ -128,7 +136,11 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> str:
 
 
 def write_json(path: str | Path, payload) -> str:
-    return atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+    # json.dump appends each chunk to the buffer; json.dumps would hold them all in a list
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, ensure_ascii=False, sort_keys=True)
+    buf.write("\n")
+    return atomic_write_text(path, buf.getvalue())
 
 
 def file_digest(path: str | Path) -> str:

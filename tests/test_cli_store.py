@@ -1,16 +1,18 @@
 import json
 import os
+import random
 import shutil
 import socket
 import subprocess
 import sys
 import tracemalloc
 import typing
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
 
-from pressmetrics import cli, harvester, mention_ingest, pagescan, release_parser, store
+from pressmetrics import analytics, cli, harvester, mention_ingest, pagescan, release_parser, store
 from pressmetrics.urls import url_digest
 
 FOLD = "www.eksci.test/releases/"
@@ -614,6 +616,176 @@ class TestEmptyCorpus:
         assert annual == "year,count\n"
 
 
+def _synthetic_corpus(rng: random.Random, releases: int) -> list[dict]:
+    """Corpus records with anomalous dates, missing types and regions, and
+    institution names that differ only in case."""
+    vocabulary = [f"kw{i}" for i in range(12)]
+    institutions = ["Northfield University", "NORTHFIELD UNIV.", "Northfield Univ.",
+                    "Halloway Medical Assn.", "Other Lab", ""]
+    types = [t.value for t in release_parser.PressType] + [None]
+    return [{
+        "id": f"r{i}", "canonical_url": f"https://{FOLD}r{i}.html",
+        "date": date(2010 + rng.randrange(5), 1 + rng.randrange(12),
+                     1 + rng.randrange(28)).isoformat(),
+        "date_anomaly": rng.random() < 0.1,
+        "type": rng.choice(types),
+        "keywords": rng.choices(vocabulary, k=rng.randrange(5)),
+        "institution": rng.choice(institutions),
+        "region": rng.choice([r.value for r in release_parser.Region]),
+    } for i in range(releases)]
+
+
+def _synthetic_mention(rng: random.Random, i: int, releases: int, urls: int = 2) -> dict:
+    """A mention matching up to three ids, some beyond the corpus, plus an outdated URL."""
+    links = [f"https://{FOLD}r{rng.randrange(releases + 5)}.html/{'x' * 80}" for _ in range(urls)]
+    return mention_ingest.mention_to_dict(mention_ingest.TweetMention(
+        tweet_id=f"t{i:06d}",
+        created_at=datetime(2010 + rng.randrange(6), 1 + rng.randrange(12), 1, tzinfo=timezone.utc),
+        author_id="a", embedded_urls=links, resolved_urls=links, is_retweet=False,
+        matches=[mention_ingest.MatchResult(mention_ingest.MatchKind.MATCHED,
+                                            f"r{rng.randrange(releases + 5)}")
+                 for _ in range(rng.randrange(4))]
+                + [mention_ingest.MatchResult(mention_ingest.MatchKind.OUTDATED_URL)]))
+
+
+def _synthetic_backlink(rng: random.Random, release_id: str) -> dict:
+    start = rng.choice([None, "2014-01-01", "2013-06-01", "2015-02-01"])
+    return {"release_id": release_id, "target": f"https://{FOLD}{release_id}.html",
+            "mentioning_webpages": 3, "mentioning_websites": 2, "citation_flow": 1,
+            "trust_flow": 1, "window_start": start,
+            "window_end": rng.choice([None, "2020-12-01", "2022-01-01"]),
+            "websites_is_upper_bound": False, "merged_from": 1}
+
+
+class TestCouple:
+    def test_external_counts_that_aliases_merge_must_agree(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.corpus_dir.mkdir(parents=True)
+        store.write_jsonl(cfg.corpus_file, [])
+        cfg.external_counts = tmp_path / "external_counts.csv"
+        cfg.external_counts.write_text("journal,publications_with_doi\nJ. Fixture Sci.,40\n"
+                                       "Journal of Fixture Science,100\n", encoding="utf-8")
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run("couple", cfg)
+        assert str(err.value).startswith(f"[couple] {cfg.external_counts}: 'j. fixture sci.' "
+                                         f"and 'journal of fixture science' both name ")
+
+
+class TestAnalyze:
+    def test_reports_equal_the_public_statistics(self, tmp_path, fixtures_dir):
+        rng = random.Random(12)
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.corpus_dir.mkdir(parents=True)
+        records = _synthetic_corpus(rng, 150)
+        store.write_jsonl(cfg.corpus_file, records)
+        store.write_jsonl(cfg.mentions_file, (_synthetic_mention(rng, i, 150) for i in range(400)))
+        store.write_jsonl(cfg.backlinks_attached,
+                          (_synthetic_backlink(rng, f"r{i}") for i in range(0, 160, 3)))
+        corpus = [release_parser.release_from_dict(r) for r in records]
+        mentions = [mention_ingest.mention_from_dict(r)
+                    for r in store.read_jsonl(cfg.mentions_file)]
+        backlinks = list(store.read_jsonl(cfg.backlinks_attached))
+        aliases = release_parser.load_alias_table(cfg.alias_institutions)
+
+        for granularity in ("yearly", "daily"):
+            cfg.granularity = granularity
+            cfg.report_dir = tmp_path / granularity
+            cli.run("analyze", cfg)
+            want = tmp_path / f"want_{granularity}"
+            want.mkdir()
+            series = analytics.output_series(corpus, granularity)
+            types = analytics.type_distribution(corpus)
+            regions = analytics.region_distribution(corpus)
+            coverage = analytics.coverage_table(corpus, mentions,
+                                                {r["release_id"] for r in backlinks})
+            store.write_csv(want / "annual_output.csv",
+                            ["year" if granularity == "yearly" else "date", "count"],
+                            [[str(b), n] for b, n in series])
+            store.write_csv(want / "type_distribution.csv", ["type", "count", "pct"],
+                            cli._distribution_rows(types))
+            store.write_csv(want / "keyword_frequency.csv", ["keyword", "occurrences"],
+                            analytics.keyword_frequency(corpus))
+            store.write_json(want / "cooccurrence_graph.json",
+                             analytics.cograph_to_json_dict(analytics.cooccurrence_graph(corpus)))
+            store.write_csv(want / "region_distribution.csv", ["region", "count", "pct"],
+                            cli._distribution_rows(regions))
+            store.write_csv(want / "pio_ranking.csv", ["institution", "count"],
+                            analytics.pio_ranking(corpus, aliases))
+            store.write_csv(want / "mention_series.csv", ["year", "count"],
+                            analytics.mention_series(mentions))
+            store.write_csv(want / "tweets_per_release.csv", ["year", "tweets_per_release"],
+                            [[y, cli._fmt(v, 2)]
+                             for y, v in analytics.tweets_per_release(corpus, mentions).items()])
+            store.write_csv(want / "coverage_table.csv",
+                            ["year", "published", "tweeted", "pct_tweeted", "web_linked",
+                             "pct_web"],
+                            [[r.year, r.published, r.tweeted, cli._fmt(r.pct_tweeted, 2),
+                              r.web_linked, cli._fmt(r.pct_web, 1)] for r in coverage])
+            summary = {
+                "corpus_total": len(corpus),
+                "date_anomalous_excluded_from_series": sum(r.date_anomaly for r in corpus),
+                "annual_output": sum(n for _, n in series),
+                "type_distribution": sum(n for n, _ in types.values()),
+                "region_distribution": sum(n for n, _ in regions.values()),
+                "mentions": len(mentions),
+                "coverage_table": sum(r.published for r in coverage),
+                "backlink_window_start": min(r["window_start"] for r in backlinks
+                                             if r["window_start"]),
+                "backlink_window_end": max(r["window_end"] for r in backlinks if r["window_end"]),
+            }
+            if granularity == "daily":
+                peak = analytics.peak_bucket(series)
+                summary.update(peak_day=str(peak[0]), peak_day_count=peak[1])
+            store.write_json(want / "summary.json", summary)
+            got = {p.name: p.read_bytes() for p in cfg.report_dir.iterdir()}
+            assert got == {p.name: p.read_bytes() for p in want.iterdir()}, granularity
+
+    def test_memory_does_not_grow_with_the_mentions_and_backlinks(self, tmp_path, fixtures_dir):
+        rng = random.Random(5)
+        records = _synthetic_corpus(rng, 40)
+
+        def analyze_peak(n: int) -> int:
+            cfg = fixture_config(tmp_path / f"n{n}", fixtures_dir)
+            cfg.corpus_dir.mkdir(parents=True)
+            store.write_jsonl(cfg.corpus_file, records)
+            store.write_jsonl(cfg.mentions_file,
+                              (_synthetic_mention(rng, i, 40, urls=10) for i in range(n)))
+            # ids beyond the corpus too, as a backlinks file left from an earlier corpus holds
+            store.write_jsonl(cfg.backlinks_attached,
+                              (_synthetic_backlink(rng, f"r{i}") for i in range(n)))
+            tracemalloc.start()
+            try:
+                counts = cli.run("analyze", cfg).counts
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts["mentions"] == n
+            return peak
+
+        small, large = analyze_peak(300), analyze_peak(1200)
+        assert large - small < 512 * 1024, (small, large)
+
+    def test_jsonl_inputs_are_recorded_from_the_read_that_decodes_them(
+            self, tmp_path, fixtures_dir, monkeypatch):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        digested: list[str] = []
+        file_digest = store.file_digest
+
+        def recording_digest(path):
+            digested.append(str(path))
+            return file_digest(path)
+
+        monkeypatch.setattr(store, "file_digest", recording_digest)
+        for command in ("parse", "ingest-tweets", "ingest-links", "couple", "analyze"):
+            digested.clear()
+            inputs = cli.run(command, cfg).input_digests
+            assert [p for p in digested if p.endswith(".jsonl")] == [], command
+            assert inputs == {p: file_digest(p) for p in inputs}, command
+        assert {str(cfg.corpus_file), str(cfg.mentions_file),
+                str(cfg.backlinks_attached)} <= set(inputs)
+
+
 def _write_lock(directory: Path, pid: int, host: str) -> None:
     (directory / ".pressmetrics.lock").write_text(json.dumps({"pid": pid, "host": host}))
 
@@ -643,6 +815,18 @@ class TestStorePrimitives:
         with pytest.raises(ValueError) as err:
             store.read_mapping(path, pair)
         assert str(err.value) == f"{path}:6: 'a' maps to '3', but to '1' on line 2"
+
+    def test_read_jsonl_digests_every_byte_it_reads(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n  \n{"a": 2}\r\n{"a": "\xc3\xa9"}')
+        digests: dict = {}
+        assert list(store.read_jsonl(path, digests)) == [{"a": 1}, {"a": 2}, {"a": "\u00e9"}]
+        assert digests == {str(path): store.file_digest(path)}
+        path.write_bytes(b'{"a": 1}\n\n{not json\n')
+        with pytest.raises(ValueError) as err:
+            list(store.read_jsonl(path, digests))
+        assert str(err.value) == (f"{path}:3: Expecting property name enclosed in double quotes "
+                                  f"at column 2")
 
     def test_lock_is_exclusive(self, tmp_path):
         with store.DirectoryLock(tmp_path):

@@ -110,3 +110,22 @@ def test_external_counts_accept_a_repeated_identical_row(tmp_path):
     path = tmp_path / "external_counts.csv"
     path.write_text("journal,publications_with_doi\nActa X,100\nActa X,100\n", encoding="utf-8")
     assert load_external_counts(path) == {"acta x": 100}
+
+
+@pytest.mark.parametrize("fixture_sci,row", [(100, 100), (40, None)])
+def test_aliased_external_names_keep_one_count_or_fail(tmp_path, fixtures_dir, fixture_sci, row):
+    from pressmetrics.coupling import load_external_counts
+    from pressmetrics.release_parser import load_alias_table
+    path = tmp_path / "external_counts.csv"
+    path.write_text(f"journal,publications_with_doi\nJ. Fixture Sci.,{fixture_sci}\n"
+                    "Journal of Fixture Science,100\n", encoding="utf-8")
+    counts = load_external_counts(path)
+    aliases = load_alias_table(fixtures_dir / "aliases_journals.csv")
+    if row is not None:
+        assert journal_coverage([], counts, alias_table=aliases) == [
+            JournalCoverage("Journal of Fixture Science", row, 0, 0.0)]
+        return
+    with pytest.raises(ValueError) as err:
+        journal_coverage([], counts, alias_table=aliases)
+    assert str(err.value) == ("'j. fixture sci.' and 'journal of fixture science' both name "
+                              "'Journal of Fixture Science', with 40 and 100 publications")

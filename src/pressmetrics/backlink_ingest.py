@@ -132,7 +132,7 @@ def link_coverage_index(aggregates, index: CorpusIndex) -> LinkCoverage:
     return out
 
 
-def read_raw_links_csv(path: str | Path) -> list[RawLinkRecord]:
+def read_raw_links_csv(path: str | Path, digests: dict | None = None) -> list[RawLinkRecord]:
     """target_url,mentioning_webpages,mentioning_websites,citation_flow,
     trust_flow,window_start,window_end"""
     return store.read_csv(path, lambda row: RawLinkRecord(
@@ -143,7 +143,7 @@ def read_raw_links_csv(path: str | Path) -> list[RawLinkRecord]:
         trust_flow=int(row["trust_flow"]),
         window_start=date.fromisoformat(row["window_start"]) if row.get("window_start") else None,
         window_end=date.fromisoformat(row["window_end"]) if row.get("window_end") else None,
-    ))
+    ), digests)
 
 
 def aggregate_to_dict(release_id: str, agg: BacklinkAggregate) -> dict:

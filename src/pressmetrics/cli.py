@@ -139,7 +139,7 @@ class RunManifest:
 
 
 def _existing(manifest: RunManifest, path: Path | None, what: str) -> Path:
-    """``path``, which the stage cannot run without."""
+    """``path``, which the stage cannot run without; its ``store`` reader records it."""
     if path is None:
         raise PipelineError(manifest.command, f"{what} not configured")
     if not path.exists():
@@ -148,14 +148,16 @@ def _existing(manifest: RunManifest, path: Path | None, what: str) -> Path:
     return path
 
 
-def _require(manifest: RunManifest, path: Path | None, what: str) -> Path:
-    """``path``, which the stage cannot run without; a file is recorded as
-    an input. A JSON Lines input is read with ``_existing`` instead, and
-    recorded by the read that decodes it."""
-    path = _existing(manifest, path, what)
-    if path.is_file():
-        manifest.input_digests[str(path)] = store.file_digest(path)
-    return path
+def _table(manifest: RunManifest, path: Path | None, what: str, load, default=None):
+    """``load(path, manifest.input_digests)``, or ``default`` if no table is configured."""
+    return default if path is None else load(_existing(manifest, path, what),
+                                             manifest.input_digests)
+
+
+def _resolver(cfg: PipelineConfig, manifest: RunManifest) -> mention_ingest.CsvResolver:
+    """The recorded redirects; with none, every URL is terminal."""
+    return _table(manifest, cfg.resolver_file, "resolver fixture",
+                  mention_ingest.CsvResolver.from_csv, mention_ingest.CsvResolver({}))
 
 
 def _write(manifest: RunManifest, write, path: Path, *args) -> None:
@@ -172,7 +174,7 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         raise PipelineError("crawl", "seed_path not configured")
     scope = harvester.CrawlScope(cfg.seed_path, cfg.rate_limit)
     if cfg.fixtures_dir is not None:
-        fetcher = harvester.DirectoryFetcher(_require(manifest, cfg.fixtures_dir, "fixtures_dir"))
+        fetcher = harvester.DirectoryFetcher(_existing(manifest, cfg.fixtures_dir, "fixtures_dir"))
         clock = harvester.VirtualClock()
     else:
         fetcher = harvester.HttpFetcher()
@@ -204,13 +206,8 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     crawl_manifest = _existing(manifest, cfg.crawl_manifest, "crawl manifest")
-    rewrite_table = (load_rewrite_table(_require(manifest, cfg.doi_rewrites, "DOI rewrite table"))
-                     if cfg.doi_rewrites else ())
-    unshorten = None
-    if cfg.resolver_file:
-        resolver = mention_ingest.CsvResolver.from_csv(
-            _require(manifest, cfg.resolver_file, "resolver fixture"))
-        unshorten = partial(resolver.unshorten, max_depth=cfg.max_depth)
+    rewrite_table = _table(manifest, cfg.doi_rewrites, "DOI rewrite table", load_rewrite_table, ())
+    unshorten = partial(_resolver(cfg, manifest).unshorten, max_depth=cfg.max_depth)
 
     stats = Counter(parsed=0, parse_errors=0, skipped_non_content=0)
     urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
@@ -259,25 +256,18 @@ def _corpus_index(cfg: PipelineConfig, manifest: RunManifest) -> CorpusIndex:
 def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
     tweets_path = _existing(manifest, cfg.tweets_file, "tweet archive")
     index = _corpus_index(cfg, manifest)
-    if cfg.resolver_file:
-        resolver = mention_ingest.CsvResolver.from_csv(
-            _require(manifest, cfg.resolver_file, "resolver fixture"))
-    else:
-        resolver = lambda url: None  # no recorded redirects: every URL is terminal
-    stats: dict = {}
     mentions = mention_ingest.ingest_tweets(
-        store.read_jsonl(tweets_path, manifest.input_digests), resolver, index,
-        max_depth=cfg.max_depth, stats=stats)
+        store.read_jsonl(tweets_path, manifest.input_digests), _resolver(cfg, manifest), index,
+        max_depth=cfg.max_depth, stats=manifest.counts)
     _write(manifest, store.write_jsonl, cfg.mentions_file,
            map(mention_ingest.mention_to_dict, mentions))
-    stats["mentions_kept"] = len(mentions)
-    manifest.counts.update(stats)
+    manifest.counts["mentions_kept"] = len(mentions)
 
 
 def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    links_path = _require(manifest, cfg.backlinks_file, "backlink CSV")
+    links_path = _existing(manifest, cfg.backlinks_file, "backlink CSV")
     index = _corpus_index(cfg, manifest)
-    records = backlink_ingest.read_raw_links_csv(links_path)
+    records = backlink_ingest.read_raw_links_csv(links_path, manifest.input_digests)
     try:
         aggregates = backlink_ingest.merge_protocol_variants(records)
     except backlink_ingest.LinkValidationError as err:
@@ -303,13 +293,11 @@ def _fmt(value: float, places: int) -> str:
 
 def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
     releases = list(_releases(cfg, manifest))
-    counts_path = _require(manifest, cfg.external_counts, "external counts CSV")
-    aliases = (load_alias_table(_require(manifest, cfg.alias_journals, "journal aliases"))
-               if cfg.alias_journals else {})
-    doi_journals = (coupling.load_doi_journals(_require(manifest, cfg.doi_journals, "DOI journals"))
-                    if cfg.doi_journals else None)
+    counts_path = _existing(manifest, cfg.external_counts, "external counts CSV")
+    external_counts = coupling.load_external_counts(counts_path, manifest.input_digests)
+    aliases = _table(manifest, cfg.alias_journals, "journal aliases", load_alias_table, {})
+    doi_journals = _table(manifest, cfg.doi_journals, "DOI journals", coupling.load_doi_journals)
     edges = coupling.build_coupling_graph(releases, doi_journals)
-    external_counts = coupling.load_external_counts(counts_path)
     stats: dict = {}
     try:
         rows = coupling.journal_coverage(releases, external_counts,
@@ -336,8 +324,7 @@ def _distribution_rows(dist: dict) -> list[list]:
 
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
     releases = _releases(cfg, manifest)
-    aliases = (load_alias_table(_require(manifest, cfg.alias_institutions, "institution aliases"))
-               if cfg.alias_institutions else {})
+    aliases = _table(manifest, cfg.alias_institutions, "institution aliases", load_alias_table, {})
     fold = analytics.Fold()
     for release in releases:
         fold.add_release(release)
@@ -413,15 +400,14 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    summary = _require(manifest, cfg.report_dir / "summary.json", "analyze output")
-    report_files = sorted(p for p in cfg.report_dir.iterdir()
-                          if p.is_file() and p.name != "report_manifest.json")
-    payload = {
-        "reports": {p.name: store.file_digest(p) for p in report_files},
-        "populations": json.loads(summary.read_text(encoding="utf-8")),
-    }
-    _write(manifest, store.write_json, cfg.report_dir / "report_manifest.json", payload)
-    manifest.counts["report_files"] = len(report_files)
+    summary = _existing(manifest, cfg.report_dir / "summary.json", "analyze output")
+    populations = store.read_json(summary, manifest.input_digests)
+    reports = {p.name: store.file_digest(p) for p in cfg.report_dir.iterdir()
+               if p.is_file() and p.name not in ("report_manifest.json", summary.name)}
+    reports[summary.name] = manifest.input_digests[str(summary)]
+    _write(manifest, store.write_json, cfg.report_dir / "report_manifest.json",
+           {"reports": reports, "populations": populations})
+    manifest.counts["report_files"] = len(reports)
 
 
 _STAGES = {

@@ -92,14 +92,14 @@ def journal_coverage(corpus, external_counts: dict[str, int],
     return rows
 
 
-def load_external_counts(path: str | Path) -> dict[str, int]:
+def load_external_counts(path: str | Path, digests: dict | None = None) -> dict[str, int]:
     """journal,publications_with_doi, keyed on the folded journal name, so
     two rows whose names fold to one journal must give one count."""
     return store.read_mapping(
-        path, lambda row: (fold_name(row["journal"]), int(row["publications_with_doi"])))
+        path, lambda row: (fold_name(row["journal"]), int(row["publications_with_doi"])), digests)
 
 
-def load_doi_journals(path: str | Path) -> dict[str, str]:
+def load_doi_journals(path: str | Path, digests: dict | None = None) -> dict[str, str]:
     """Optional doi,journal enrichment table."""
     return store.read_mapping(
-        path, lambda row: (row["doi"].strip().lower(), row["journal"].strip()))
+        path, lambda row: (row["doi"].strip().lower(), row["journal"].strip()), digests)

@@ -15,7 +15,7 @@ import hashlib
 import re
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -25,10 +25,11 @@ from urllib.parse import urljoin
 
 from . import __version__
 from .pagescan import PageScan, scan_page
-from .urls import canonicalize_url, normalize_fold, url_host, url_path
+from .urls import canonicalize_url, inside_fold, normalize_fold, url_host, url_path
 
 FETCH_ATTEMPTS = 3
 HTTP_TIMEOUT_S = 30.0
+GRANT_WINDOW = 64  # recent grants the limiter keeps per host
 
 
 class ScopeViolation(Exception):
@@ -63,8 +64,7 @@ class CrawlScope:
         return canonicalize_url("https://" + self.seed_path)
 
     def contains(self, canonical: str) -> bool:
-        # a URL that does not canonicalise never starts with "https://" and the fold
-        return canonical.startswith("https://" + self.seed_path)
+        return inside_fold(canonical, self.seed_path)
 
 
 @dataclass
@@ -137,8 +137,8 @@ class RateLimiter:
     """Shared per-host limiter serializing request release times.
 
     acquire() blocks until at least ``rate_limit`` seconds have passed since
-    the previous grant for the same host, then records the grant on the
-    trace. Grants are re-checked against actual clock readings, so recorded
+    the host's last grant, then records the grant; only the last GRANT_WINDOW
+    are kept. Grants are re-checked against actual clock readings, so recorded
     spacings are >= rate_limit even under scheduling jitter or concurrency.
     """
 
@@ -147,23 +147,22 @@ class RateLimiter:
             raise ValueError("rate_limit must be >= 0")
         self.rate_limit = rate_limit
         self.clock = clock or SystemClock()
-        self.trace: list[tuple[str, float]] = []
-        self._next_allowed: dict[str, float] = {}
+        self._grants = defaultdict(lambda: deque(maxlen=GRANT_WINDOW))  # host -> grant times
         self._lock = threading.Lock()
 
     def acquire(self, host: str) -> float:
         while True:
             with self._lock:
                 now = self.clock.monotonic()
-                wait = self._next_allowed.get(host, float("-inf")) - now
+                grants = self._grants[host]
+                wait = (grants[-1] + self.rate_limit) - now if grants else 0.0
                 if wait <= 0:
-                    self._next_allowed[host] = now + self.rate_limit
-                    self.trace.append((host, now))
+                    grants.append(now)
                     return now
             self.clock.sleep(wait)
 
     def spacings(self, host: str) -> list[float]:
-        grants = [t for h, t in self.trace if h == host]
+        grants = list(self._grants.get(host, ()))
         return [b - a for a, b in zip(grants, grants[1:])]
 
 

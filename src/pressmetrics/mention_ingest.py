@@ -82,9 +82,9 @@ class CsvResolver:
         self._hops = hops
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "CsvResolver":
+    def from_csv(cls, path: str | Path, digests: dict | None = None) -> "CsvResolver":
         return cls(store.read_mapping(
-            path, lambda row: (row["from_url"].strip(), row["to_url"].strip() or None)))
+            path, lambda row: (row["from_url"].strip(), row["to_url"].strip() or None), digests))
 
     def __call__(self, url: str):
         if url not in self._hops:

@@ -283,12 +283,12 @@ def normalize_institution(name: str, alias_table: dict[str, str]) -> str:
     return alias_table.get(folded, folded)
 
 
-def load_alias_table(path: str | Path) -> dict[str, str]:
+def load_alias_table(path: str | Path, digests: dict | None = None) -> dict[str, str]:
     """Load a variant->canonical CSV, keyed on the folded variant; canonicals
     self-map so direct uses of a canonical name merge with their aliases.
     Two canonicals for one folded variant, and chained aliases, are refused."""
     pairs = store.read_mapping(path, lambda row: (fold_name(row["variant"]),
-                                                  row["canonical"].strip()))
+                                                  row["canonical"].strip()), digests)
     table = {variant: canonical for variant, canonical in pairs.items() if variant and canonical}
     for canonical in list(table.values()):
         folded = fold_name(canonical)
@@ -299,9 +299,10 @@ def load_alias_table(path: str | Path) -> dict[str, str]:
     return table
 
 
-def load_rewrite_table(path: str | Path) -> list[tuple[str, str, str]]:
+def load_rewrite_table(path: str | Path, digests: dict | None = None) -> list[tuple[str, str, str]]:
     """Rows of (journal_pattern, find, replace) for per-journal DOI fixes."""
-    return store.read_csv(path, lambda row: (row["journal_pattern"], row["find"], row["replace"]))
+    return store.read_csv(path, lambda row: (row["journal_pattern"], row["find"], row["replace"]),
+                          digests)
 
 
 def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:

@@ -5,9 +5,10 @@ renamed into place after the last record, so a failed stage leaves the
 partial file and the previous output. CSV and JSON reports are written to a
 mkstemp file in the destination directory and renamed. Crawled pages are
 committed by the crawl manifest, which names a page only once it is written.
-CSVs are UTF-8, LF line endings, header row always present. Every text
-writer returns the SHA-256 hex digest of the bytes it wrote, so a stage
-records its outputs without reading them back.
+CSVs are UTF-8, LF line endings, header row always present. Each text writer
+returns the SHA-256 hex digest of the bytes it wrote, and each reader puts the
+digest of the bytes it decoded in a ``digests`` dict, so a stage records its
+files in the one pass that reads or writes them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import socket
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 
@@ -31,10 +33,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -68,8 +68,7 @@ def read_jsonl(path: str | Path, digests: dict | None = None):
     """Each record of a JSON Lines file; blank lines are skipped. A malformed
     line fails with a ValueError that names the file and the line. Given
     ``digests``, the SHA-256 hex digest of the bytes read is stored under
-    ``str(path)`` after the last record, so a reader records its input
-    without a second pass over it."""
+    ``str(path)`` after the last record."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -86,10 +85,20 @@ def read_jsonl(path: str | Path, digests: dict | None = None):
         digests[str(path)] = digest.hexdigest()
 
 
-def _csv_rows(path: str | Path, convert):
+def read_json(path: str | Path, digests: dict | None = None):
+    """The JSON document in ``path``, with its digest stored as read_jsonl stores it."""
+    data = Path(path).read_bytes()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return json.loads(data.decode("utf-8"))
+
+
+def _csv_rows(path: str | Path, convert, digests: dict | None):
     """Each ``(line number, convert(row))`` of a headed CSV; see read_csv."""
+    digest = hashlib.sha256()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # each line is hashed as it is read; a decoded line re-encodes to its bytes
+        reader = csv.reader(digest.update(line.encode("utf-8")) or line for line in fh)
         header = next(reader, [])
         for fields in reader:
             if not fields:
@@ -103,23 +112,26 @@ def _csv_rows(path: str | Path, convert):
                 detail = f"missing column {err}" if isinstance(err, KeyError) else err
                 raise ValueError(f"{path}:{reader.line_num}: {detail}") from err
             yield reader.line_num, value
+    if digests is not None:
+        digests[str(path)] = digest.hexdigest()
 
 
-def read_csv(path: str | Path, convert) -> list:
+def read_csv(path: str | Path, convert, digests: dict | None = None) -> list:
     """``convert`` applied to each row (a dict keyed by the header) of a
-    headed CSV; blank lines are skipped. A row whose field count differs
-    from the header's, or whose conversion raises KeyError or ValueError,
-    fails with a ValueError that names the file and the line."""
-    return [value for _, value in _csv_rows(path, convert)]
+    headed CSV; blank lines are skipped, and ``digests`` is filled as
+    read_jsonl fills it. A row whose field count differs from the header's,
+    or whose conversion raises KeyError or ValueError, fails with a
+    ValueError that names the file and the line."""
+    return [value for _, value in _csv_rows(path, convert, digests)]
 
 
-def read_mapping(path: str | Path, convert) -> dict:
+def read_mapping(path: str | Path, convert, digests: dict | None = None) -> dict:
     """The table of ``(key, value)`` pairs that ``convert`` makes of the rows
     of a headed CSV, read as read_csv reads them. A key repeated with its
     value is accepted; a key given two values fails with a ValueError that
     names the file and both lines."""
     first: dict = {}  # key -> (value, line)
-    for lineno, (key, value) in _csv_rows(path, convert):
+    for lineno, (key, value) in _csv_rows(path, convert, digests):
         kept, kept_line = first.setdefault(key, (value, lineno))
         if kept != value:
             raise ValueError(f"{path}:{lineno}: {key!r} maps to {value!r}, but to {kept!r} "
@@ -198,8 +210,6 @@ class DirectoryLock:
         return False
 
     def __exit__(self, *exc):
-        try:
+        with suppress(OSError):
             self.path.unlink()
-        except OSError:
-            pass
         return False

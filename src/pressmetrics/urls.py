@@ -89,6 +89,11 @@ def normalize_fold(seed_path: str) -> str:
     return canonicalize_url(seed_path)[len("https://"):]
 
 
+def inside_fold(canonical: str, fold: str) -> bool:
+    """Whether ``canonical`` lies in ``fold``; a URL that does not canonicalise never does."""
+    return canonical.startswith("https://" + fold)
+
+
 class CorpusIndex:
     """Canonical URL -> release id lookup plus the corpus fold boundary."""
 
@@ -104,8 +109,7 @@ class CorpusIndex:
         return self.url_to_id.get(canonical)
 
     def in_fold(self, url: str) -> bool:
-        # a URL that does not canonicalise never starts with "https://" and the fold
-        return url.startswith("https://" + self.seed_path)
+        return inside_fold(url, self.seed_path)
 
 
 def release_id_from_url(canonical_url: str) -> str:

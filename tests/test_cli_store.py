@@ -765,10 +765,11 @@ class TestAnalyze:
         small, large = analyze_peak(300), analyze_peak(1200)
         assert large - small < 512 * 1024, (small, large)
 
-    def test_jsonl_inputs_are_recorded_from_the_read_that_decodes_them(
+    def test_inputs_are_recorded_from_the_read_that_decodes_them(
             self, tmp_path, fixtures_dir, monkeypatch):
         cfg = fixture_config(tmp_path, fixtures_dir)
-        cli.run("crawl", cfg)
+        cfg.doi_journals = tmp_path / "doi_journals.csv"
+        cfg.doi_journals.write_text("doi,journal\n10.1000/x,Journal of Tests\n")
         digested: list[str] = []
         file_digest = store.file_digest
 
@@ -777,13 +778,18 @@ class TestAnalyze:
             return file_digest(path)
 
         monkeypatch.setattr(store, "file_digest", recording_digest)
-        for command in ("parse", "ingest-tweets", "ingest-links", "couple", "analyze"):
+        read: set[str] = set()
+        for command in cli.COMMANDS:
             digested.clear()
             inputs = cli.run(command, cfg).input_digests
-            assert [p for p in digested if p.endswith(".jsonl")] == [], command
+            assert set(digested).isdisjoint(inputs), command
             assert inputs == {p: file_digest(p) for p in inputs}, command
-        assert {str(cfg.corpus_file), str(cfg.mentions_file),
-                str(cfg.backlinks_attached)} <= set(inputs)
+            read |= set(inputs)
+        assert read == {str(p) for p in (
+            cfg.crawl_manifest, cfg.corpus_file, cfg.mentions_file, cfg.backlinks_attached,
+            cfg.tweets_file, cfg.backlinks_file, cfg.resolver_file, cfg.doi_rewrites,
+            cfg.external_counts, cfg.alias_journals, cfg.doi_journals, cfg.alias_institutions,
+            cfg.report_dir / "summary.json")}
 
 
 def _write_lock(directory: Path, pid: int, host: str) -> None:
@@ -827,6 +833,69 @@ class TestStorePrimitives:
             list(store.read_jsonl(path, digests))
         assert str(err.value) == (f"{path}:3: Expecting property name enclosed in double quotes "
                                   f"at column 2")
+
+    # (CSV bytes, read_csv rows or the error after "<path>:", read_mapping table or error)
+    CSV_CASES = {
+        "lf": (b"key,value\na,1\n\nb,2\n", [{"key": "a", "value": "1"}, {"key": "b", "value": "2"}],
+               {"a": "1", "b": "2"}),
+        "crlf": (b"key,value\r\na,1\r\n\r\nb,2\r\n",
+                 [{"key": "a", "value": "1"}, {"key": "b", "value": "2"}], {"a": "1", "b": "2"}),
+        "lone cr": (b"key,value\ra,1\r\rb,2\r",
+                    [{"key": "a", "value": "1"}, {"key": "b", "value": "2"}], {"a": "1", "b": "2"}),
+        "bom": (b"\xef\xbb\xbfkey,value\na,\xc3\xa9\n", [{"\ufeffkey": "a", "value": "\u00e9"}],
+                "2: missing column 'key'"),
+        "quoted cr": (b'key,value\na,"x\ry"\nb,2\n',
+                      [{"key": "a", "value": "x\ry"}, {"key": "b", "value": "2"}],
+                      {"a": "x\ry", "b": "2"}),
+        "quoted crlf": (b'key,value\r\na,"x\r\ny"\r\nb,2\r\n',
+                        [{"key": "a", "value": "x\r\ny"}, {"key": "b", "value": "2"}],
+                        {"a": "x\r\ny", "b": "2"}),
+        "short row after quoted cr": (b'key,value\na,"x\ry"\nb,2\nc\n',
+                                      "5: expected 2 fields, got 1", "5: expected 2 fields, got 1"),
+        "short row after lone cr": (b"key,value\ra,1\rb\r", "3: expected 2 fields, got 1",
+                                    "3: expected 2 fields, got 1"),
+    }
+    # (JSON Lines bytes, records or the error after "<path>:"); only "\n" ends a line
+    JSONL_CASES = {
+        "lf": (b'{"a": 1}\n\n{"a": 2}\n', [{"a": 1}, {"a": 2}]),
+        "crlf": (b'{"a": 1}\r\n\r\n{"a": 2}\r\n', [{"a": 1}, {"a": 2}]),
+        "lone cr": (b'{"a": 1}\r{"a": 2}\r', "1: Extra data at column 10"),
+    }
+
+    @staticmethod
+    def _read_and_digest(path, read, expected):
+        """``read(path, digests)`` gives ``expected``, or fails with it after
+        "<path>:"; the digest it records is the file's."""
+        digests: dict = {}
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                read(path, digests)
+            assert str(err.value) == f"{path}:{expected}"
+            assert digests == {}
+        else:
+            assert read(path, digests) == expected
+            assert digests == {str(path): store.file_digest(path)}
+
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_csv_readers_split_lines_as_text_mode_and_digest_the_file(self, tmp_path, case):
+        data, rows, table = self.CSV_CASES[case]
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        self._read_and_digest(path, lambda p, d: store.read_csv(p, dict, d), rows)
+        self._read_and_digest(path, lambda p, d: store.read_mapping(
+            p, lambda row: (row["key"], row["value"]), d), table)
+
+    @pytest.mark.parametrize("case", JSONL_CASES)
+    def test_read_jsonl_splits_on_lf_only_and_digests_the_file(self, tmp_path, case):
+        data, records = self.JSONL_CASES[case]
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(data)
+        self._read_and_digest(path, lambda p, d: list(store.read_jsonl(p, d)), records)
+
+    def test_read_json_digests_the_bytes_it_parses(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_bytes(b'{\r\n  "a": "\xc3\xa9"\r\n}\n')
+        self._read_and_digest(path, store.read_json, {"a": "\u00e9"})
 
     def test_lock_is_exclusive(self, tmp_path):
         with store.DirectoryLock(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from pressmetrics import __version__
 from pressmetrics.harvester import (
+    GRANT_WINDOW,
     CrawlScope,
     DirectoryFetcher,
     FetchRetryError,
@@ -86,6 +87,43 @@ def test_rate_limiter_thread_safe_spacing():
     gaps = limiter.spacings("h.test")
     assert len(gaps) == 14
     assert all(gap >= 0.01 - 1e-9 for gap in gaps)
+
+
+class _UnboundedLimiter:
+    """The limiter's rule with every grant kept: the next grant for a host
+    is its last grant plus the rate limit."""
+
+    def __init__(self, rate_limit, clock):
+        self.rate_limit, self.clock = rate_limit, clock
+        self.grants: dict[str, list[float]] = {}
+
+    def acquire(self, host):
+        grants = self.grants.setdefault(host, [])
+        now = self.clock.monotonic()
+        if grants and (grants[-1] + self.rate_limit) - now > 0:
+            self.clock.sleep((grants[-1] + self.rate_limit) - now)
+            now = self.clock.monotonic()
+        grants.append(now)
+        return now
+
+
+def test_rate_limiter_keeps_a_window_of_grants_and_grants_as_if_unbounded():
+    assert GRANT_WINDOW >= 15  # test_rate_limiter_thread_safe_spacing reads 14 gaps
+    k = 7
+    bounded, unbounded = RateLimiter(0.7, VirtualClock()), _UnboundedLimiter(0.7, VirtualClock())
+    times: dict = {bounded: [], unbounded: []}
+    for i in range(GRANT_WINDOW + k):
+        for limiter in (bounded, unbounded):
+            limiter.clock.sleep(0.3 * (i % 4))  # work between fetches
+            times[limiter].append(limiter.acquire("a.test"))
+            if i % 5 == 0:
+                times[limiter].append(limiter.acquire("b.test"))
+    assert times[bounded] == times[unbounded]
+    gaps = {host: [b - a for a, b in zip(ts, ts[1:])] for host, ts in unbounded.grants.items()}
+    assert len(gaps["a.test"]) == GRANT_WINDOW + k - 1
+    assert bounded.spacings("a.test") == gaps["a.test"][-(GRANT_WINDOW - 1):]
+    assert all(gap >= 0.7 - 1e-9 for gap in bounded.spacings("a.test"))
+    assert bounded.spacings("b.test") == gaps["b.test"]
 
 
 class _StaticFetcher:

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 from . import analytics, backlink_ingest, coupling, harvester, mention_ingest, store
@@ -45,7 +45,6 @@ class PipelineConfig:
     corpus_dir: Path = Path("corpus")
     report_dir: Path = Path("reports")
     fixtures_dir: Path | None = None
-    max_depth: int = 5
     granularity: str = "yearly"
     alias_institutions: Path | None = None
     alias_journals: Path | None = None
@@ -55,10 +54,6 @@ class PipelineConfig:
     tweets_file: Path | None = None
     backlinks_file: Path | None = None
     resolver_file: Path | None = None
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
     # stage file layout
     @property
@@ -114,8 +109,6 @@ def build_config(file_values: dict, overrides: dict) -> PipelineConfig:
     for key, value in merged.items():
         if key == "rate_limit":
             kwargs[key] = float(value)
-        elif key == "max_depth":
-            kwargs[key] = int(value)
         elif key in _PATH_KEYS:
             kwargs[key] = Path(value) if value not in (None, "") else None
         elif key in PipelineConfig.__dataclass_fields__:
@@ -132,7 +125,7 @@ class RunManifest:
     finished_at: str = ""
     input_digests: dict = field(default_factory=dict)
     output_digests: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
+    counts: Counter = field(default_factory=Counter)
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
@@ -180,10 +173,9 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         fetcher = harvester.HttpFetcher()
         clock = harvester.SystemClock()
     limiter = harvester.RateLimiter(scope.rate_limit, clock)
-    stats = Counter()
 
     def entries():
-        for record, page_class in harvester.crawl(scope, fetcher, limiter, stats):
+        for record, page_class in harvester.crawl(scope, fetcher, limiter, manifest.counts):
             # the manifest line naming this body, written after it, commits it
             (cfg.pages_dir / (url_digest(record.url) + ".body")).write_bytes(record.body)
             yield {
@@ -201,49 +193,48 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries())
     finally:
         fetcher.close()
-    manifest.counts.update(stats)
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     crawl_manifest = _existing(manifest, cfg.crawl_manifest, "crawl manifest")
     rewrite_table = _table(manifest, cfg.doi_rewrites, "DOI rewrite table", load_rewrite_table, ())
-    unshorten = partial(_resolver(cfg, manifest).unshorten, max_depth=cfg.max_depth)
+    unshorten = _resolver(cfg, manifest).unshorten
 
-    stats = Counter(parsed=0, parse_errors=0, skipped_non_content=0)
+    manifest.counts.update(parsed=0, parse_errors=0, skipped_non_content=0)
     urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
 
     def records():
-        for entry in store.read_jsonl(crawl_manifest, manifest.input_digests):
-            if entry["class"] != harvester.PageClass.PRESS_RELEASE:
-                stats["skipped_non_content"] += 1
+        for url, digest, page_class in store.read_jsonl(
+                crawl_manifest, manifest.input_digests, itemgetter("url", "digest", "class")):
+            if page_class != harvester.PageClass.PRESS_RELEASE:
+                manifest.counts["skipped_non_content"] += 1
                 continue
-            body_path = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
+            body_path = cfg.pages_dir / (url_digest(url) + ".body")
             body = body_path.read_bytes()
-            if hashlib.sha256(body).hexdigest() != entry["digest"]:
+            if hashlib.sha256(body).hexdigest() != digest:
                 raise PipelineError("parse", f"{body_path} differs from the digest that "
-                                    f"{crawl_manifest} records for {entry['url']}")
+                                    f"{crawl_manifest} records for {url}")
             try:
-                release = parse_release(entry["url"], body, rewrite_table=rewrite_table,
-                                        unshorten=unshorten, stats=stats)
+                release = parse_release(url, body, rewrite_table=rewrite_table,
+                                        unshorten=unshorten, stats=manifest.counts)
             except ParseError as err:
-                stats["parse_errors"] += 1
-                stats[f"parse_errors_{err.field_name}"] += 1
+                manifest.counts["parse_errors"] += 1
+                manifest.counts[f"parse_errors_{err.field_name}"] += 1
                 continue
             if release.id in urls:
                 raise PipelineError("parse", f"release id {release.id!r} from both "
-                                    f"{urls[release.id]} and {entry['url']}")
-            stats["parsed"] += 1
+                                    f"{urls[release.id]} and {url}")
+            manifest.counts["parsed"] += 1
             urls[release.id] = release.canonical_url
             yield release_to_dict(release)
 
     _write(manifest, store.write_jsonl, cfg.corpus_file, records())
-    manifest.counts.update(stats)
 
 
 def _releases(cfg: PipelineConfig, manifest: RunManifest):
     """Each corpus release, decoded as it is read; a stage calls this at most once."""
     corpus = _existing(manifest, cfg.corpus_file, "parsed corpus")
-    return map(release_from_dict, store.read_jsonl(corpus, manifest.input_digests))
+    return store.read_jsonl(corpus, manifest.input_digests, release_from_dict)
 
 
 def _corpus_index(cfg: PipelineConfig, manifest: RunManifest) -> CorpusIndex:
@@ -258,7 +249,7 @@ def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
     index = _corpus_index(cfg, manifest)
     mentions = mention_ingest.ingest_tweets(
         store.read_jsonl(tweets_path, manifest.input_digests), _resolver(cfg, manifest), index,
-        max_depth=cfg.max_depth, stats=manifest.counts)
+        stats=manifest.counts)
     _write(manifest, store.write_jsonl, cfg.mentions_file,
            map(mention_ingest.mention_to_dict, mentions))
     manifest.counts["mentions_kept"] = len(mentions)
@@ -278,13 +269,13 @@ def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest) -> None:
             for rid in sorted(coverage.attached)))
     _write(manifest, store.write_jsonl, cfg.backlinks_outdated,
            ({"target": t} for t in sorted(coverage.outdated)))
-    manifest.counts.update({
-        "raw_records": len(records),
-        "aggregates": len(aggregates),
-        "attached": len(coverage.attached),
-        "outdated": len(coverage.outdated),
-        "rejected": len(coverage.rejected),
-    })
+    manifest.counts.update(
+        raw_records=len(records),
+        aggregates=len(aggregates),
+        attached=len(coverage.attached),
+        outdated=len(coverage.outdated),
+        rejected=len(coverage.rejected),
+    )
 
 
 def _fmt(value: float, places: int) -> str:
@@ -298,10 +289,9 @@ def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
     aliases = _table(manifest, cfg.alias_journals, "journal aliases", load_alias_table, {})
     doi_journals = _table(manifest, cfg.doi_journals, "DOI journals", coupling.load_doi_journals)
     edges = coupling.build_coupling_graph(releases, doi_journals)
-    stats: dict = {}
     try:
         rows = coupling.journal_coverage(releases, external_counts,
-                                         alias_table=aliases, stats=stats)
+                                         alias_table=aliases, stats=manifest.counts)
     except ValueError as err:
         raise PipelineError("couple", f"{counts_path}: {err}") from err
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
@@ -313,7 +303,7 @@ def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
            [[r.journal, r.publications_with_doi, r.press_release_count,
              "" if r.coverage_pct is None else _fmt(r.coverage_pct, 1)]
             for r in rows])
-    manifest.counts.update({"edges": len(edges), "journals": len(rows), **stats})
+    manifest.counts.update(edges=len(edges), journals=len(rows))
 
 
 def _distribution_rows(dist: dict) -> list[list]:
@@ -330,16 +320,19 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
         fold.add_release(release)
     has_mentions = cfg.mentions_file.is_file()
     if has_mentions:
-        for record in store.read_jsonl(cfg.mentions_file, manifest.input_digests):
-            fold.add_mention(mention_ingest.mention_from_dict(record))
+        for mention in store.read_jsonl(cfg.mentions_file, manifest.input_digests,
+                                        mention_ingest.mention_from_dict):
+            fold.add_mention(mention)
     has_backlinks = cfg.backlinks_attached.is_file()
     windows: dict[str, str] = {}
     if has_backlinks:
-        for record in store.read_jsonl(cfg.backlinks_attached, manifest.input_digests):
-            fold.add_link(record["release_id"])
-            for end, pick in (("window_start", min), ("window_end", max)):
-                if record.get(end):
-                    windows[end] = pick(windows.get(end, record[end]), record[end])
+        links = store.read_jsonl(cfg.backlinks_attached, manifest.input_digests,
+                                 itemgetter("release_id", "window_start", "window_end"))
+        for release_id, *ends in links:
+            fold.add_link(release_id)
+            for (end, pick), value in zip((("window_start", min), ("window_end", max)), ends):
+                if value:
+                    windows[end] = pick(windows.get(end, value), value)
 
     report = cfg.report_dir
     report.mkdir(parents=True, exist_ok=True)
@@ -396,7 +389,7 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
         populations["coverage_table"] = sum(r.published for r in rows)
 
     _write(manifest, store.write_json, report / "summary.json", populations)
-    manifest.counts.update(populations)
+    dict.update(manifest.counts, populations)  # set, as Counter.update would add to strings
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest) -> None:
@@ -449,7 +442,6 @@ def main(argv=None) -> int:
     parser.add_argument("--corpus-dir", dest="corpus_dir")
     parser.add_argument("--report-dir", dest="report_dir")
     parser.add_argument("--rate-limit", dest="rate_limit", type=float)
-    parser.add_argument("--max-depth", dest="max_depth", type=int)
     parser.add_argument("--fixtures", dest="fixtures_dir",
                         help="recorded-response directory; enables fixtures mode")
     parser.add_argument("--granularity", choices=("yearly", "daily"))

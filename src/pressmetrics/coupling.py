@@ -49,8 +49,8 @@ def build_coupling_graph(corpus, doi_journals: dict[str, str] | None = None) -> 
 
 
 def journal_coverage(corpus, external_counts: dict[str, int],
-                     alias_table: dict[str, str] | None = None,
-                     stats: dict | None = None) -> list[JournalCoverage]:
+                     alias_table: dict[str, str] | None = None, *,
+                     stats: Counter) -> list[JournalCoverage]:
     """Coverage percentage per journal over the releases naming it.
 
     Each release contributes at most once per named journal. Journals known
@@ -61,8 +61,6 @@ def journal_coverage(corpus, external_counts: dict[str, int],
     with a ValueError naming both. Rows sort by press-release count
     descending, ties broken on the journal name.
     """
-    if stats is None:
-        stats = {}
     alias_table = alias_table or {}
 
     press_counts = Counter(journal for release in corpus for journal in
@@ -86,7 +84,7 @@ def journal_coverage(corpus, external_counts: dict[str, int],
         else:
             pct = None
             if press > 0:
-                stats["undefined_coverage"] = stats.get("undefined_coverage", 0) + 1
+                stats["undefined_coverage"] += 1
         rows.append(JournalCoverage(journal, publications, press, pct))
     rows.sort(key=lambda r: (-r.press_release_count, r.journal))
     return rows

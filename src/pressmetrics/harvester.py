@@ -294,7 +294,7 @@ def _canonical_join(page_url: str, href: str) -> str | None:
 
 
 def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[str],
-                    stats: dict | None = None) -> list[str]:
+                    stats: Counter) -> list[str]:
     """New in-scope canonical URLs linked from the page at canonical
     ``page_url``, given that page's scan.
 
@@ -303,18 +303,16 @@ def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[
     returned is added to ``seen``. Malformed or non-http links are skipped
     and counted in ``stats``.
     """
-    if stats is None:
-        stats = {}
     if not scan.is_html:
         return []
     out: list[str] = []
     for href in scan.anchors:
         canonical = _canonical_join(page_url, href.strip())
         if canonical is None:
-            stats["malformed_links"] = stats.get("malformed_links", 0) + 1
+            stats["malformed_links"] += 1
             continue
         if not scope.contains(canonical):
-            stats["offscope_links"] = stats.get("offscope_links", 0) + 1
+            stats["offscope_links"] += 1
             continue
         if canonical in seen:
             continue
@@ -352,7 +350,7 @@ def classify_page(scan: PageScan, status: int = 200) -> PageClass:
     return PageClass.OTHER
 
 
-def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter | None = None):
+def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter):
     """Breadth-first crawl of the whole fold, each URL fetched exactly once.
     Yields ``(record, page_class)`` as each page lands, so the caller stores
     pages one at a time instead of holding the whole crawl in memory.
@@ -363,8 +361,6 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter | Non
     as the crawl goes; failed URLs never produce records. Each payload is
     scanned once; classification and frontier expansion share that scan.
     """
-    if stats is None:
-        stats = Counter()
     stats.update(failed=0, fetched=0, press_releases=0)
     seed = scope.seed_url
     frontier: deque[str] = deque([seed])

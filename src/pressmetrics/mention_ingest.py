@@ -9,6 +9,7 @@ they are the obsolescence signal the coverage reports must exclude.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -92,9 +93,9 @@ class CsvResolver:
         nxt = self._hops[url]
         return DEAD if nxt is None else nxt
 
-    def unshorten(self, url: str, max_depth: int = 5) -> str | None:
+    def unshorten(self, url: str) -> str | None:
         """The final URL of ``url``'s chain when the table lists ``url``."""
-        return resolve_chain(url, self, max_depth).final if url in self._hops else None
+        return resolve_chain(url, self).final if url in self._hops else None
 
 
 def resolve_chain(url: str, resolver, max_depth: int = 5) -> UrlResolution:
@@ -150,18 +151,16 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
-                  stats: dict | None = None) -> list[TweetMention]:
+def ingest_tweets(records, resolver, index: CorpusIndex, stats: dict) -> list[TweetMention]:
     """Cleanse a raw tweet stream into corpus mentions.
 
     Retweets are dropped; every embedded URL is resolved (memoized) and
     matched; tweets whose URLs never reach the corpus fold are dropped;
     duplicate tweet_ids collapse to the first occurrence. Output is sorted
     by tweet_id so persisted runs are deterministic. Malformed records are
-    skipped and counted in ``stats``.
+    skipped. The drops of each reason are added to ``stats`` at the end.
     """
-    if stats is None:
-        stats = {}
+    dropped: Counter[str] = Counter()
     finals: dict[str, str] = {}  # embedded URL -> the final URL of its chain
     kept: dict[str, TweetMention] = {}
     for record in records:
@@ -172,26 +171,26 @@ def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
             urls = list(record["urls"])
             is_retweet = bool(record["is_retweet"])
         except (KeyError, TypeError, ValueError):
-            stats["malformed_records"] = stats.get("malformed_records", 0) + 1
+            dropped["malformed_records"] += 1
             continue
         if is_retweet:
-            stats["retweets_dropped"] = stats.get("retweets_dropped", 0) + 1
+            dropped["retweets_dropped"] += 1
             continue
         if tweet_id in kept:
-            stats["duplicate_ids"] = stats.get("duplicate_ids", 0) + 1
+            dropped["duplicate_ids"] += 1
             continue
         resolved: list[str] = []
         matches: list[MatchResult] = []
         for url in urls:
             if not isinstance(url, str) or not url.strip():
-                stats["bad_urls"] = stats.get("bad_urls", 0) + 1
+                dropped["bad_urls"] += 1
                 continue
             if url not in finals:
-                finals[url] = resolve_chain(url, resolver, max_depth=max_depth).final
+                finals[url] = resolve_chain(url, resolver).final
             resolved.append(finals[url])
             matches.append(match_to_release(finals[url], index))
         if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):
-            stats["no_corpus_url"] = stats.get("no_corpus_url", 0) + 1
+            dropped["no_corpus_url"] += 1
             continue
         kept[tweet_id] = TweetMention(
             tweet_id=tweet_id,
@@ -202,6 +201,7 @@ def ingest_tweets(records, resolver, index: CorpusIndex, max_depth: int = 5,
             is_retweet=False,
             matches=matches,
         )
+    stats.update(dropped)
     return [kept[tid] for tid in sorted(kept)]
 
 

@@ -224,8 +224,8 @@ def _candidates_from_text(text: str) -> list[tuple[str, Repair]]:
     return found
 
 
-def extract_dois(scan: PageScan, description: str = "", rewrites=(), unshorten=None,
-                 stats: dict | None = None) -> list[DoiRef]:
+def extract_dois(scan: PageScan, description: str = "", rewrites=(), unshorten=None, *,
+                 stats) -> list[DoiRef]:
     """All DOIs mentioned in a scanned page: hyperlink targets plus visible
     text.
 
@@ -235,8 +235,6 @@ def extract_dois(scan: PageScan, description: str = "", rewrites=(), unshorten=N
     expansion, or to None, so DOIs behind shorteners are still recovered.
     Unrepairable candidates are dropped and counted in ``stats``.
     """
-    if stats is None:
-        stats = {}
     candidates: list[tuple[str, Repair]] = []
     for href in scan.anchors:
         href = href.strip()
@@ -259,7 +257,7 @@ def extract_dois(scan: PageScan, description: str = "", rewrites=(), unshorten=N
                 repair = Repair.BROKEN_URL_FIXED if repair is Repair.NONE else repair
         normalized = clean_doi(fixed)
         if normalized is None:
-            stats["dropped_doi_candidates"] = stats.get("dropped_doi_candidates", 0) + 1
+            stats["dropped_doi_candidates"] += 1
             continue
         ref = DoiRef(raw=raw, normalized=normalized, repair=repair)
         kept = best.get(normalized)
@@ -315,8 +313,8 @@ def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:
 # Whole-release parsing and corpus serialization
 # ---------------------------------------------------------------------------
 
-def parse_release(canonical_url: str, body: bytes, rewrite_table=(), unshorten=None,
-                  stats: dict | None = None) -> PressRelease:
+def parse_release(canonical_url: str, body: bytes, rewrite_table=(), unshorten=None, *,
+                  stats) -> PressRelease:
     """Parse one press-release payload; the body is scanned once and the
     scan feeds both metadata and DOI extraction."""
     scan = scan_page(body)

@@ -64,11 +64,21 @@ def write_jsonl(path: str | Path, records) -> str:
     return digest.hexdigest()
 
 
-def read_jsonl(path: str | Path, digests: dict | None = None):
-    """Each record of a JSON Lines file; blank lines are skipped. A malformed
-    line fails with a ValueError that names the file and the line. Given
-    ``digests``, the SHA-256 hex digest of the bytes read is stored under
-    ``str(path)`` after the last record."""
+def _converted(convert, record, path, lineno: int, missing: str):
+    """``convert(record)``; a KeyError, TypeError or ValueError names the file and line."""
+    try:
+        return convert(record)
+    except (KeyError, TypeError, ValueError) as err:
+        detail = f"missing {missing} {err}" if isinstance(err, KeyError) else err
+        raise ValueError(f"{path}:{lineno}: {detail}") from err
+
+
+def read_jsonl(path: str | Path, digests: dict | None = None, convert=None):
+    """Each record of a JSON Lines file, or ``convert(record)``; blank lines
+    are skipped. A malformed line, or a record that ``convert`` refuses, fails
+    with a ValueError that names the file and the line. Given ``digests``, the
+    SHA-256 hex digest of the bytes read is stored under ``str(path)`` after
+    the last record."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -80,7 +90,7 @@ def read_jsonl(path: str | Path, digests: dict | None = None):
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from err
-            yield record
+            yield record if convert is None else _converted(convert, record, path, lineno, "field")
     if digests is not None:
         digests[str(path)] = digest.hexdigest()
 
@@ -106,12 +116,8 @@ def _csv_rows(path: str | Path, convert, digests: dict | None):
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
                                  f"got {len(fields)}")
-            try:
-                value = convert(dict(zip(header, fields)))
-            except (KeyError, ValueError) as err:
-                detail = f"missing column {err}" if isinstance(err, KeyError) else err
-                raise ValueError(f"{path}:{reader.line_num}: {detail}") from err
-            yield reader.line_num, value
+            yield reader.line_num, _converted(convert, dict(zip(header, fields)), path,
+                                              reader.line_num, "column")
     if digests is not None:
         digests[str(path)] = digest.hexdigest()
 
@@ -120,8 +126,8 @@ def read_csv(path: str | Path, convert, digests: dict | None = None) -> list:
     """``convert`` applied to each row (a dict keyed by the header) of a
     headed CSV; blank lines are skipped, and ``digests`` is filled as
     read_jsonl fills it. A row whose field count differs from the header's,
-    or whose conversion raises KeyError or ValueError, fails with a
-    ValueError that names the file and the line."""
+    or whose conversion raises KeyError, TypeError or ValueError, fails with
+    a ValueError that names the file and the line."""
     return [value for _, value in _csv_rows(path, convert, digests)]
 
 

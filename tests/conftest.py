@@ -1,5 +1,6 @@
 import json
 import threading
+from collections import Counter
 from datetime import date, datetime, timezone
 from functools import partial
 from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
@@ -44,7 +45,7 @@ def fixture_scope() -> harvester.CrawlScope:
 def crawl_result(fixture_scope) -> list[tuple[harvester.FetchRecord, harvester.PageClass]]:
     fetcher = harvester.DirectoryFetcher(FIXTURES / "site")
     return list(harvester.crawl(fixture_scope, fetcher,
-                                harvester.RateLimiter(0.0, harvester.VirtualClock())))
+                                harvester.RateLimiter(0.0, harvester.VirtualClock()), Counter()))
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +54,8 @@ def corpus(crawl_result) -> list[PressRelease]:
     rewrites = load_rewrite_table(FIXTURES / "doi_rewrites.csv")
     resolver = CsvResolver.from_csv(FIXTURES / "resolver_main.csv")
     return [
-        parse_release(record.url, record.body, rewrite_table=rewrites, unshorten=resolver.unshorten)
+        parse_release(record.url, record.body, rewrite_table=rewrites, unshorten=resolver.unshorten,
+                      stats=Counter())
         for record, page_class in crawl_result
         if page_class.press_release
     ]

@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -206,7 +207,7 @@ class TestMentionStatistics:
         from pressmetrics.store import read_jsonl
         resolver = CsvResolver.from_csv(fixtures_dir / "resolver_main.csv")
         mentions = ingest_tweets(read_jsonl(fixtures_dir / "tweets_main.jsonl"),
-                                 resolver, corpus_index)
+                                 resolver, corpus_index, stats=Counter())
         expected = oracle.expected_tweets_per_release(
             truth, fixtures_dir / "tweets_main.jsonl", fixtures_dir / "resolver_main.csv")
         assert tweets_per_release(corpus, mentions) == expected
@@ -232,7 +233,7 @@ class TestCoverageTable:
         from pressmetrics.store import read_jsonl
         resolver = CsvResolver.from_csv(fixtures_dir / "resolver_main.csv")
         mentions = ingest_tweets(read_jsonl(fixtures_dir / "tweets_main.jsonl"),
-                                 resolver, corpus_index)
+                                 resolver, corpus_index, stats=Counter())
         before = {row.year: row.tweeted for row in coverage_table(corpus, mentions, set())}
         extra = make_mention("t9999", "2020-12-31T00:00:00", ["bgc-202006"])
         after = {row.year: row.tweeted for row in coverage_table(corpus, mentions + [extra], set())}

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+from collections import Counter
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -56,28 +58,24 @@ class TestConfig:
             "rate_limit=0.5\n"
             f"fixtures_dir={fixtures_dir / 'site'}\n"
             f"corpus_dir={tmp_path / 'corpus'}\n"
-            f"report_dir={tmp_path / 'reports'}\n"
-            "max_depth=4\n")
+            f"report_dir={tmp_path / 'reports'}\n")
         values = cli.load_config_file(config_file)
         cfg = cli.build_config(values, {"rate_limit": 0.0, "granularity": "daily"})
         assert cfg.seed_path == FOLD
         assert cfg.rate_limit == 0.0  # CLI flag wins
-        assert cfg.max_depth == 4
         assert cfg.granularity == "daily"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             cli.build_config({"surprise": "1"}, {})
+        with pytest.raises(ValueError, match="unknown config key 'max_depth'"):
+            cli.build_config({"max_depth": "5"}, {})
 
     def test_bad_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("just words\n")
         with pytest.raises(ValueError):
             cli.load_config_file(bad)
-
-    def test_max_depth_validated(self):
-        with pytest.raises(ValueError):
-            cli.PipelineConfig(max_depth=0)
 
     def test_every_path_field_converts_from_a_string(self):
         hints = typing.get_type_hints(cli.PipelineConfig)
@@ -255,6 +253,25 @@ class TestPipelineOutputs:
         assert summary["annual_output"] == 49
         assert summary["date_anomalous_excluded_from_series"] == 1
         assert summary["backlink_window_start"] == "2015-09-01"
+
+    def test_counts_account_for_every_input_record(self, completed_run):
+        cfg, _ = completed_run
+        counts = {entry["command"]: Counter(entry["counts"])
+                  for entry in list(store.read_jsonl(cfg.run_log))[:len(cli.COMMANDS)]}
+        manifest_lines = len(list(store.read_jsonl(cfg.crawl_manifest)))
+        tweets = len(list(store.read_jsonl(cfg.tweets_file)))
+        with open(cfg.backlinks_file, newline="", encoding="utf-8") as fh:
+            backlink_rows = sum(1 for row in csv.reader(fh) if row) - 1
+        crawl, parse, tweet_counts, links = (counts[c] for c in (
+            "crawl", "parse", "ingest-tweets", "ingest-links"))
+        assert crawl["fetched"] == manifest_lines
+        assert parse["parsed"] + parse["parse_errors"] + parse["skipped_non_content"] == (
+            manifest_lines)
+        assert sum(tweet_counts[k] for k in ("mentions_kept", "malformed_records",
+                                             "retweets_dropped", "duplicate_ids",
+                                             "no_corpus_url")) == tweets
+        assert links["raw_records"] == backlink_rows
+        assert links["aggregates"] == links["attached"] + links["outdated"] + links["rejected"]
 
 
 class TestOneScanPerPage:
@@ -916,6 +933,52 @@ class TestStorePrimitives:
         assert not (cfg.corpus_dir / ".pressmetrics.lock").exists()
         assert "stale_locks_broken" not in cli.run("parse", cfg).counts
 
+    def test_analyze_counts_a_broken_stale_lock_beside_the_populations(self, tmp_path,
+                                                                       fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        for command in ("crawl", "parse", "ingest-links"):
+            cli.run(command, cfg)
+        _write_lock(cfg.corpus_dir, _dead_pid(), socket.gethostname())
+        counts = cli.run("analyze", cfg).counts
+        assert counts["stale_locks_broken"] == 1
+        assert (counts["backlink_window_start"], counts["backlink_window_end"]) == (
+            "2015-09-01", "2021-04-01")
+        assert json.loads(cfg.run_log.read_text().splitlines()[-1])["counts"] == counts
+
+    # (stage, the stage input, its line, the edit to that line's record, the error's detail)
+    BAD_RECORDS = {
+        "mention without tweet_id": ("analyze", "mentions_file", 3,
+                                     lambda r: r.pop("tweet_id"), "missing field 'tweet_id'"),
+        "manifest line without class": ("parse", "crawl_manifest", 4,
+                                        lambda r: r.pop("class"), "missing field 'class'"),
+        "corpus date out of range, couple": ("couple", "corpus_file", 5,
+                                             lambda r: r.update(date="2016-13-45"),
+                                             "month must be in 1..12"),
+        "corpus date out of range, ingest-links": ("ingest-links", "corpus_file", 5,
+                                                   lambda r: r.update(date="2016-13-45"),
+                                                   "month must be in 1..12"),
+        "backlink without release_id": ("analyze", "backlinks_attached", 2,
+                                        lambda r: r.pop("release_id"),
+                                        "missing field 'release_id'"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_a_stage_input_with_a_bad_record_fails_with_its_file_and_line(
+            self, tmp_path, fixtures_dir, case):
+        stage, attr, lineno, edit, detail = self.BAD_RECORDS[case]
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        for command in ("crawl", "parse", "ingest-tweets", "ingest-links"):
+            cli.run(command, cfg)
+        path = getattr(cfg, attr)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[lineno - 1])
+        edit(record)
+        lines[lineno - 1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as err:  # which main prints as "error: <message>"
+            cli.run(stage, cfg)
+        assert str(err.value) == f"{path}:{lineno}: {detail}"
+
     @pytest.mark.parametrize("owner", ["live", "not permitted", "other host", "unnamed"])
     def test_lock_that_may_be_held_blocks(self, tmp_path, monkeypatch, owner):
         pid, host = os.getpid(), socket.gethostname()
@@ -962,7 +1025,7 @@ class TestMainEntryPoint:
         assert cli.main(["crawl", "--seed-path", FOLD, "--fixtures", str(fixtures_dir / "site"),
                          "--corpus-dir", str(tmp_path / "corpus"),
                          "--report-dir", str(tmp_path / "reports"), "--rate-limit", "0",
-                         "--max-depth", "3", "--granularity", "daily"]) == 0
+                         "--granularity", "daily"]) == 0
         assert "crawl: ok" in capsys.readouterr().out
 
     def test_exit_nonzero_names_stage(self, tmp_path, capsys):

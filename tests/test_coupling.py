@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import oracle
@@ -34,16 +36,16 @@ class TestJournalCoverage:
                   + [make_release(f"b{i}", journal=["PLOS Medicine"]) for i in range(2037)])
         rows = {r.journal: r for r in journal_coverage(
             corpus, {"PNAS": 90160, "PLOS Medicine": 4255},
-            alias_table={"pnas": "PNAS", "plos medicine": "PLOS Medicine"})}
+            alias_table={"pnas": "PNAS", "plos medicine": "PLOS Medicine"}, stats=Counter())}
         assert rows["PNAS"].coverage_pct == 17.6
         assert rows["PLOS Medicine"].coverage_pct == 47.9
 
     def test_zero_numerator(self, make_release):
-        rows = journal_coverage([], {"Empty Journal": 100})
+        rows = journal_coverage([], {"Empty Journal": 100}, stats=Counter())
         assert rows == [JournalCoverage("empty journal", 100, 0, 0.0)]
 
     def test_undefined_coverage_warns(self, make_release):
-        stats = {}
+        stats = Counter()
         rows = journal_coverage([make_release("r1", journal=["Ghost"])], {}, stats=stats)
         assert rows[0].coverage_pct is None and rows[0].press_release_count == 1
         assert stats["undefined_coverage"] == 1
@@ -51,27 +53,30 @@ class TestJournalCoverage:
     def test_release_counts_once_per_journal(self, make_release):
         release = make_release("r1", journal=["Acta", "acta ", "Other"])
         rows = {r.journal: r.press_release_count for r in journal_coverage(
-            [release], {"Acta": 10, "Other": 10}, alias_table={"acta": "Acta", "other": "Other"})}
+            [release], {"Acta": 10, "Other": 10}, alias_table={"acta": "Acta", "other": "Other"},
+            stats=Counter())}
         assert rows == {"Acta": 1, "Other": 1}
 
     def test_multi_journal_release_counts_in_each(self, make_release):
         releases = [make_release("r1", journal=["A", "B"]), make_release("r2", journal=["A"])]
         rows = {r.journal: r.press_release_count for r in journal_coverage(
-            releases, {"A": 10, "B": 10}, alias_table={"a": "A", "b": "B"})}
+            releases, {"A": 10, "B": 10}, alias_table={"a": "A", "b": "B"}, stats=Counter())}
         assert rows == {"A": 2, "B": 1}
 
     def test_sorted_by_count_then_name(self, make_release):
         releases = ([make_release("r1", journal=["Beta"]), make_release("r2", journal=["Beta"])]
                     + [make_release("r3", journal=["Alpha"]), make_release("r4", journal=["Gamma"])])
         table = {"alpha": "Alpha", "beta": "Beta", "gamma": "Gamma"}
-        rows = journal_coverage(releases, {"Alpha": 5, "Beta": 5, "Gamma": 5}, alias_table=table)
+        rows = journal_coverage(releases, {"Alpha": 5, "Beta": 5, "Gamma": 5}, alias_table=table,
+                                stats=Counter())
         assert [r.journal for r in rows] == ["Beta", "Alpha", "Gamma"]
 
     def test_alias_variants_merge(self, corpus, fixtures_dir):
         from pressmetrics.coupling import load_external_counts
         from pressmetrics.release_parser import load_alias_table
         rows = journal_coverage(corpus, load_external_counts(fixtures_dir / "external_counts.csv"),
-                                alias_table=load_alias_table(fixtures_dir / "aliases_journals.csv"))
+                                alias_table=load_alias_table(fixtures_dir / "aliases_journals.csv"),
+                                stats=Counter())
         by_name = {r.journal: r for r in rows}
         # uvd-201905 names "J. Fixture Sci."; it must merge into the canonical journal
         assert by_name["Journal of Fixture Science"].press_release_count == 12
@@ -122,10 +127,10 @@ def test_aliased_external_names_keep_one_count_or_fail(tmp_path, fixtures_dir, f
     counts = load_external_counts(path)
     aliases = load_alias_table(fixtures_dir / "aliases_journals.csv")
     if row is not None:
-        assert journal_coverage([], counts, alias_table=aliases) == [
+        assert journal_coverage([], counts, alias_table=aliases, stats=Counter()) == [
             JournalCoverage("Journal of Fixture Science", row, 0, 0.0)]
         return
     with pytest.raises(ValueError) as err:
-        journal_coverage([], counts, alias_table=aliases)
+        journal_coverage([], counts, alias_table=aliases, stats=Counter())
     assert str(err.value) == ("'j. fixture sci.' and 'journal of fixture science' both name "
                               "'Journal of Fixture Science', with 40 and 100 publications")

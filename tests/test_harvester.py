@@ -211,7 +211,7 @@ def test_expand_frontier_scope_seen_and_dedup():
     <a href="/elsewhere/y">off</a>
     </body></html>"""
     seen = {"https://h.test/fold/c.html"}
-    stats = {}
+    stats = Counter()
     out = expand_frontier("https://h.test/fold/", scan_page(body), scope, seen, stats)
     assert out == ["https://h.test/fold/a.html", "https://h.test/fold/b.html"]
     assert stats["offscope_links"] == 2
@@ -220,17 +220,18 @@ def test_expand_frontier_scope_seen_and_dedup():
 def test_expand_frontier_no_anchors_and_duplicates():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
     assert expand_frontier("https://h.test/fold/", scan_page(b"<html><p>none</p></html>"),
-                           scope, set()) == []
-    assert expand_frontier("https://h.test/fold/", scan_page(b"not html at all"), scope, set()) == []
+                           scope, set(), Counter()) == []
+    assert expand_frontier("https://h.test/fold/", scan_page(b"not html at all"), scope, set(),
+                           Counter()) == []
     twice = b'<html><a href="a.html">1</a><a href="a.html">2</a></html>'
-    assert expand_frontier("https://h.test/fold/", scan_page(twice), scope, set()) == [
+    assert expand_frontier("https://h.test/fold/", scan_page(twice), scope, set(), Counter()) == [
         "https://h.test/fold/a.html"]
 
 
 def test_expand_frontier_counts_malformed():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
     body = b'<html><a href="mailto:x@y.z">m</a><a href="a.html">ok</a></html>'
-    stats = {}
+    stats = Counter()
     out = expand_frontier("https://h.test/fold/", scan_page(body), scope, set(), stats)
     assert out == ["https://h.test/fold/a.html"]
     assert stats["malformed_links"] == 1
@@ -276,7 +277,7 @@ def test_equivalent_fold_spellings_crawl_the_same_site(seed_path, fixtures_dir, 
     scope = CrawlScope(seed_path, rate_limit=0.0)
     assert scope.seed_path == "www.eksci.test/releases/"
     again = list(crawl(scope, DirectoryFetcher(fixtures_dir / "site"),
-                       RateLimiter(0.0, VirtualClock())))
+                       RateLimiter(0.0, VirtualClock()), Counter()))
     assert [(r.url, c) for r, c in again] == [(r.url, c) for r, c in crawl_result]
 
 
@@ -407,7 +408,7 @@ def test_crawl_over_http_server(site_server):
     limiter = RateLimiter(scope.rate_limit)
     fetcher = HttpFetcher(force_scheme="http")
     try:
-        result = list(crawl(scope, fetcher, limiter=limiter))
+        result = list(crawl(scope, fetcher, limiter=limiter, stats=Counter()))
     finally:
         fetcher.close()
     press = sum(1 for _, c in result if c.press_release)

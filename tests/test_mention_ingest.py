@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -100,28 +101,29 @@ class TestIngest:
 
     def test_duplicate_tweet_id_collapses(self, records, resolver, corpus_index):
         assert records[10]["tweet_id"] == records[0]["tweet_id"]
-        mentions = ingest_tweets(records, resolver, corpus_index)
+        mentions = ingest_tweets(records, resolver, corpus_index, stats=Counter())
         assert len(mentions) == 7
         assert len({m.tweet_id for m in mentions}) == 7
 
     def test_no_retweets_in_output(self, records, resolver, corpus_index):
-        assert not any(m.is_retweet for m in ingest_tweets(records, resolver, corpus_index))
+        assert not any(m.is_retweet
+                       for m in ingest_tweets(records, resolver, corpus_index, stats=Counter()))
 
     def test_match_partition_sums(self, records, resolver, corpus_index):
-        for mention in ingest_tweets(records, resolver, corpus_index):
+        for mention in ingest_tweets(records, resolver, corpus_index, stats=Counter()):
             assert len(mention.matches) == len(mention.resolved_urls)
             kinds = [m.kind for m in mention.matches]
             assert all(k in (MatchKind.MATCHED, MatchKind.OUTDATED_URL, MatchKind.OUT_OF_SCOPE)
                        for k in kinds)
 
     def test_output_sorted_and_deterministic(self, records, resolver, corpus_index):
-        a = ingest_tweets(records, resolver, corpus_index)
-        b = ingest_tweets(list(records), resolver, corpus_index)
+        a = ingest_tweets(records, resolver, corpus_index, stats=Counter())
+        b = ingest_tweets(list(records), resolver, corpus_index, stats=Counter())
         assert [m.tweet_id for m in a] == sorted(m.tweet_id for m in a)
         assert [mention_to_dict(m) for m in a] == [mention_to_dict(m) for m in b]
 
     def test_empty_stream(self, resolver, corpus_index):
-        assert ingest_tweets([], resolver, corpus_index) == []
+        assert ingest_tweets([], resolver, corpus_index, stats=Counter()) == []
 
     @pytest.mark.parametrize("url", ["mailto:press@www.eksci.test",
                                      "ftp://www.eksci.test/releases/2016/nfu-201601.html"])
@@ -140,7 +142,7 @@ class TestIngest:
         assert stats["malformed_records"] == 1
 
     def test_matches_agree_with_oracle(self, records, resolver, corpus_index, truth, fixtures_dir):
-        mentions = ingest_tweets(records, resolver, corpus_index)
+        mentions = ingest_tweets(records, resolver, corpus_index, stats=Counter())
         expected = oracle.expected_mentions(truth, fixtures_dir / "tweets_micro.jsonl",
                                             fixtures_dir / "resolver_micro.csv")
         assert {m.tweet_id for m in mentions} == set(expected)
@@ -150,7 +152,7 @@ class TestIngest:
 
     def test_unique_target_count_matches_brute_force(self, records, resolver, corpus_index,
                                                      truth, fixtures_dir):
-        mentions = ingest_tweets(records, resolver, corpus_index)
+        mentions = ingest_tweets(records, resolver, corpus_index, stats=Counter())
         got = {url for m in mentions for url, match in zip(m.resolved_urls, m.matches)
                if match.kind is MatchKind.MATCHED}
         expected_mentions = oracle.expected_mentions(truth, fixtures_dir / "tweets_micro.jsonl",
@@ -161,13 +163,14 @@ class TestIngest:
         assert got == expected
 
     def test_within_tweet_duplicate_counts_once_per_release(self, records, resolver, corpus_index):
-        mentions = {m.tweet_id: m for m in ingest_tweets(records, resolver, corpus_index)}
+        mentions = {m.tweet_id: m
+                    for m in ingest_tweets(records, resolver, corpus_index, stats=Counter())}
         twice = mentions["t7010"]
         assert len(twice.resolved_urls) == 2
         assert twice.matched_release_ids() == ["nfu-201601"]
 
     def test_serialization_round_trip(self, records, resolver, corpus_index):
-        for mention in ingest_tweets(records, resolver, corpus_index):
+        for mention in ingest_tweets(records, resolver, corpus_index, stats=Counter()):
             record = mention_to_dict(mention)
             json.dumps(record)
             assert mention_to_dict(mention_from_dict(record)) == record

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,43 +90,48 @@ class TestExtractDois:
     def test_link_and_text_dedup_to_least_repaired(self):
         body = page(body='<a href="https://doi.org/10.1000/xyz123">paper</a>'
                          "<p>cite 10.1000/xyz123 today</p>")
-        refs = extract_dois(scan_page(body))
+        refs = extract_dois(scan_page(body), stats=Counter())
         assert len(refs) == 1
         assert refs[0].normalized == "10.1000/xyz123"
         assert refs[0].repair is Repair.NONE
 
     def test_resolver_link_alone_is_stripped_wrapper(self):
-        refs = extract_dois(scan_page(page(body='<a href="https://doi.org/10.1000/xyz123">paper</a>')))
+        refs = extract_dois(scan_page(page(body='<a href="https://doi.org/10.1000/xyz123">paper</a>')),
+                            stats=Counter())
         assert [(r.normalized, r.repair) for r in refs] == [("10.1000/xyz123", Repair.STRIPPED_WRAPPER)]
 
     def test_broken_resolver_space_join(self):
-        refs = extract_dois(scan_page(page(body="<p>https://doi.org/10.1000 xyz123</p>")))
+        refs = extract_dois(scan_page(page(body="<p>https://doi.org/10.1000 xyz123</p>")),
+                            stats=Counter())
         assert [(r.normalized, r.repair) for r in refs] == [("10.1000/xyz123", Repair.BROKEN_URL_FIXED)]
 
     def test_rewrite_rule_marks_broken_url_fixed(self):
         refs = extract_dois(scan_page(page(body="<p>10.1234//acta.7</p>")),
-                            rewrites=[(r"10\.1234//", "10.1234/")])
+                            rewrites=[(r"10\.1234//", "10.1234/")], stats=Counter())
         assert [(r.normalized, r.repair) for r in refs] == [("10.1234/acta.7", Repair.BROKEN_URL_FIXED)]
 
     def test_unshorten_map(self):
         body = page(body='<a href="https://sho.rt/x">mirror</a>')
         refs = extract_dois(scan_page(body),
-                            unshorten={"https://sho.rt/x": "https://doi.org/10.2000/abc"}.get)
+                            unshorten={"https://sho.rt/x": "https://doi.org/10.2000/abc"}.get,
+                            stats=Counter())
         assert [(r.normalized, r.repair) for r in refs] == [("10.2000/abc", Repair.UNSHORTENED)]
 
     def test_unrepairable_candidate_dropped_and_counted(self):
-        stats = {}
+        stats = Counter()
         refs = extract_dois(scan_page(page(body='<a href="https://doi.org/10.1000">truncated</a>')),
                             stats=stats)
         assert refs == []
         assert stats["dropped_doi_candidates"] == 1
 
     def test_description_is_scanned(self):
-        refs = extract_dois(scan_page(page()), description="see doi:10.3000/in-desc for details")
+        refs = extract_dois(scan_page(page()), description="see doi:10.3000/in-desc for details",
+                            stats=Counter())
         assert [r.normalized for r in refs] == ["10.3000/in-desc"]
 
     def test_uppercase_normalized_lowercase(self):
-        refs = extract_dois(scan_page(page(body="<p>10.1093/JHMAS/XXXI.4.480</p>")))
+        refs = extract_dois(scan_page(page(body="<p>10.1093/JHMAS/XXXI.4.480</p>")),
+                            stats=Counter())
         assert refs[0].normalized == "10.1093/jhmas/xxxi.4.480"
 
     def test_clean_doi_rejects_junk(self):
@@ -147,14 +154,14 @@ WRAPPERS = st.sampled_from([
 @given(doi=DOI, wrapper=WRAPPERS)
 def test_wrapped_doi_recovered(doi, wrapper):
     body = page(body=f"<p>{wrapper.format(doi)}</p>")
-    refs = extract_dois(scan_page(body))
+    refs = extract_dois(scan_page(body), stats=Counter())
     assert [r.normalized for r in refs] == [doi]
 
 
 @given(dois=st.lists(DOI, min_size=1, max_size=6, unique=True))
 def test_dedup_by_normalized_value(dois):
     fragments = "".join(f"<p>{d} and again {d}</p>" for d in dois)
-    refs = extract_dois(scan_page(page(body=fragments)))
+    refs = extract_dois(scan_page(page(body=fragments)), stats=Counter())
     assert sorted(r.normalized for r in refs) == sorted(dois)
     assert len(refs) == len({r.normalized for r in refs})
 

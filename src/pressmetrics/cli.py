@@ -2,8 +2,8 @@
 
 Stages: crawl -> parse -> ingest-tweets / ingest-links -> couple -> analyze
 -> report. Each stage reads the previous stage's files, commits its own by
-rename (the crawl manifest commits pages) and appends a run manifest to the
-run log. Fixtures mode (--fixtures) fetches and unshortens from
+rename (a page in the pack, by the manifest line after it) and appends a run
+manifest to the run log. Fixtures mode (--fixtures) fetches and unshortens from
 recorded files on a deterministic clock, so complete runs are byte-identical.
 """
 
@@ -28,7 +28,7 @@ from .release_parser import (
     release_from_dict,
     release_to_dict,
 )
-from .urls import CorpusIndex, url_digest
+from .urls import CorpusIndex
 
 class PipelineError(Exception):
     """Stage-level failure with an actionable, stage-named message."""
@@ -57,8 +57,8 @@ class PipelineConfig:
 
     # stage file layout
     @property
-    def pages_dir(self) -> Path:
-        return self.corpus_dir / "pages"
+    def pages_pack(self) -> Path:
+        return self.corpus_dir / "pages.pack"
 
     @property
     def crawl_manifest(self) -> Path:
@@ -174,46 +174,57 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
         clock = harvester.SystemClock()
     limiter = harvester.RateLimiter(scope.rate_limit, clock)
 
-    def entries():
+    def entries(pack):
         for record, page_class in harvester.crawl(scope, fetcher, limiter, manifest.counts):
             # the manifest line naming this body, written after it, commits it
-            (cfg.pages_dir / (url_digest(record.url) + ".body")).write_bytes(record.body)
+            pack.write(record.body)
+            pack.flush()
             yield {
                 "url": record.url,
                 "status": record.status,
                 "digest": record.body_digest,
+                "length": len(record.body),
                 "fetched_at": record.fetched_at.isoformat().replace("+00:00", "Z"),
                 "class": page_class.value,
             }
 
     try:
-        cfg.pages_dir.mkdir(parents=True, exist_ok=True)
-        # pages are replaced as they land, so an earlier manifest no longer describes them
+        # the pack is rewritten as pages land, so an earlier manifest no longer describes it
         cfg.crawl_manifest.unlink(missing_ok=True)
-        _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries())
+        with open(cfg.pages_pack, "wb") as pack:
+            _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries(pack))
     finally:
         fetcher.close()
 
 
+def _manifest_line(entry: dict) -> tuple:
+    """A crawl manifest line's URL, digest, body length and class."""
+    length = entry["length"]
+    if type(length) is not int or length < 0:
+        raise ValueError(f"length {length!r} is not a byte count")
+    return entry["url"], entry["digest"], length, entry["class"]
+
+
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
     crawl_manifest = _existing(manifest, cfg.crawl_manifest, "crawl manifest")
+    pages_pack = _existing(manifest, cfg.pages_pack, "page pack")
     rewrite_table = _table(manifest, cfg.doi_rewrites, "DOI rewrite table", load_rewrite_table, ())
     unshorten = _resolver(cfg, manifest).unshorten
 
     manifest.counts.update(parsed=0, parse_errors=0, skipped_non_content=0)
     urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
 
-    def records():
-        for url, digest, page_class in store.read_jsonl(
-                crawl_manifest, manifest.input_digests, itemgetter("url", "digest", "class")):
+    def records(pack):
+        # bodies sit in manifest order, so one sequential pass reads each in turn
+        for url, digest, length, page_class in store.read_jsonl(
+                crawl_manifest, manifest.input_digests, _manifest_line):
+            body = pack.read(length)
+            if hashlib.sha256(body).hexdigest() != digest:
+                raise PipelineError("parse", f"{pages_pack}: {url}'s {len(body)} of {length} bytes "
+                                    f"differ from the digest that {crawl_manifest} records")
             if page_class != harvester.PageClass.PRESS_RELEASE:
                 manifest.counts["skipped_non_content"] += 1
                 continue
-            body_path = cfg.pages_dir / (url_digest(url) + ".body")
-            body = body_path.read_bytes()
-            if hashlib.sha256(body).hexdigest() != digest:
-                raise PipelineError("parse", f"{body_path} differs from the digest that "
-                                    f"{crawl_manifest} records for {url}")
             try:
                 release = parse_release(url, body, rewrite_table=rewrite_table,
                                         unshorten=unshorten, stats=manifest.counts)
@@ -228,7 +239,8 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
             urls[release.id] = release.canonical_url
             yield release_to_dict(release)
 
-    _write(manifest, store.write_jsonl, cfg.corpus_file, records())
+    with open(pages_pack, "rb") as pack:
+        _write(manifest, store.write_jsonl, cfg.corpus_file, records(pack))
 
 
 def _releases(cfg: PipelineConfig, manifest: RunManifest):
@@ -396,7 +408,8 @@ def stage_report(cfg: PipelineConfig, manifest: RunManifest) -> None:
     summary = _existing(manifest, cfg.report_dir / "summary.json", "analyze output")
     populations = store.read_json(summary, manifest.input_digests)
     reports = {p.name: store.file_digest(p) for p in cfg.report_dir.iterdir()
-               if p.is_file() and p.name not in ("report_manifest.json", summary.name)}
+               if p.is_file() and not store.is_temp_file(p)
+               and p.name not in ("report_manifest.json", summary.name)}
     reports[summary.name] = manifest.input_digests[str(summary)]
     _write(manifest, store.write_json, cfg.report_dir / "report_manifest.json",
            {"reports": reports, "populations": populations})

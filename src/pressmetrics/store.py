@@ -3,8 +3,8 @@
 JSON Lines outputs stream to ``<name>.partial`` one record at a time and are
 renamed into place after the last record, so a failed stage leaves the
 partial file and the previous output. CSV and JSON reports are written to a
-mkstemp file in the destination directory and renamed. Crawled pages are
-committed by the crawl manifest, which names a page only once it is written.
+mkstemp file in the destination directory and renamed. Crawled page bodies
+are appended to one pack, and the crawl manifest line naming each follows it.
 CSVs are UTF-8, LF line endings, header row always present. Each text writer
 returns the SHA-256 hex digest of the bytes it wrote, and each reader puts the
 digest of the bytes it decoded in a ``digests`` dict, so a stage records its
@@ -24,10 +24,19 @@ from contextlib import suppress
 from pathlib import Path
 
 
+_TEMP_SUFFIX = ".tmp"
+
+
+def is_temp_file(path: str | Path) -> bool:
+    """Whether ``path`` is named as atomic_write_bytes names its temp files,
+    ``<name>.<random>.tmp``: one left behind is a write killed before its rename."""
+    return Path(path).name.endswith(_TEMP_SUFFIX)
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=_TEMP_SUFFIX)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -83,24 +92,43 @@ def read_jsonl(path: str | Path, digests: dict | None = None, convert=None):
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             digest.update(raw)
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from err
+            except (ValueError, RecursionError) as err:  # not UTF-8, too deep, too long a number
+                raise ValueError(f"{path}:{lineno}: {err}") from err
             yield record if convert is None else _converted(convert, record, path, lineno, "field")
     if digests is not None:
         digests[str(path)] = digest.hexdigest()
 
 
 def read_json(path: str | Path, digests: dict | None = None):
-    """The JSON document in ``path``, with its digest stored as read_jsonl stores it."""
+    """The JSON document in ``path``, with its digest stored as read_jsonl
+    stores it. A malformed document fails with a ValueError that names the file."""
     data = Path(path).read_bytes()
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{path}: {err}") from err
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return json.loads(data.decode("utf-8"))
+    return document
+
+
+def _decode_error(path: str | Path, err: UnicodeDecodeError) -> ValueError:
+    """``err`` as a ValueError that names ``path`` and its first line that is
+    not UTF-8, lines ended as csv ends them. The text reader decodes many lines
+    at a time, so ``err`` itself cannot say which line it was."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as line_err:
+            return ValueError(f"{path}:{lineno}: {line_err}")
+    return ValueError(f"{path}: {err}")
 
 
 def _csv_rows(path: str | Path, convert, digests: dict | None):
@@ -109,15 +137,20 @@ def _csv_rows(path: str | Path, convert, digests: dict | None):
     with open(path, newline="", encoding="utf-8") as fh:
         # each line is hashed as it is read; a decoded line re-encodes to its bytes
         reader = csv.reader(digest.update(line.encode("utf-8")) or line for line in fh)
-        header = next(reader, [])
-        for fields in reader:
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                                 f"got {len(fields)}")
-            yield reader.line_num, _converted(convert, dict(zip(header, fields)), path,
-                                              reader.line_num, "column")
+        try:
+            header = next(reader, [])
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                                     f"got {len(fields)}")
+                yield reader.line_num, _converted(convert, dict(zip(header, fields)), path,
+                                                  reader.line_num, "column")
+        except csv.Error as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from err
+        except UnicodeDecodeError as err:
+            raise _decode_error(path, err) from err
     if digests is not None:
         digests[str(path)] = digest.hexdigest()
 
@@ -125,9 +158,10 @@ def _csv_rows(path: str | Path, convert, digests: dict | None):
 def read_csv(path: str | Path, convert, digests: dict | None = None) -> list:
     """``convert`` applied to each row (a dict keyed by the header) of a
     headed CSV; blank lines are skipped, and ``digests`` is filled as
-    read_jsonl fills it. A row whose field count differs from the header's,
-    or whose conversion raises KeyError, TypeError or ValueError, fails with
-    a ValueError that names the file and the line."""
+    read_jsonl fills it. A line that is not UTF-8, a row that csv cannot
+    read, one whose field count differs from the header's, or one whose
+    conversion raises KeyError, TypeError or ValueError fails with a
+    ValueError that names the file and the line."""
     return [value for _, value in _csv_rows(path, convert, digests)]
 
 

@@ -11,7 +11,6 @@ backlink merging) happen on these canonical forms.
 
 from __future__ import annotations
 
-import hashlib
 import posixpath
 import re
 from urllib.parse import urlsplit, urlunsplit
@@ -117,7 +116,3 @@ def release_id_from_url(canonical_url: str) -> str:
     tail = posixpath.basename(url_path(canonical_url).rstrip("/"))
     stem, _ = posixpath.splitext(tail)
     return stem or tail
-
-
-def url_digest(canonical_url: str) -> str:
-    return hashlib.sha256(canonical_url.encode("utf-8")).hexdigest()

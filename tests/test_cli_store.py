@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
 import os
 import random
 import shutil
+import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import typing
 from collections import Counter
@@ -13,9 +16,10 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pressmetrics import analytics, cli, harvester, mention_ingest, pagescan, release_parser, store
-from pressmetrics.urls import url_digest
 
 FOLD = "www.eksci.test/releases/"
 
@@ -39,6 +43,29 @@ def fixture_config(base: Path, fixtures: Path) -> cli.PipelineConfig:
 
 def run_all(cfg: cli.PipelineConfig) -> dict[str, cli.RunManifest]:
     return {command: cli.run(command, cfg) for command in cli.COMMANDS}
+
+
+def pack_bodies(cfg: cli.PipelineConfig) -> list[tuple[dict, bytes]]:
+    """Each crawl manifest line with the body it names, read from the page
+    pack in one pass: a body starts where the bodies of the lines before end."""
+    with open(cfg.pages_pack, "rb") as pack:
+        return [(entry, pack.read(entry["length"]))
+                for entry in store.read_jsonl(cfg.crawl_manifest)]
+
+
+def alter_body(cfg: cli.PipelineConfig, url: str) -> None:
+    """Change the first byte of ``url``'s body in the page pack, as an edit
+    after the crawl would."""
+    offset = 0
+    for entry in store.read_jsonl(cfg.crawl_manifest):
+        if entry["url"] == url:
+            break
+        offset += entry["length"]
+    with open(cfg.pages_pack, "r+b") as pack:
+        pack.seek(offset)
+        first = pack.read(1)
+        pack.seek(offset)
+        pack.write(bytes([first[0] ^ 1]))
 
 
 @pytest.fixture(scope="module")
@@ -154,22 +181,22 @@ class TestPipelineOutputs:
     def test_crawl_manifest_format(self, completed_run):
         cfg, _ = completed_run
         for entry in store.read_jsonl(cfg.crawl_manifest):
-            assert tuple(entry) == ("url", "status", "digest", "fetched_at", "class")
+            assert tuple(entry) == ("url", "status", "digest", "length", "fetched_at", "class")
 
-    def test_content_store_one_file_per_record(self, completed_run):
+    def test_content_store_one_body_per_record(self, completed_run):
         cfg, _ = completed_run
-        entries = list(store.read_jsonl(cfg.crawl_manifest))
-        assert len(entries) == 62
-        for entry in entries:
-            assert (cfg.pages_dir / (url_digest(entry["url"]) + ".body")).exists()
+        pages = pack_bodies(cfg)
+        assert len(pages) == 62
+        for entry, body in pages:
+            assert len(body) == entry["length"], entry["url"]
+        assert sum(len(body) for _, body in pages) == cfg.pages_pack.stat().st_size
 
     def test_crawl_digests_match_stored_files(self, completed_run):
         cfg, manifests = completed_run
         assert manifests["crawl"].output_digests == {
             str(cfg.crawl_manifest): store.file_digest(cfg.crawl_manifest)}
-        for entry in store.read_jsonl(cfg.crawl_manifest):
-            body = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
-            assert entry["digest"] == store.file_digest(body), entry["url"]
+        for entry, body in pack_bodies(cfg):
+            assert entry["digest"] == hashlib.sha256(body).hexdigest(), entry["url"]
 
     def test_report_files_present(self, completed_run):
         cfg, _ = completed_run
@@ -288,8 +315,7 @@ class TestOneScanPerPage:
 
         cli.run("crawl", cfg)
         entries = list(store.read_jsonl(cfg.crawl_manifest))
-        bodies = {e["url"]: (cfg.pages_dir / (url_digest(e["url"]) + ".body")).read_bytes()
-                  for e in entries}
+        bodies = {e["url"]: body for e, body in pack_bodies(cfg)}
         assert len(scanned) == len(entries)
         assert sorted(b for b in scanned if b.strip()) == sorted(
             b for b in bodies.values() if b.strip())
@@ -299,6 +325,9 @@ class TestOneScanPerPage:
         press = [bodies[e["url"]] for e in entries if e["class"] == "press_release"]
         assert len(press) == 50
         assert sorted(scanned) == sorted(press)
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 class _Interrupted(BaseException):
@@ -340,15 +369,16 @@ class TestStreamingCrawl:
         monkeypatch.setattr(harvester.DirectoryFetcher, "fetch", fetch_then_die)
         cfg = fixture_config(tmp_path, fixtures_dir)
         cfg.corpus_dir.mkdir(parents=True)
-        cfg.crawl_manifest.write_text("an earlier crawl's manifest, which no longer fits pages/\n")
+        cfg.crawl_manifest.write_text("an earlier crawl's manifest, which fits no pack\n")
         with pytest.raises(_Interrupted):
             cli.run("crawl", cfg)
 
         full = completed_run[0].crawl_manifest.read_text(encoding="utf-8").splitlines(True)
         partial = cfg.crawl_manifest.with_name("crawl_manifest.jsonl.partial")
         assert partial.read_text(encoding="utf-8").splitlines(True) == full[:k]
-        assert sorted(p.name for p in cfg.pages_dir.iterdir()) == sorted(
-            url_digest(url) + ".body" for url in calls)
+        landed = pack_bodies(completed_run[0])[:k]
+        assert [entry["url"] for entry, _ in landed] == calls
+        assert cfg.pages_pack.read_bytes() == b"".join(body for _, body in landed)
         assert not cfg.crawl_manifest.exists()
         assert not cfg.run_log.exists()
         with store.DirectoryLock(cfg.corpus_dir):  # released
@@ -357,18 +387,36 @@ class TestStreamingCrawl:
     def test_crawl_killed_inside_a_body_write_commits_no_line_for_it(
             self, tmp_path, fixtures_dir, monkeypatch, completed_run):
         k = 7
-        write_bytes = Path.write_bytes
-        written: list[Path] = []
-
-        def write_then_die(self, data):
-            if len(written) == k:
-                write_bytes(self, data[:len(data) // 2])
-                raise _Interrupted()
-            written.append(self)
-            return write_bytes(self, data)
-
+        written: list[bytes] = []
         cfg = fixture_config(tmp_path, fixtures_dir)
-        monkeypatch.setattr(Path, "write_bytes", write_then_die)
+
+        class DyingPack:
+            """The page pack, killed inside write k + 1 once half of its body has landed."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def flush(self):
+                self.fh.flush()
+
+            def write(self, data):
+                if len(written) == k:
+                    self.fh.write(data[:len(data) // 2])
+                    raise _Interrupted()
+                written.append(data)
+                return self.fh.write(data)
+
+        def open_pack(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return DyingPack(fh) if Path(path) == cfg.pages_pack else fh
+
+        monkeypatch.setattr(cli, "open", open_pack, raising=False)
         with pytest.raises(_Interrupted):
             cli.run("crawl", cfg)
         monkeypatch.undo()
@@ -376,9 +424,19 @@ class TestStreamingCrawl:
         partial = cfg.crawl_manifest.with_name("crawl_manifest.jsonl.partial")
         lines = list(store.read_jsonl(partial))
         assert lines == list(store.read_jsonl(completed_run[0].crawl_manifest))[:k]
-        assert [cfg.pages_dir / (url_digest(e["url"]) + ".body") for e in lines] == written
-        assert len(list(cfg.pages_dir.iterdir())) == k + 1  # the torn body is named nowhere
+        assert [e["length"] for e in lines] == [len(body) for body in written]
+        committed = sum(e["length"] for e in lines)
+        pack = cfg.pages_pack.read_bytes()
+        assert pack[:committed] == b"".join(written)
+        assert len(pack) > committed  # the torn body's half is named by no line
         assert not cfg.crawl_manifest.exists()
+
+    def test_crawl_leaves_one_pack_and_no_page_files(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        assert not (cfg.corpus_dir / "pages").exists()
+        assert sorted(p.name for p in cfg.corpus_dir.iterdir()) == [
+            "crawl_manifest.jsonl", "pages.pack", "run_log.jsonl"]
 
     def test_run_log_holds_one_output_digest_whatever_the_site_size(self, tmp_path,
                                                                     monkeypatch):
@@ -521,8 +579,7 @@ class TestParse:
         run_log = cfg.run_log.read_bytes()
         entry = [e for e in store.read_jsonl(cfg.crawl_manifest)
                  if e["class"] == "press_release"][-1]
-        body = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
-        body.write_bytes(body.read_bytes() + b"\n")
+        alter_body(cfg, entry["url"])
         with pytest.raises(cli.PipelineError):
             cli.run("parse", cfg)
         assert cfg.corpus_file.read_bytes() == corpus
@@ -535,13 +592,38 @@ class TestParse:
         cli.run("crawl", cfg)
         entry = next(e for e in store.read_jsonl(cfg.crawl_manifest)
                      if e["class"] == "press_release")
-        body = cfg.pages_dir / (url_digest(entry["url"]) + ".body")
-        body.write_bytes(body.read_bytes() + b"\n")
+        alter_body(cfg, entry["url"])
         with pytest.raises(cli.PipelineError) as err:
             cli.run("parse", cfg)
         assert err.value.stage == "parse"
-        for named in (str(body), entry["url"], str(cfg.crawl_manifest)):
+        for named in (str(cfg.pages_pack), entry["url"], str(cfg.crawl_manifest)):
             assert named in str(err.value)
+        assert not cfg.corpus_file.exists()
+
+    def test_refuses_a_truncated_pack(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        pages = pack_bodies(cfg)
+        cut = max(i for i, (e, _) in enumerate(pages) if e["class"] == "press_release")
+        entry = pages[cut][0]
+        offset = sum(e["length"] for e, _ in pages[:cut])
+        os.truncate(cfg.pages_pack, offset + entry["length"] // 2)
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run("parse", cfg)
+        assert err.value.stage == "parse"
+        for named in (str(cfg.pages_pack), entry["url"], str(cfg.crawl_manifest),
+                      f"{entry['length'] // 2} of {entry['length']} bytes"):
+            assert named in str(err.value)
+        assert not cfg.corpus_file.exists()
+
+    def test_refuses_a_missing_pack(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cfg.pages_pack.unlink()
+        with pytest.raises(cli.PipelineError) as err:
+            cli.run("parse", cfg)
+        assert err.value.stage == "parse"
+        assert str(cfg.pages_pack) in str(err.value)
         assert not cfg.corpus_file.exists()
 
     def test_release_id_collision_names_both_urls(self, tmp_path, fixtures_dir):
@@ -871,12 +953,17 @@ class TestStorePrimitives:
                                       "5: expected 2 fields, got 1", "5: expected 2 fields, got 1"),
         "short row after lone cr": (b"key,value\ra,1\rb\r", "3: expected 2 fields, got 1",
                                     "3: expected 2 fields, got 1"),
+        "not utf-8": (b"key,value\na,1\n\xff,2\n", f"3: {_NOT_UTF8}", f"3: {_NOT_UTF8}"),
+        "field over the csv limit": (b"key,value\na," + b"x" * 140_000 + b"\nb,2\n",
+                                     "2: field larger than field limit (131072)",
+                                     "2: field larger than field limit (131072)"),
     }
     # (JSON Lines bytes, records or the error after "<path>:"); only "\n" ends a line
     JSONL_CASES = {
         "lf": (b'{"a": 1}\n\n{"a": 2}\n', [{"a": 1}, {"a": 2}]),
         "crlf": (b'{"a": 1}\r\n\r\n{"a": 2}\r\n', [{"a": 1}, {"a": 2}]),
         "lone cr": (b'{"a": 1}\r{"a": 2}\r', "1: Extra data at column 10"),
+        "not utf-8": (b'{"a": 1}\n\xff\n', f"2: {_NOT_UTF8}"),
     }
 
     @staticmethod
@@ -913,6 +1000,40 @@ class TestStorePrimitives:
         path = tmp_path / "summary.json"
         path.write_bytes(b'{\r\n  "a": "\xc3\xa9"\r\n}\n')
         self._read_and_digest(path, store.read_json, {"a": "\u00e9"})
+
+    @pytest.mark.parametrize("data", [b"\xff", b'{"a": ', b"[" * 100_000],
+                             ids=["not utf-8", "truncated", "nested too deep"])
+    def test_json_readers_name_the_file_of_a_malformed_document(self, tmp_path, data):
+        path = tmp_path / "summary.json"
+        path.write_bytes(data)
+        digests: dict = {}
+        with pytest.raises(ValueError) as err:
+            store.read_json(path, digests)
+        assert str(err.value).startswith(f"{path}: ")
+        assert digests == {}
+        with pytest.raises(ValueError) as err:
+            list(store.read_jsonl(path, digests))
+        assert str(err.value).startswith(f"{path}:1: ")
+
+    @given(st.binary() | st.lists(st.sampled_from(
+        [b"{", b"}", b"[", b"]", b'"', b",", b":", b"1", b"a", b" ", b"\n", b"\r", b"\x00",
+         b"\xff", b"\xc3", b"\xa9"])).map(b"".join))
+    def test_readers_return_or_name_the_file(self, data):
+        readers = {
+            "read_jsonl": lambda path: list(store.read_jsonl(path)),
+            "read_csv": lambda path: store.read_csv(path, dict),
+            "read_mapping": lambda path: store.read_mapping(
+                path, lambda row: next(iter(row.items()))),
+            "read_json": store.read_json,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(data)
+            for name, read in readers.items():
+                try:
+                    read(path)
+                except ValueError as err:
+                    assert str(err).startswith(f"{path}:"), (name, str(err))
 
     def test_lock_is_exclusive(self, tmp_path):
         with store.DirectoryLock(tmp_path):
@@ -951,6 +1072,12 @@ class TestStorePrimitives:
                                      lambda r: r.pop("tweet_id"), "missing field 'tweet_id'"),
         "manifest line without class": ("parse", "crawl_manifest", 4,
                                         lambda r: r.pop("class"), "missing field 'class'"),
+        "manifest line with a fractional length": ("parse", "crawl_manifest", 4,
+                                                   lambda r: r.update(length=1.5),
+                                                   "length 1.5 is not a byte count"),
+        "manifest line with a negative length": ("parse", "crawl_manifest", 4,
+                                                 lambda r: r.update(length=-1),
+                                                 "length -1 is not a byte count"),
         "corpus date out of range, couple": ("couple", "corpus_file", 5,
                                              lambda r: r.update(date="2016-13-45"),
                                              "month must be in 1..12"),
@@ -998,6 +1125,29 @@ class TestStorePrimitives:
         assert (tmp_path / ".pressmetrics.lock").exists()
 
 
+class TestReport:
+    def test_a_killed_writers_temp_file_is_not_listed(self, completed_run, tmp_path):
+        cfg, _ = completed_run
+        reports = tmp_path / "reports"
+        shutil.copytree(cfg.report_dir, reports)
+        # a writer killed between its temp-file write and the rename
+        code = ("import os, signal, sys\n"
+                "from pressmetrics import store\n"
+                "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+                "store.write_csv(sys.argv[1], ['year', 'count'], [['2016', 1]])\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, str(reports / "annual_output.csv")],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        [leftover] = [p for p in reports.iterdir() if store.is_temp_file(p)]
+        assert leftover.name.startswith("annual_output.csv.")
+        cli.run("report", cli.PipelineConfig(corpus_dir=tmp_path / "corpus", report_dir=reports))
+        assert (reports / "report_manifest.json").read_bytes() == (
+            cfg.report_dir / "report_manifest.json").read_bytes()
+
+
 class TestMainEntryPoint:
     def test_exit_zero_on_success(self, tmp_path, fixtures_dir, capsys):
         config_file = tmp_path / "run.cfg"
@@ -1031,3 +1181,24 @@ class TestMainEntryPoint:
     def test_exit_nonzero_names_stage(self, tmp_path, capsys):
         assert cli.main(["parse", "--corpus-dir", str(tmp_path / "nowhere")]) == 1
         assert "[parse]" in capsys.readouterr().err
+
+    def test_oversized_resolver_field_names_file_and_line(self, tmp_path, fixtures_dir, capsys):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        resolver = tmp_path / "resolver.csv"
+        resolver.write_text("from_url,to_url\nhttps://sho.rt/big,https://x.test/" + "a" * 140_000
+                            + "\n", encoding="utf-8")
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"seed_path={FOLD}\ncorpus_dir={cfg.corpus_dir}\n"
+                               f"resolver_file={resolver}\n")
+        assert cli.main(["parse", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {resolver}:2: field larger than field limit (131072)\n")
+
+    def test_truncated_summary_names_the_file(self, tmp_path, capsys):
+        summary = tmp_path / "reports" / "summary.json"
+        summary.parent.mkdir()
+        summary.write_text('{"corpus_total": 5', encoding="utf-8")
+        assert cli.main(["report", "--corpus-dir", str(tmp_path / "corpus"),
+                         "--report-dir", str(summary.parent)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {summary}: ")

@@ -16,6 +16,7 @@ from datetime import date
 from pathlib import Path
 
 from . import store
+from .release_parser import iso_date
 from .urls import CorpusIndex, canonicalize_url
 
 
@@ -141,8 +142,8 @@ def read_raw_links_csv(path: str | Path, digests: dict | None = None) -> list[Ra
         mentioning_websites=int(row["mentioning_websites"]),
         citation_flow=int(row["citation_flow"]),
         trust_flow=int(row["trust_flow"]),
-        window_start=date.fromisoformat(row["window_start"]) if row.get("window_start") else None,
-        window_end=date.fromisoformat(row["window_end"]) if row.get("window_end") else None,
+        window_start=iso_date(row["window_start"]) if row.get("window_start") else None,
+        window_end=iso_date(row["window_end"]) if row.get("window_end") else None,
     ), digests)
 
 

@@ -3,13 +3,15 @@
 Stages: crawl -> parse -> ingest-tweets / ingest-links -> couple -> analyze
 -> report. Each stage reads the previous stage's files, commits its own by
 rename (a page in the pack, by the manifest line after it) and appends a run
-manifest to the run log. Fixtures mode (--fixtures) fetches and unshortens from
-recorded files on a deterministic clock, so complete runs are byte-identical.
+manifest to the run log, which is also the run-directory lock. Fixtures mode
+(--fixtures) fetches and unshortens from recorded files on a deterministic
+clock, so complete runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import sys
@@ -86,6 +88,7 @@ class PipelineConfig:
 
 
 _PATH_KEYS = {f.name for f in fields(PipelineConfig) if f.type.startswith("Path")}
+GRANULARITIES = ("yearly", "daily")
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -108,7 +111,13 @@ def build_config(file_values: dict, overrides: dict) -> PipelineConfig:
     kwargs: dict = {}
     for key, value in merged.items():
         if key == "rate_limit":
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise ValueError(f"config key 'rate_limit' is not a number: {value!r}") from None
+        elif key == "granularity" and value not in GRANULARITIES:
+            raise ValueError(f"config key 'granularity' is not one of {', '.join(GRANULARITIES)}: "
+                             f"{value!r}")
         elif key in _PATH_KEYS:
             kwargs[key] = Path(value) if value not in (None, "") else None
         elif key in PipelineConfig.__dataclass_fields__:
@@ -429,20 +438,22 @@ COMMANDS = tuple(_STAGES)
 
 
 def run(command: str, cfg: PipelineConfig) -> RunManifest:
-    """Execute one pipeline stage under the output-directory lock and
-    append its manifest to the run log."""
+    """Execute one pipeline stage holding an exclusive flock on the run log,
+    which the kernel drops however this process ends, and append its manifest
+    to that log; a second run on the same corpus directory fails at once."""
     if command not in _STAGES:
         raise PipelineError(command, f"unknown command; expected one of {', '.join(COMMANDS)}")
     manifest = RunManifest(command=command,
                            started_at=datetime.now(timezone.utc).isoformat())
     cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
-    with store.DirectoryLock(cfg.corpus_dir) as lock:
-        if lock.broke_stale:
-            manifest.counts["stale_locks_broken"] = 1
+    with open(cfg.run_log, "a", encoding="utf-8") as log:
+        try:
+            fcntl.flock(log, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(f"output directory is locked by another run: {cfg.run_log}") from None
         _STAGES[command](cfg, manifest)
         manifest.finished_at = datetime.now(timezone.utc).isoformat()
-        with open(cfg.run_log, "a", encoding="utf-8") as fh:
-            fh.write(manifest.to_json() + "\n")
+        log.write(manifest.to_json() + "\n")
     return manifest
 
 
@@ -457,7 +468,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rate-limit", dest="rate_limit", type=float)
     parser.add_argument("--fixtures", dest="fixtures_dir",
                         help="recorded-response directory; enables fixtures mode")
-    parser.add_argument("--granularity", choices=("yearly", "daily"))
+    parser.add_argument("--granularity", choices=GRANULARITIES)
     parser.add_argument("--seed-path", dest="seed_path")
     args = parser.parse_args(argv)
 

@@ -55,8 +55,8 @@ class CrawlScope:
     def __post_init__(self):
         if not self.seed_path.strip():
             raise ValueError("seed_path must be non-empty")
-        if self.rate_limit < 0:
-            raise ValueError("rate_limit must be >= 0")
+        if not 0 <= self.rate_limit < float("inf"):  # NaN would spin acquire() forever
+            raise ValueError("rate_limit must be a finite number >= 0")
         object.__setattr__(self, "seed_path", normalize_fold(self.seed_path))
 
     @property
@@ -143,8 +143,8 @@ class RateLimiter:
     """
 
     def __init__(self, rate_limit: float, clock=None):
-        if rate_limit < 0:
-            raise ValueError("rate_limit must be >= 0")
+        if not 0 <= rate_limit < float("inf"):
+            raise ValueError("rate_limit must be a finite number >= 0")
         self.rate_limit = rate_limit
         self.clock = clock or SystemClock()
         self._grants = defaultdict(lambda: deque(maxlen=GRANT_WINDOW))  # host -> grant times

@@ -122,6 +122,16 @@ def _split_list(raw: str, sep: str) -> list[str]:
     return [part.strip() for part in raw.split(sep) if part.strip()]
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(raw: str) -> date:
+    """``raw`` as a date; unlike fromisoformat on 3.11, accepts ``YYYY-MM-DD`` only."""
+    if not _ISO_DATE.fullmatch(raw):
+        raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
+    return date.fromisoformat(raw)
+
+
 def extract_metadata(scan: PageScan) -> MetadataRecord:
     """Read the metadata block of a scanned press-release page.
 
@@ -134,7 +144,7 @@ def extract_metadata(scan: PageScan) -> MetadataRecord:
     if not raw_date:
         raise ParseError("date")
     try:
-        parsed_date = date.fromisoformat(raw_date)
+        parsed_date = iso_date(raw_date)
     except ValueError:
         raise ParseError("date", f"not an ISO calendar date: {raw_date!r}") from None
     raw_type = meta.get("type", "")
@@ -360,7 +370,7 @@ def release_from_dict(record: dict) -> PressRelease:
     md = MetadataRecord(
         keywords=list(record.get("keywords", [])),
         description=record.get("description", ""),
-        date=date.fromisoformat(record["date"]),
+        date=iso_date(record["date"]),
         funder=record.get("funder", ""),
         journal=list(record.get("journal", [])),
         type=PressType(record["type"]) if record.get("type") else None,

@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import os
-import socket
 import tempfile
 from contextlib import suppress
 from pathlib import Path
@@ -119,24 +118,14 @@ def read_json(path: str | Path, digests: dict | None = None):
     return document
 
 
-def _decode_error(path: str | Path, err: UnicodeDecodeError) -> ValueError:
-    """``err`` as a ValueError that names ``path`` and its first line that is
-    not UTF-8, lines ended as csv ends them. The text reader decodes many lines
-    at a time, so ``err`` itself cannot say which line it was."""
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as line_err:
-            return ValueError(f"{path}:{lineno}: {line_err}")
-    return ValueError(f"{path}: {err}")
-
-
 def _csv_rows(path: str | Path, convert, digests: dict | None):
     """Each ``(line number, convert(row))`` of a headed CSV; see read_csv."""
     digest = hashlib.sha256()
-    with open(path, newline="", encoding="utf-8") as fh:
-        # each line is hashed as it is read; a decoded line re-encodes to its bytes
-        reader = csv.reader(digest.update(line.encode("utf-8")) or line for line in fh)
+    with open(path, "rb") as fh:
+        # each chunk up to a "\n" is hashed as read, then split where csv ends
+        # lines ("\n", "\r\n" or a lone "\r") and decoded one line at a time
+        reader = csv.reader(line.decode("utf-8") for chunk in fh if not digest.update(chunk)
+                            for line in chunk.splitlines(keepends=True))
         try:
             header = next(reader, [])
             for fields in reader:
@@ -149,8 +138,8 @@ def _csv_rows(path: str | Path, convert, digests: dict | None):
                                                   reader.line_num, "column")
         except csv.Error as err:
             raise ValueError(f"{path}:{reader.line_num}: {err}") from err
-        except UnicodeDecodeError as err:
-            raise _decode_error(path, err) from err
+        except UnicodeDecodeError as err:  # raised before csv counts the line
+            raise ValueError(f"{path}:{reader.line_num + 1}: {err}") from err
     if digests is not None:
         digests[str(path)] = digest.hexdigest()
 
@@ -202,54 +191,3 @@ def file_digest(path: str | Path) -> str:
             h.update(chunk)
     return h.hexdigest()
 
-
-class DirectoryLock:
-    """One pipeline run owns its output directory exclusively.
-
-    The lock file names its owner's PID and hostname. A lock whose owner was
-    on this host and no longer exists (a run that was killed) is broken, and
-    ``broke_stale`` says so. A live owner, one this process may not signal,
-    one on another host, or a lock that names no owner still blocks. Two runs
-    that break the same stale lock at the same moment can both proceed.
-    """
-
-    def __init__(self, directory: str | Path):
-        self.path = Path(directory) / ".pressmetrics.lock"
-        self.broke_stale = False
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not self._owner_is_gone():
-                    raise RuntimeError(f"output directory is locked by another run: {self.path} "
-                                       f"(remove it if no run is using the directory)") from None
-                self.path.unlink(missing_ok=True)
-                self.broke_stale = True
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps({"pid": os.getpid(), "host": socket.gethostname()}))
-        return self
-
-    def _owner_is_gone(self) -> bool:
-        try:
-            owner = json.loads(self.path.read_text(encoding="utf-8"))
-            pid, host = int(owner["pid"]), owner["host"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return False  # gone already, or names no owner
-        if host != socket.gethostname():
-            return False
-        try:
-            os.kill(pid, 0)  # signal 0 only checks that the process exists
-        except ProcessLookupError:
-            return True
-        except PermissionError:  # it exists, under another user
-            pass
-        return False
-
-    def __exit__(self, *exc):
-        with suppress(OSError):
-            self.path.unlink()
-        return False

@@ -137,3 +137,15 @@ def test_bad_csv_value_names_file_and_line(tmp_path):
     with pytest.raises(ValueError) as err:
         read_raw_links_csv(path)
     assert f"{path}:3:" in str(err.value)
+
+
+def test_window_date_in_basic_format_names_file_and_line(tmp_path):
+    path = tmp_path / "links.csv"
+    path.write_text(
+        "target_url,mentioning_webpages,mentioning_websites,citation_flow,trust_flow,"
+        "window_start,window_end\n"
+        "https://h.test/fold/a.html,10,4,30,20,2015-09-01,2021-04-01\n"
+        "https://h.test/fold/b.html,10,4,30,20,20150901,2021-04-01\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_raw_links_csv(path)
+    assert str(err.value) == f"{path}:3: not a YYYY-MM-DD date: '20150901'"

@@ -1,11 +1,11 @@
 import csv
+import fcntl
 import hashlib
 import json
 import os
 import random
 import shutil
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -380,9 +380,10 @@ class TestStreamingCrawl:
         assert [entry["url"] for entry, _ in landed] == calls
         assert cfg.pages_pack.read_bytes() == b"".join(body for _, body in landed)
         assert not cfg.crawl_manifest.exists()
-        assert not cfg.run_log.exists()
-        with store.DirectoryLock(cfg.corpus_dir):  # released
-            pass
+        assert cfg.run_log.read_text() == ""  # the failed stage logs no line
+        monkeypatch.undo()
+        cli.run("crawl", cfg)  # the lock was released
+        assert len(cfg.run_log.read_text().splitlines()) == 1
 
     def test_crawl_killed_inside_a_body_write_commits_no_line_for_it(
             self, tmp_path, fixtures_dir, monkeypatch, completed_run):
@@ -891,15 +892,13 @@ class TestAnalyze:
             cfg.report_dir / "summary.json")}
 
 
-def _write_lock(directory: Path, pid: int, host: str) -> None:
-    (directory / ".pressmetrics.lock").write_text(json.dumps({"pid": pid, "host": host}))
-
-
-def _dead_pid() -> int:
-    """The PID of a process that has exited and been reaped."""
-    proc = subprocess.Popen([sys.executable, "-c", ""])
-    proc.wait(timeout=60)
-    return proc.pid
+def _python(code: str, *args) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports this checkout's pressmetrics."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, timeout=60)
 
 
 class TestStorePrimitives:
@@ -954,6 +953,10 @@ class TestStorePrimitives:
         "short row after lone cr": (b"key,value\ra,1\rb\r", "3: expected 2 fields, got 1",
                                     "3: expected 2 fields, got 1"),
         "not utf-8": (b"key,value\na,1\n\xff,2\n", f"3: {_NOT_UTF8}", f"3: {_NOT_UTF8}"),
+        "not utf-8 after lone cr": (b"key,value\ra,1\r\xff,2\r", f"3: {_NOT_UTF8}",
+                                    f"3: {_NOT_UTF8}"),
+        "not utf-8 in a quoted field": (b'key,value\na,"x\n\xffy"\nb,2\n', f"3: {_NOT_UTF8}",
+                                        f"3: {_NOT_UTF8}"),
         "field over the csv limit": (b"key,value\na," + b"x" * 140_000 + b"\nb,2\n",
                                      "2: field larger than field limit (131072)",
                                      "2: field larger than field limit (131072)"),
@@ -1035,37 +1038,6 @@ class TestStorePrimitives:
                 except ValueError as err:
                     assert str(err).startswith(f"{path}:"), (name, str(err))
 
-    def test_lock_is_exclusive(self, tmp_path):
-        with store.DirectoryLock(tmp_path):
-            with pytest.raises(RuntimeError):
-                with store.DirectoryLock(tmp_path):
-                    pass
-        # released: can relock
-        with store.DirectoryLock(tmp_path):
-            pass
-
-    def test_lock_of_a_dead_process_on_this_host_is_broken(self, tmp_path, fixtures_dir):
-        cfg = fixture_config(tmp_path, fixtures_dir)
-        cfg.corpus_dir.mkdir(parents=True)
-        _write_lock(cfg.corpus_dir, _dead_pid(), socket.gethostname())
-        manifest = cli.run("crawl", cfg)
-        assert manifest.counts["stale_locks_broken"] == 1
-        assert json.loads(cfg.run_log.read_text())["counts"]["stale_locks_broken"] == 1
-        assert not (cfg.corpus_dir / ".pressmetrics.lock").exists()
-        assert "stale_locks_broken" not in cli.run("parse", cfg).counts
-
-    def test_analyze_counts_a_broken_stale_lock_beside_the_populations(self, tmp_path,
-                                                                       fixtures_dir):
-        cfg = fixture_config(tmp_path, fixtures_dir)
-        for command in ("crawl", "parse", "ingest-links"):
-            cli.run(command, cfg)
-        _write_lock(cfg.corpus_dir, _dead_pid(), socket.gethostname())
-        counts = cli.run("analyze", cfg).counts
-        assert counts["stale_locks_broken"] == 1
-        assert (counts["backlink_window_start"], counts["backlink_window_end"]) == (
-            "2015-09-01", "2021-04-01")
-        assert json.loads(cfg.run_log.read_text().splitlines()[-1])["counts"] == counts
-
     # (stage, the stage input, its line, the edit to that line's record, the error's detail)
     BAD_RECORDS = {
         "mention without tweet_id": ("analyze", "mentions_file", 3,
@@ -1084,6 +1056,9 @@ class TestStorePrimitives:
         "corpus date out of range, ingest-links": ("ingest-links", "corpus_file", 5,
                                                    lambda r: r.update(date="2016-13-45"),
                                                    "month must be in 1..12"),
+        "corpus date in basic format": ("couple", "corpus_file", 5,
+                                        lambda r: r.update(date="20160501"),
+                                        "not a YYYY-MM-DD date: '20160501'"),
         "backlink without release_id": ("analyze", "backlinks_attached", 2,
                                         lambda r: r.pop("release_id"),
                                         "missing field 'release_id'"),
@@ -1106,23 +1081,71 @@ class TestStorePrimitives:
             cli.run(stage, cfg)
         assert str(err.value) == f"{path}:{lineno}: {detail}"
 
-    @pytest.mark.parametrize("owner", ["live", "not permitted", "other host", "unnamed"])
-    def test_lock_that_may_be_held_blocks(self, tmp_path, monkeypatch, owner):
-        pid, host = os.getpid(), socket.gethostname()
-        if owner == "not permitted":
-            def refuse(pid, sig):
-                raise PermissionError(1, "Operation not permitted")
-            monkeypatch.setattr(os, "kill", refuse)
-        elif owner == "other host":
-            pid, host = _dead_pid(), "elsewhere.invalid"
-        if owner == "unnamed":  # a lock written before locks named their host
-            (tmp_path / ".pressmetrics.lock").write_text(str(_dead_pid()))
-        else:
-            _write_lock(tmp_path, pid, host)
-        with pytest.raises(RuntimeError, match="locked by another run"):
-            with store.DirectoryLock(tmp_path):
-                pass
-        assert (tmp_path / ".pressmetrics.lock").exists()
+
+class TestRunLock:
+    """The run log is the lock: a stage runs holding an exclusive flock on it."""
+
+    def test_a_live_holder_blocks_the_run(self, tmp_path, fixtures_dir, capsys):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.corpus_dir.mkdir(parents=True)
+        # another open file description conflicts, even within this process
+        with open(cfg.run_log, "a") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(RuntimeError, match="locked by another run"):
+                cli.run("crawl", cfg)
+            assert cli.main(["report", "--corpus-dir", str(cfg.corpus_dir),
+                             "--report-dir", str(cfg.report_dir)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: output directory is locked by another run: {cfg.run_log}\n")
+            assert [p.name for p in cfg.corpus_dir.iterdir()] == ["run_log.jsonl"]
+            assert not cfg.report_dir.exists()
+            assert cfg.run_log.read_text() == ""
+        cli.run("crawl", cfg)
+        assert len(cfg.run_log.read_text().splitlines()) == 1
+
+    def test_a_killed_holder_does_not_block(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        k = 7
+        # a crawl SIGKILLed, as the OOM killer would, while it holds the lock
+        code = ("import os, signal, sys\n"
+                "from pathlib import Path\n"
+                "from pressmetrics import cli, harvester\n"
+                "fetch, calls = harvester.DirectoryFetcher.fetch, []\n"
+                "def fetch_then_die(self, url):\n"
+                f"    if len(calls) == {k}:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    calls.append(url)\n"
+                "    return fetch(self, url)\n"
+                "harvester.DirectoryFetcher.fetch = fetch_then_die\n"
+                "cli.run('crawl', cli.PipelineConfig(seed_path=sys.argv[1], rate_limit=0.0,\n"
+                "        corpus_dir=Path(sys.argv[2]), fixtures_dir=Path(sys.argv[3])))\n")
+        proc = _python(code, FOLD, cfg.corpus_dir, cfg.fixtures_dir)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        partial = cfg.crawl_manifest.with_name("crawl_manifest.jsonl.partial")
+        assert len(partial.read_text().splitlines()) == k
+        manifest = cli.run("crawl", cfg)
+        assert manifest.counts["fetched"] == 62
+        assert "stale_locks_broken" not in manifest.counts
+        assert cfg.run_log.read_text() == manifest.to_json() + "\n"
+
+    def test_a_lock_file_of_the_previous_version_is_ignored(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.corpus_dir.mkdir(parents=True)
+        old_lock = cfg.corpus_dir / ".pressmetrics.lock"
+        old_lock.write_text(json.dumps({"pid": os.getpid(), "host": os.uname().nodename}))
+        cli.run("crawl", cfg)
+        assert len(cfg.run_log.read_text().splitlines()) == 1
+        assert old_lock.exists()  # neither read nor removed
+
+    def test_analyze_logs_its_populations_as_its_counts(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        for command in ("crawl", "parse", "ingest-links"):
+            cli.run(command, cfg)
+        counts = cli.run("analyze", cfg).counts
+        assert (counts["backlink_window_start"], counts["backlink_window_end"]) == (
+            "2015-09-01", "2021-04-01")
+        assert json.loads(cfg.run_log.read_text().splitlines()[-1])["counts"] == counts
+        assert counts == json.loads((cfg.report_dir / "summary.json").read_text())
 
 
 class TestReport:
@@ -1135,11 +1158,7 @@ class TestReport:
                 "from pressmetrics import store\n"
                 "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
                 "store.write_csv(sys.argv[1], ['year', 'count'], [['2016', 1]])\n")
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code, str(reports / "annual_output.csv")],
-                              env=env, capture_output=True, timeout=60)
+        proc = _python(code, reports / "annual_output.csv")
         assert proc.returncode == -signal.SIGKILL
         [leftover] = [p for p in reports.iterdir() if store.is_temp_file(p)]
         assert leftover.name.startswith("annual_output.csv.")
@@ -1169,6 +1188,23 @@ class TestMainEntryPoint:
             f"corpus_dir={tmp_path / 'corpus'}\n")
         assert cli.main(["crawl", "--config", str(config_file)]) == 1
         assert capsys.readouterr().err == "error: unknown config key 'allowed_hosts'\n"
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("granularity=weekly", "config key 'granularity' is not one of yearly, daily: 'weekly'"),
+        ("rate_limit=fast", "config key 'rate_limit' is not a number: 'fast'"),
+    ])
+    def test_a_bad_config_value_fails_before_any_stage(self, tmp_path, fixtures_dir, capsys,
+                                                       line, message):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            f"seed_path={FOLD}\n"
+            f"{line}\n"
+            f"fixtures_dir={fixtures_dir / 'site'}\n"
+            f"corpus_dir={tmp_path / 'corpus'}\n"
+            f"report_dir={tmp_path / 'reports'}\n")
+        assert cli.main(["crawl", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "corpus").exists()
 
     def test_every_flag_reaches_the_config(self, tmp_path, fixtures_dir, capsys):

@@ -38,8 +38,11 @@ HELLO_DIGEST = "a948904f2f0f479b8f8197694b30184b0d2ed1c1cd2a1ec0fb85d299a192a447
 def test_scope_validation():
     with pytest.raises(ValueError):
         CrawlScope(" ")
-    with pytest.raises(ValueError):
-        CrawlScope("h.test/x/", rate_limit=-1)
+    for rate_limit in (-1, float("nan"), float("inf")):  # NaN or inf would spin the limiter
+        with pytest.raises(ValueError, match="rate_limit must be a finite number >= 0"):
+            CrawlScope("h.test/x/", rate_limit=rate_limit)
+        with pytest.raises(ValueError, match="rate_limit must be a finite number >= 0"):
+            RateLimiter(rate_limit, VirtualClock())
     scope = CrawlScope("H.Test/x/")
     assert scope.seed_url == "https://h.test/x/"
 

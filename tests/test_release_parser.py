@@ -76,6 +76,13 @@ class TestExtractMetadata:
             extract_metadata(
                 scan_page(page(FULL_HEAD.replace('content="Research"', 'content="Poster"'))))
 
+    @pytest.mark.parametrize("raw", ["20190504", "2019-W18-6"])
+    def test_only_a_yyyy_mm_dd_date_is_read(self, raw):
+        """Python 3.11's date.fromisoformat reads both as 2019-05-04; 3.10's refuses both."""
+        with pytest.raises(ParseError) as err:
+            extract_metadata(scan_page(page(FULL_HEAD.replace("2019-05-04", raw))))
+        assert err.value.field_name == "date"
+
     def test_journal_list_split_on_semicolons(self):
         head = FULL_HEAD + '<meta name="journal" content="Acta Synthetica; Global Health Reports">'
         assert extract_metadata(scan_page(page(head))).journal == [

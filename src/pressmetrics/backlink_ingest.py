@@ -11,7 +11,7 @@ websites_is_upper_bound so reports can say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -25,36 +25,9 @@ class LinkValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawLinkRecord:
-    """One row as reported: protocol-bearing target plus its link metrics."""
-
-    target_url: str
-    mentioning_webpages: int
-    mentioning_websites: int
-    citation_flow: int
-    trust_flow: int
-    window_start: date | None = None
-    window_end: date | None = None
-
-    def validate(self) -> None:
-        if not self.target_url.strip():
-            raise LinkValidationError("record with empty target_url")
-        for name in ("citation_flow", "trust_flow"):
-            value = getattr(self, name)
-            if not 0 <= value <= 100:
-                raise LinkValidationError(f"{self.target_url}: {name}={value} outside 0-100")
-        if self.mentioning_webpages < 0 or self.mentioning_websites < 0:
-            raise LinkValidationError(f"{self.target_url}: negative mention count")
-        if self.mentioning_websites > self.mentioning_webpages:
-            raise LinkValidationError(
-                f"{self.target_url}: websites ({self.mentioning_websites}) exceed "
-                f"webpages ({self.mentioning_webpages})"
-            )
-
-
-@dataclass
 class BacklinkAggregate:
-    """Per-canonical-URL link evidence after protocol merging."""
+    """A target's link metrics: one row as reported, or ``merged_from`` rows
+    merged onto a canonical URL. Metrics outside their domain raise LinkValidationError."""
 
     target: str
     mentioning_webpages: int
@@ -65,10 +38,28 @@ class BacklinkAggregate:
     window_end: date | None = None
     merged_from: int = 1  # raw records summed into this aggregate
 
+    def __post_init__(self) -> None:
+        if not self.target.strip():
+            raise LinkValidationError("record with empty target")
+        for name in ("citation_flow", "trust_flow"):
+            value = getattr(self, name)
+            if not 0 <= value <= 100:
+                raise LinkValidationError(f"{self.target}: {name}={value} outside 0-100")
+        if self.mentioning_webpages < 0 or self.mentioning_websites < 0:
+            raise LinkValidationError(f"{self.target}: negative mention count")
+        if self.mentioning_websites > self.mentioning_webpages:
+            raise LinkValidationError(
+                f"{self.target}: websites ({self.mentioning_websites}) exceed "
+                f"webpages ({self.mentioning_webpages})"
+            )
+
     @property
     def websites_is_upper_bound(self) -> bool:
         """The site count is a sum over more than one raw record."""
         return self.merged_from > 1
+
+
+RawLinkRecord = BacklinkAggregate  # a row as read, before protocol merging
 
 
 def merge_protocol_variants(records) -> list[BacklinkAggregate]:
@@ -76,15 +67,12 @@ def merge_protocol_variants(records) -> list[BacklinkAggregate]:
 
     Webpage and website counts are summed; citation and trust flow take the
     maximum across variants; the reporting window becomes the union. Output
-    is sorted by target. Invalid records raise LinkValidationError.
+    is sorted by target.
     """
     merged: dict[str, BacklinkAggregate] = {}
     for record in records:
-        record.validate()
-        target = canonicalize_url(record.target_url)
-        single = BacklinkAggregate(target, record.mentioning_webpages, record.mentioning_websites,
-                                   record.citation_flow, record.trust_flow,
-                                   record.window_start, record.window_end)
+        single = replace(record, target=canonicalize_url(record.target))
+        target = single.target
         merged[target] = _combine(merged[target], single) if target in merged else single
     return [merged[target] for target in sorted(merged)]
 
@@ -94,16 +82,13 @@ def _combine(a: BacklinkAggregate, b: BacklinkAggregate) -> BacklinkAggregate:
     under a's target."""
     starts = [d for d in (a.window_start, b.window_start) if d is not None]
     ends = [d for d in (a.window_end, b.window_end) if d is not None]
-    return BacklinkAggregate(
-        target=a.target,
-        mentioning_webpages=a.mentioning_webpages + b.mentioning_webpages,
-        mentioning_websites=a.mentioning_websites + b.mentioning_websites,
-        citation_flow=max(a.citation_flow, b.citation_flow),
-        trust_flow=max(a.trust_flow, b.trust_flow),
-        window_start=min(starts) if starts else None,
-        window_end=max(ends) if ends else None,
-        merged_from=a.merged_from + b.merged_from,
-    )
+    return replace(a, mentioning_webpages=a.mentioning_webpages + b.mentioning_webpages,
+                   mentioning_websites=a.mentioning_websites + b.mentioning_websites,
+                   citation_flow=max(a.citation_flow, b.citation_flow),
+                   trust_flow=max(a.trust_flow, b.trust_flow),
+                   window_start=min(starts) if starts else None,
+                   window_end=max(ends) if ends else None,
+                   merged_from=a.merged_from + b.merged_from)
 
 
 @dataclass
@@ -133,11 +118,11 @@ def link_coverage_index(aggregates, index: CorpusIndex) -> LinkCoverage:
     return out
 
 
-def read_raw_links_csv(path: str | Path, digests: dict | None = None) -> list[RawLinkRecord]:
+def read_raw_links_csv(path: str | Path, digests: dict | None = None) -> list[BacklinkAggregate]:
     """target_url,mentioning_webpages,mentioning_websites,citation_flow,
     trust_flow,window_start,window_end"""
-    return store.read_csv(path, lambda row: RawLinkRecord(
-        target_url=row["target_url"].strip(),
+    return store.read_csv(path, lambda row: BacklinkAggregate(
+        target=row["target_url"].strip(),
         mentioning_webpages=int(row["mentioning_webpages"]),
         mentioning_websites=int(row["mentioning_websites"]),
         citation_flow=int(row["citation_flow"]),

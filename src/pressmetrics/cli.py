@@ -119,7 +119,9 @@ def build_config(file_values: dict, overrides: dict) -> PipelineConfig:
             raise ValueError(f"config key 'granularity' is not one of {', '.join(GRANULARITIES)}: "
                              f"{value!r}")
         elif key in _PATH_KEYS:
-            kwargs[key] = Path(value) if value not in (None, "") else None
+            if not value and PipelineConfig.__dataclass_fields__[key].default is not None:
+                raise ValueError(f"config key {key!r} is empty")
+            kwargs[key] = Path(value) if value else None
         elif key in PipelineConfig.__dataclass_fields__:
             kwargs[key] = value
         else:
@@ -280,10 +282,7 @@ def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest) -> None:
     links_path = _existing(manifest, cfg.backlinks_file, "backlink CSV")
     index = _corpus_index(cfg, manifest)
     records = backlink_ingest.read_raw_links_csv(links_path, manifest.input_digests)
-    try:
-        aggregates = backlink_ingest.merge_protocol_variants(records)
-    except backlink_ingest.LinkValidationError as err:
-        raise PipelineError("ingest-links", str(err)) from err
+    aggregates = backlink_ingest.merge_protocol_variants(records)
     coverage = backlink_ingest.link_coverage_index(aggregates, index)
     _write(manifest, store.write_jsonl, cfg.backlinks_attached,
            (backlink_ingest.aggregate_to_dict(rid, coverage.attached[rid])

@@ -9,6 +9,7 @@ they are the obsolescence signal the coverage reports must exclude.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -144,11 +145,16 @@ def match_to_release(final: str, index: CorpusIndex) -> MatchResult:
     return MatchResult(MatchKind.OUT_OF_SCOPE)
 
 
+# YYYY-MM-DDTHH:MM:SS[.fff|.ffffff][Z|±HH:MM]: read alike by fromisoformat on 3.10 and 3.11
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+                        r"(?:\.[0-9]{3}|\.[0-9]{6})?(?:Z|[+-][0-9]{2}:[0-9]{2})?")
+
+
 def _parse_timestamp(raw: str) -> datetime:
+    if not _TIMESTAMP.fullmatch(raw):
+        raise ValueError(f"not a YYYY-MM-DDTHH:MM:SS time: {raw!r}")
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return (ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)).astimezone(timezone.utc)
 
 
 def ingest_tweets(records, resolver, index: CorpusIndex, stats: dict) -> list[TweetMention]:
@@ -224,10 +230,11 @@ def mention_from_dict(record: dict) -> TweetMention:
     return TweetMention(
         tweet_id=record["tweet_id"],
         created_at=_parse_timestamp(record["created_at"]),
-        author_id=record.get("author_id", ""),
-        embedded_urls=list(record.get("embedded_urls", [])),
-        resolved_urls=list(record.get("resolved_urls", [])),
-        is_retweet=bool(record.get("is_retweet", False)),
-        matches=[MatchResult(MatchKind(m["kind"]), m.get("release_id"))
-                 for m in record.get("matches", [])],
+        author_id=record["author_id"],
+        embedded_urls=store.typed(record, "embedded_urls", list),
+        resolved_urls=store.typed(record, "resolved_urls", list),
+        is_retweet=store.typed(record, "is_retweet", bool),
+        matches=[MatchResult(MatchKind(m["kind"]), store.typed(m, "release_id", str)
+                             if m["kind"] == MatchKind.MATCHED else None)
+                 for m in store.typed(record, "matches", list)],
     )

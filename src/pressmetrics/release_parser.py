@@ -368,21 +368,21 @@ def release_to_dict(release: PressRelease) -> dict:
 
 def release_from_dict(record: dict) -> PressRelease:
     md = MetadataRecord(
-        keywords=list(record.get("keywords", [])),
-        description=record.get("description", ""),
+        keywords=store.typed(record, "keywords", list),
+        description=record["description"],
         date=iso_date(record["date"]),
-        funder=record.get("funder", ""),
-        journal=list(record.get("journal", [])),
-        type=PressType(record["type"]) if record.get("type") else None,
-        institution=record.get("institution", ""),
-        meeting=record.get("meeting", ""),
-        region=Region(record.get("region", "unknown")),
+        funder=record["funder"],
+        journal=store.typed(record, "journal", list),
+        type=None if record["type"] is None else PressType(record["type"]),
+        institution=record["institution"],
+        meeting=record["meeting"],
+        region=Region(record["region"]),
     )
     return PressRelease(
         id=record["id"],
         canonical_url=record["canonical_url"],
         metadata=md,
         dois=[DoiRef(d["raw"], d["normalized"], Repair(d["repair"]))
-              for d in record.get("dois", [])],
-        date_anomaly=bool(record.get("date_anomaly", False)),
+              for d in store.typed(record, "dois", list)],
+        date_anomaly=store.typed(record, "date_anomaly", bool),
     )

@@ -81,6 +81,13 @@ def _converted(convert, record, path, lineno: int, missing: str):
         raise ValueError(f"{path}:{lineno}: {detail}") from err
 
 
+def typed(record: dict, key: str, kind: type):
+    """``record[key]`` if it is a ``kind``; another JSON type is refused, not converted."""
+    if type(value := record[key]) is not kind:
+        raise ValueError(f"field {key!r} is {value!r}, not a {kind.__name__}")
+    return value
+
+
 def read_jsonl(path: str | Path, digests: dict | None = None, convert=None):
     """Each record of a JSON Lines file, or ``convert(record)``; blank lines
     are skipped. A malformed line, or a record that ``convert`` refuses, fails

@@ -37,15 +37,16 @@ def test_single_record_identity_merge():
     assert agg.merged_from == 1
 
 
-@pytest.mark.parametrize("record", [
-    RawLinkRecord("https://h.test/p", 5, 2, 140, 30),
-    RawLinkRecord("https://h.test/p", 5, 2, 40, -1),
-    RawLinkRecord("https://h.test/p", 2, 5, 40, 30),
-    RawLinkRecord("https://h.test/p", -2, 0, 40, 30),
+@pytest.mark.parametrize("fields", [
+    ("https://h.test/p", 5, 2, 140, 30),
+    ("https://h.test/p", 5, 2, 40, -1),
+    ("https://h.test/p", 2, 5, 40, 30),
+    ("https://h.test/p", -2, 0, 40, 30),
 ])
-def test_validation_errors_name_the_record(record):
+def test_validation_errors_name_the_record(fields):
+    # a record is valid by construction, so building one is what fails
     with pytest.raises(LinkValidationError) as err:
-        merge_protocol_variants([record])
+        merge_protocol_variants([RawLinkRecord(*fields)])
     assert "h.test/p" in str(err.value)
 
 
@@ -128,12 +129,13 @@ class TestCoverageIndex:
             assert agg.window_end.isoformat() == "2021-04-01"
 
 
-def test_bad_csv_value_names_file_and_line(tmp_path):
+@pytest.mark.parametrize("row", ["https://h.test/fold/b.html,abc,4,30,20",
+                                 "https://h.test/fold/b.html,10,4,140,20"])
+def test_bad_csv_value_names_file_and_line(tmp_path, row):
     path = tmp_path / "links.csv"
     path.write_text(
         "target_url,mentioning_webpages,mentioning_websites,citation_flow,trust_flow\n"
-        "https://h.test/fold/a.html,10,4,30,20\n"
-        "https://h.test/fold/b.html,abc,4,30,20\n", encoding="utf-8")
+        f"https://h.test/fold/a.html,10,4,30,20\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
         read_raw_links_csv(path)
     assert f"{path}:3:" in str(err.value)

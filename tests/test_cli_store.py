@@ -111,6 +111,10 @@ class TestConfig:
         assert {"corpus_dir", "fixtures_dir", "resolver_file"} <= set(path_fields)
         cfg = cli.build_config({name: f"d/{name}" for name in path_fields}, {})
         assert all(getattr(cfg, name) == Path(f"d/{name}") for name in path_fields)
+        # empty is "not configured", for a path with no default only
+        optional = [name for name in path_fields if getattr(cli.PipelineConfig, name) is None]
+        cfg = cli.build_config({name: "" for name in optional}, {})
+        assert all(getattr(cfg, name) is None for name in optional)
 
 
 class TestPrerequisites:
@@ -674,6 +678,25 @@ class TestIngestLinks:
         assert summary["backlink_window_start"] == "2015-09-01"
         assert "backlink_window_end" not in summary
 
+    def test_a_row_outside_the_metrics_domain_names_file_and_line(self, tmp_path, fixtures_dir,
+                                                                  capsys):
+        rows = (fixtures_dir / "backlinks_main.csv").read_text(encoding="utf-8").splitlines()
+        fields = rows[2].split(",")
+        fields[3] = "140"  # citation_flow
+        links = tmp_path / "backlinks.csv"
+        links.write_text("\n".join(rows[:2] + [",".join(fields)] + rows[3:]) + "\n",
+                         encoding="utf-8")
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cli.run("parse", cfg)
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"seed_path={FOLD}\ncorpus_dir={cfg.corpus_dir}\n"
+                               f"backlinks_file={links}\n")
+        assert cli.main(["ingest-links", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {links}:3: {fields[0]}: citation_flow=140 outside 0-100\n")
+        assert not cfg.backlinks_attached.exists()
+
 
 class TestIngestTweets:
     def test_malformed_line_names_file_and_line(self, tmp_path, fixtures_dir, capsys):
@@ -730,8 +753,9 @@ def _synthetic_corpus(rng: random.Random, releases: int) -> list[dict]:
         "date_anomaly": rng.random() < 0.1,
         "type": rng.choice(types),
         "keywords": rng.choices(vocabulary, k=rng.randrange(5)),
-        "institution": rng.choice(institutions),
-        "region": rng.choice([r.value for r in release_parser.Region]),
+        "description": "", "funder": "", "journal": [],
+        "institution": rng.choice(institutions), "meeting": "",
+        "region": rng.choice([r.value for r in release_parser.Region]), "dois": [],
     } for i in range(releases)]
 
 
@@ -1062,6 +1086,30 @@ class TestStorePrimitives:
         "backlink without release_id": ("analyze", "backlinks_attached", 2,
                                         lambda r: r.pop("release_id"),
                                         "missing field 'release_id'"),
+        "corpus line without funder": ("couple", "corpus_file", 5, lambda r: r.pop("funder"),
+                                       "missing field 'funder'"),
+        "corpus date_anomaly as a string": ("analyze", "corpus_file", 5,
+                                            lambda r: r.update(date_anomaly="false"),
+                                            "field 'date_anomaly' is 'false', not a bool"),
+        "corpus keywords as a string": ("analyze", "corpus_file", 5,
+                                        lambda r: r.update(keywords="abc"),
+                                        "field 'keywords' is 'abc', not a list"),
+        "mention without author_id": ("analyze", "mentions_file", 3,
+                                      lambda r: r.pop("author_id"), "missing field 'author_id'"),
+        "mention is_retweet as a number": ("analyze", "mentions_file", 3,
+                                           lambda r: r.update(is_retweet=0),
+                                           "field 'is_retweet' is 0, not a bool"),
+        "matched entry without release_id": ("analyze", "mentions_file", 3,
+                                             lambda r: r["matches"][0].pop("release_id"),
+                                             "missing field 'release_id'"),
+        "matched entry with a null release_id": ("analyze", "mentions_file", 3,
+                                                 lambda r: r["matches"][0].update(release_id=None),
+                                                 "field 'release_id' is None, not a str"),
+        **{f"mention time {stamp}": ("analyze", "mentions_file", 3,
+                                     lambda r, stamp=stamp: r.update(created_at=stamp),
+                                     f"not a YYYY-MM-DDTHH:MM:SS time: {stamp!r}")
+           for stamp in ("2016-03-20T09:00:00+0000", "20160320T090000Z",
+                         "2016-W11-7T09:00:00Z", "2016-03-20T09:00:00.1Z")},
     }
 
     @pytest.mark.parametrize("case", BAD_RECORDS)
@@ -1206,6 +1254,18 @@ class TestMainEntryPoint:
         assert cli.main(["crawl", "--config", str(config_file)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("key", ["corpus_dir", "report_dir"])
+    @pytest.mark.parametrize("via_flag", [False, True])
+    def test_an_empty_path_with_a_default_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                     key, via_flag):
+        monkeypatch.chdir(tmp_path)
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("" if via_flag else f"{key}=\n")
+        flag = ["--" + key.replace("_", "-"), ""] if via_flag else []
+        assert cli.main(["report", "--config", str(config_file), *flag]) == 1
+        assert capsys.readouterr().err == f"error: config key {key!r} is empty\n"
+        assert list(tmp_path.iterdir()) == [config_file]
 
     def test_every_flag_reaches_the_config(self, tmp_path, fixtures_dir, capsys):
         assert cli.main(["crawl", "--seed-path", FOLD, "--fixtures", str(fixtures_dir / "site"),

@@ -135,11 +135,26 @@ class TestIngest:
         assert stats == {"no_corpus_url": 1}
         assert match_to_release(url, corpus_index).kind is MatchKind.OUT_OF_SCOPE
 
-    def test_malformed_record_skipped_and_counted(self, resolver, corpus_index):
+    # no time; then forms that fromisoformat reads on 3.11 but not on 3.10
+    @pytest.mark.parametrize("time", [{}, {"created_at": "2016-05-01T10:00:00+0000"},
+                                      {"created_at": "20160501T100000Z"},
+                                      {"created_at": "2016-W17-7T10:00:00Z"}])
+    def test_malformed_record_skipped_and_counted(self, resolver, corpus_index, time):
         stats = {}
-        records = [{"tweet_id": "x", "urls": ["https://a.test/"], "is_retweet": False}]
+        records = [{"tweet_id": "x", "urls": ["https://a.test/"], "is_retweet": False, **time}]
         assert ingest_tweets(records, resolver, corpus_index, stats=stats) == []
         assert stats["malformed_records"] == 1
+
+    @pytest.mark.parametrize("time, utc", [
+        ("2016-05-01T10:00:00", "2016-05-01T10:00:00Z"),
+        ("2016-05-01T12:00:00.250+02:00", "2016-05-01T10:00:00.250000Z"),
+        ("2016-05-01T04:30:00.000001-05:30", "2016-05-01T10:00:00.000001Z"),
+    ])
+    def test_a_time_is_read_as_utc(self, records, resolver, corpus_index, time, utc):
+        assert records[0]["created_at"] == "2016-05-01T10:00:00Z"
+        (mention,) = ingest_tweets([dict(records[0], created_at=time)], resolver, corpus_index,
+                                   stats=Counter())
+        assert mention_to_dict(mention)["created_at"] == utc
 
     def test_matches_agree_with_oracle(self, records, resolver, corpus_index, truth, fixtures_dir):
         mentions = ingest_tweets(records, resolver, corpus_index, stats=Counter())

@@ -27,7 +27,8 @@ class LinkValidationError(ValueError):
 @dataclass(frozen=True)
 class BacklinkAggregate:
     """A target's link metrics: one row as reported, or ``merged_from`` rows
-    merged onto a canonical URL. Metrics outside their domain raise LinkValidationError."""
+    merged onto a canonical URL. The target is canonicalized; a target that
+    does not canonicalize, or metrics outside their domain, raise LinkValidationError."""
 
     target: str
     mentioning_webpages: int
@@ -39,8 +40,10 @@ class BacklinkAggregate:
     merged_from: int = 1  # raw records summed into this aggregate
 
     def __post_init__(self) -> None:
-        if not self.target.strip():
-            raise LinkValidationError("record with empty target")
+        try:
+            object.__setattr__(self, "target", canonicalize_url(self.target))
+        except ValueError as err:
+            raise LinkValidationError(f"target: {err}") from None
         for name in ("citation_flow", "trust_flow"):
             value = getattr(self, name)
             if not 0 <= value <= 100:
@@ -71,9 +74,8 @@ def merge_protocol_variants(records) -> list[BacklinkAggregate]:
     """
     merged: dict[str, BacklinkAggregate] = {}
     for record in records:
-        single = replace(record, target=canonicalize_url(record.target))
-        target = single.target
-        merged[target] = _combine(merged[target], single) if target in merged else single
+        target = record.target
+        merged[target] = _combine(merged[target], record) if target in merged else record
     return [merged[target] for target in sorted(merged)]
 
 
@@ -145,3 +147,11 @@ def aggregate_to_dict(release_id: str, agg: BacklinkAggregate) -> dict:
         "websites_is_upper_bound": agg.websites_is_upper_bound,
         "merged_from": agg.merged_from,
     }
+
+
+def link_window_from_dict(record: dict) -> tuple[str, str | None, str | None]:
+    """The release id and window ends of a line that aggregate_to_dict wrote;
+    a value of another JSON type is refused, as store.typed refuses it."""
+    return (store.typed(record, "release_id", str),
+            *(None if record[end] is None else store.typed(record, end, str)
+              for end in ("window_start", "window_end")))

@@ -18,7 +18,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from operator import itemgetter
 from pathlib import Path
 
 from . import analytics, backlink_ingest, coupling, harvester, mention_ingest, store
@@ -93,8 +92,12 @@ GRANULARITIES = ("yearly", "daily")
 
 def load_config_file(path: str | Path) -> dict:
     """Flat key=value file; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -161,7 +164,7 @@ def _table(manifest: RunManifest, path: Path | None, what: str, load, default=No
 def _resolver(cfg: PipelineConfig, manifest: RunManifest) -> mention_ingest.CsvResolver:
     """The recorded redirects; with none, every URL is terminal."""
     return _table(manifest, cfg.resolver_file, "resolver fixture",
-                  mention_ingest.CsvResolver.from_csv, mention_ingest.CsvResolver({}))
+                  mention_ingest.CsvResolver.from_csv, mention_ingest.CsvResolver())
 
 
 def _write(manifest: RunManifest, write, path: Path, *args) -> None:
@@ -213,7 +216,8 @@ def _manifest_line(entry: dict) -> tuple:
     length = entry["length"]
     if type(length) is not int or length < 0:
         raise ValueError(f"length {length!r} is not a byte count")
-    return entry["url"], entry["digest"], length, entry["class"]
+    return (store.typed(entry, "url", str), store.typed(entry, "digest", str), length,
+            harvester.PageClass(entry["class"]))
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
@@ -233,7 +237,7 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
             if hashlib.sha256(body).hexdigest() != digest:
                 raise PipelineError("parse", f"{pages_pack}: {url}'s {len(body)} of {length} bytes "
                                     f"differ from the digest that {crawl_manifest} records")
-            if page_class != harvester.PageClass.PRESS_RELEASE:
+            if not page_class.press_release:
                 manifest.counts["skipped_non_content"] += 1
                 continue
             try:
@@ -347,7 +351,7 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
     windows: dict[str, str] = {}
     if has_backlinks:
         links = store.read_jsonl(cfg.backlinks_attached, manifest.input_digests,
-                                 itemgetter("release_id", "window_start", "window_end"))
+                                 backlink_ingest.link_window_from_dict)
         for release_id, *ends in links:
             fold.add_link(release_id)
             for (end, pick), value in zip((("window_start", min), ("window_end", max)), ends):

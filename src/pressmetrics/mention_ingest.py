@@ -19,7 +19,7 @@ from pathlib import Path
 from . import store
 from .urls import CorpusIndex, canonicalize_url
 
-DEAD = object()  # resolver sentinel: the URL no longer answers at all
+MAX_HOPS = 5  # redirects followed before a chain stops as Terminated.MAX_DEPTH
 
 
 class Terminated(str, Enum):
@@ -73,60 +73,48 @@ class TweetMention:
                                   if m.kind is MatchKind.MATCHED))
 
 
-class CsvResolver:
-    """Redirect oracle from a recorded from_url,to_url table.
-
-    An empty to_url marks a dead link; anything unlisted is terminal. Keeps
-    fixture runs byte-for-byte reproducible with no network in sight.
+class CsvResolver(dict):
+    """The redirect hops of a recorded from_url,to_url table: a listed URL
+    maps to its next hop, None (an empty to_url) marks a dead link, and an
+    unlisted URL is terminal. Keeps fixture runs byte-for-byte reproducible
+    with no network in sight.
     """
-
-    def __init__(self, hops: dict[str, str | None]):
-        self._hops = hops
 
     @classmethod
     def from_csv(cls, path: str | Path, digests: dict | None = None) -> "CsvResolver":
         return cls(store.read_mapping(
             path, lambda row: (row["from_url"].strip(), row["to_url"].strip() or None), digests))
 
-    def __call__(self, url: str):
-        if url not in self._hops:
-            return None  # terminal
-        nxt = self._hops[url]
-        return DEAD if nxt is None else nxt
-
     def unshorten(self, url: str) -> str | None:
         """The final URL of ``url``'s chain when the table lists ``url``."""
-        return resolve_chain(url, self).final if url in self._hops else None
+        return resolve_chain(url, self).final if url in self else None
 
 
-def resolve_chain(url: str, resolver, max_depth: int = 5) -> UrlResolution:
-    """Follow redirect hops until a terminal URL, the depth budget, a
-    revisit (cycle), or a dead link; never raises.
+def resolve_chain(url: str, hops: dict[str, str | None]) -> UrlResolution:
+    """Follow ``hops`` from ``url`` until an unlisted URL, MAX_HOPS
+    redirects, a revisit (cycle), or a dead link; never raises.
 
     On a cycle, final is the deepest distinct URL reached; the revisited
     URL still appears at the end of the chain.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     chain = [url]
     current = url
-    while True:
-        nxt = resolver(current)
+    while current in hops:
+        nxt = hops[current]
         if nxt is None:
-            terminated = Terminated.FINAL_TARGET
-            break
-        if nxt is DEAD:
             terminated = Terminated.DEAD
             break
         if nxt in chain:
             chain.append(nxt)
             terminated = Terminated.CYCLE
             break
-        if len(chain) - 1 >= max_depth:
+        if len(chain) > MAX_HOPS:
             terminated = Terminated.MAX_DEPTH
             break
         chain.append(nxt)
         current = nxt
+    else:
+        terminated = Terminated.FINAL_TARGET
     try:
         final = canonicalize_url(current)
     except ValueError:
@@ -157,7 +145,7 @@ def _parse_timestamp(raw: str) -> datetime:
     return (ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)).astimezone(timezone.utc)
 
 
-def ingest_tweets(records, resolver, index: CorpusIndex, stats: dict) -> list[TweetMention]:
+def ingest_tweets(records, hops: dict, index: CorpusIndex, stats: dict) -> list[TweetMention]:
     """Cleanse a raw tweet stream into corpus mentions.
 
     Retweets are dropped; every embedded URL is resolved (memoized) and
@@ -174,8 +162,8 @@ def ingest_tweets(records, resolver, index: CorpusIndex, stats: dict) -> list[Tw
             tweet_id = str(record["tweet_id"])
             created_at = _parse_timestamp(record["created_at"])
             author_id = str(record.get("author_id", ""))
-            urls = list(record["urls"])
-            is_retweet = bool(record["is_retweet"])
+            urls = store.typed(record, "urls", list)
+            is_retweet = store.typed(record, "is_retweet", bool)
         except (KeyError, TypeError, ValueError):
             dropped["malformed_records"] += 1
             continue
@@ -192,7 +180,7 @@ def ingest_tweets(records, resolver, index: CorpusIndex, stats: dict) -> list[Tw
                 dropped["bad_urls"] += 1
                 continue
             if url not in finals:
-                finals[url] = resolve_chain(url, resolver).final
+                finals[url] = resolve_chain(url, hops).final
             resolved.append(finals[url])
             matches.append(match_to_release(finals[url], index))
         if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):
@@ -228,11 +216,11 @@ def mention_to_dict(mention: TweetMention) -> dict:
 
 def mention_from_dict(record: dict) -> TweetMention:
     return TweetMention(
-        tweet_id=record["tweet_id"],
+        tweet_id=store.typed(record, "tweet_id", str),
         created_at=_parse_timestamp(record["created_at"]),
-        author_id=record["author_id"],
+        author_id=store.typed(record, "author_id", str),
         embedded_urls=store.typed(record, "embedded_urls", list),
-        resolved_urls=store.typed(record, "resolved_urls", list),
+        resolved_urls=store.strings(record, "resolved_urls"),
         is_retweet=store.typed(record, "is_retweet", bool),
         matches=[MatchResult(MatchKind(m["kind"]), store.typed(m, "release_id", str)
                              if m["kind"] == MatchKind.MATCHED else None)

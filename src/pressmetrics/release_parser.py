@@ -368,21 +368,22 @@ def release_to_dict(release: PressRelease) -> dict:
 
 def release_from_dict(record: dict) -> PressRelease:
     md = MetadataRecord(
-        keywords=store.typed(record, "keywords", list),
-        description=record["description"],
+        keywords=store.strings(record, "keywords"),
+        description=store.typed(record, "description", str),
         date=iso_date(record["date"]),
-        funder=record["funder"],
-        journal=store.typed(record, "journal", list),
+        funder=store.typed(record, "funder", str),
+        journal=store.strings(record, "journal"),
         type=None if record["type"] is None else PressType(record["type"]),
-        institution=record["institution"],
-        meeting=record["meeting"],
+        institution=store.typed(record, "institution", str),
+        meeting=store.typed(record, "meeting", str),
         region=Region(record["region"]),
     )
     return PressRelease(
-        id=record["id"],
-        canonical_url=record["canonical_url"],
+        id=store.typed(record, "id", str),
+        canonical_url=store.typed(record, "canonical_url", str),
         metadata=md,
-        dois=[DoiRef(d["raw"], d["normalized"], Repair(d["repair"]))
+        dois=[DoiRef(store.typed(d, "raw", str), store.typed(d, "normalized", str),
+                     Repair(d["repair"]))
               for d in store.typed(record, "dois", list)],
         date_anomaly=store.typed(record, "date_anomaly", bool),
     )

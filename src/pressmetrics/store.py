@@ -88,6 +88,15 @@ def typed(record: dict, key: str, kind: type):
     return value
 
 
+def strings(record: dict, key: str) -> list[str]:
+    """``record[key]`` if it is a list of str; as typed, nothing is converted."""
+    value = typed(record, key, list)
+    for item in value:  # a loop: all() over a generator costs three times as much
+        if type(item) is not str:
+            raise ValueError(f"field {key!r} is {value!r}, not a list of str")
+    return value
+
+
 def read_jsonl(path: str | Path, digests: dict | None = None, convert=None):
     """Each record of a JSON Lines file, or ``convert(record)``; blank lines
     are skipped. A malformed line, or a record that ``convert`` refuses, fails

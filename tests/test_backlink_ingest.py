@@ -130,7 +130,8 @@ class TestCoverageIndex:
 
 
 @pytest.mark.parametrize("row", ["https://h.test/fold/b.html,abc,4,30,20",
-                                 "https://h.test/fold/b.html,10,4,140,20"])
+                                 "https://h.test/fold/b.html,10,4,140,20",
+                                 "ftp://h.test/fold/b.html,10,4,30,20"])
 def test_bad_csv_value_names_file_and_line(tmp_path, row):
     path = tmp_path / "links.csv"
     path.write_text(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -331,7 +332,7 @@ class TestOneScanPerPage:
         assert sorted(scanned) == sorted(press)
 
 
-_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_not_utf8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 class _Interrupted(BaseException):
@@ -544,9 +545,9 @@ class TestParse:
         resolved: list[str] = []
         resolve_chain = mention_ingest.resolve_chain
 
-        def counting_resolve(url, resolver, max_depth=5):
+        def counting_resolve(url, hops):
             resolved.append(url)
-            return resolve_chain(url, resolver, max_depth)
+            return resolve_chain(url, hops)
 
         cfg = fixture_config(tmp_path, fixtures_dir)
         cli.run("crawl", cfg)
@@ -976,11 +977,11 @@ class TestStorePrimitives:
                                       "5: expected 2 fields, got 1", "5: expected 2 fields, got 1"),
         "short row after lone cr": (b"key,value\ra,1\rb\r", "3: expected 2 fields, got 1",
                                     "3: expected 2 fields, got 1"),
-        "not utf-8": (b"key,value\na,1\n\xff,2\n", f"3: {_NOT_UTF8}", f"3: {_NOT_UTF8}"),
-        "not utf-8 after lone cr": (b"key,value\ra,1\r\xff,2\r", f"3: {_NOT_UTF8}",
-                                    f"3: {_NOT_UTF8}"),
-        "not utf-8 in a quoted field": (b'key,value\na,"x\n\xffy"\nb,2\n', f"3: {_NOT_UTF8}",
-                                        f"3: {_NOT_UTF8}"),
+        "not utf-8": (b"key,value\na,1\n\xff,2\n", f"3: {_not_utf8}", f"3: {_not_utf8}"),
+        "not utf-8 after lone cr": (b"key,value\ra,1\r\xff,2\r", f"3: {_not_utf8}",
+                                    f"3: {_not_utf8}"),
+        "not utf-8 in a quoted field": (b'key,value\na,"x\n\xffy"\nb,2\n', f"3: {_not_utf8}",
+                                        f"3: {_not_utf8}"),
         "field over the csv limit": (b"key,value\na," + b"x" * 140_000 + b"\nb,2\n",
                                      "2: field larger than field limit (131072)",
                                      "2: field larger than field limit (131072)"),
@@ -990,7 +991,7 @@ class TestStorePrimitives:
         "lf": (b'{"a": 1}\n\n{"a": 2}\n', [{"a": 1}, {"a": 2}]),
         "crlf": (b'{"a": 1}\r\n\r\n{"a": 2}\r\n', [{"a": 1}, {"a": 2}]),
         "lone cr": (b'{"a": 1}\r{"a": 2}\r', "1: Extra data at column 10"),
-        "not utf-8": (b'{"a": 1}\n\xff\n', f"2: {_NOT_UTF8}"),
+        "not utf-8": (b'{"a": 1}\n\xff\n', f"2: {_not_utf8}"),
     }
 
     @staticmethod
@@ -1128,6 +1129,133 @@ class TestStorePrimitives:
         with pytest.raises(ValueError) as err:  # which main prints as "error: <message>"
             cli.run(stage, cfg)
         assert str(err.value) == f"{path}:{lineno}: {detail}"
+
+
+def _other_type(value):
+    """A JSON value of another type than ``value``."""
+    if value is None or isinstance(value, str):
+        return 7
+    if isinstance(value, (bool, int)):
+        return json.dumps(value)
+    return "x"
+
+
+def _in_record(edit):
+    """A line edit that applies ``edit`` to the line's JSON record."""
+    def change(raw: bytes) -> bytes:
+        record = json.loads(raw)
+        edit(record)
+        return (json.dumps(record) + "\n").encode("utf-8")
+    return change
+
+
+def _first(pick):
+    """The index of the first JSON Lines line whose record ``pick`` accepts."""
+    return lambda lines: next(n for n, line in enumerate(lines) if pick(json.loads(line)))
+
+
+def _cut_in_half(raw: bytes) -> bytes:
+    return raw[:len(raw) // 2] + b"\n"
+
+
+def _with_a_byte_not_utf8(raw: bytes) -> bytes:
+    return raw[:5] + b"\xff" + raw[5:]
+
+
+def _jsonl_cases(name: str, stages: tuple, pick, keys: tuple, edits: dict) -> dict:
+    """Mutations of one line of a JSON Lines input: truncated, not UTF-8, each
+    key the stages read dropped or given another JSON type, then ``edits``."""
+    changes = {"truncated": _cut_in_half, "not utf-8": _with_a_byte_not_utf8}
+    for key in keys:
+        changes[f"without {key}"] = _in_record(lambda r, key=key: r.pop(key))
+        changes[f"{key} retyped"] = _in_record(
+            lambda r, key=key: r.update({key: _other_type(r[key])}))
+    changes.update({edit: _in_record(change) for edit, change in edits.items()})
+    return {f"{name}, {edit}": (name, stages, _first(pick), change)
+            for edit, change in changes.items()}
+
+
+def _table_cases(name: str, stages: tuple) -> dict:
+    """Mutations of a CSV table: its first row truncated before its last field,
+    given a byte that is not UTF-8 or a field over csv's limit, or its header
+    without its first column."""
+    changes = {"truncated": (1, lambda raw: raw[:raw.rindex(b",")] + b"\n"),
+               "not utf-8": (1, _with_a_byte_not_utf8),
+               "over-long field": (1, lambda raw: b"x" * 140_000 + raw),
+               "without its first column": (0, lambda raw: raw[raw.index(b",") + 1:])}
+    return {f"{name}, {edit}": (name, stages, lambda lines, n=n: n, change)
+            for edit, (n, change) in changes.items()}
+
+
+class TestMutatedStageInputs:
+    """One line of one stage input of the fixture run is mutated; each stage
+    that reads the input, run through ``main``, exits 1 with one error line
+    that names the file, and with no traceback. The tweet archive is left out:
+    a malformed tweet is skipped and counted."""
+
+    # case -> (input: a PipelineConfig path or "summary", stages that read it,
+    #          the index of the line mutated, the mutation of that line)
+    CASES = {
+        **_jsonl_cases("crawl_manifest", ("parse",), lambda r: r["class"] == "press_release",
+                       ("url", "digest", "length", "class"),
+                       {"class relabelled": lambda r: r.update({"class": "press-release"})}),
+        **_jsonl_cases("corpus_file", ("ingest-tweets", "ingest-links", "couple", "analyze"),
+                       lambda r: r["dois"] and r["journal"],
+                       ("id", "canonical_url", "date", "date_anomaly", "type", "keywords",
+                        "description", "funder", "journal", "institution", "meeting", "region",
+                        "dois"),
+                       {"keyword a number": lambda r: r.update(keywords=[5]),
+                        "journal a number": lambda r: r.update(journal=[5]),
+                        "doi raw a number": lambda r: r["dois"][0].update(raw=5),
+                        "doi normalized a number": lambda r: r["dois"][0].update(normalized=5),
+                        "doi without repair": lambda r: r["dois"][0].pop("repair")}),
+        **_jsonl_cases("mentions_file", ("analyze",), lambda r: True,
+                       ("tweet_id", "created_at", "author_id", "embedded_urls", "resolved_urls",
+                        "is_retweet", "matches"),
+                       {"resolved url a number": lambda r: r.update(resolved_urls=[5]),
+                        "match kind retyped": lambda r: r["matches"][0].update(kind=5)}),
+        **_jsonl_cases("backlinks_attached", ("analyze",), lambda r: True,
+                       ("release_id", "window_start", "window_end"),
+                       {"release_id a list": lambda r: r.update(release_id=["x"])}),
+        **_table_cases("alias_institutions", ("analyze",)),
+        **_table_cases("alias_journals", ("couple",)),
+        **_table_cases("doi_rewrites", ("parse",)),
+        **_table_cases("external_counts", ("couple",)),
+        **_table_cases("backlinks_file", ("ingest-links",)),
+        **_table_cases("resolver_file", ("parse", "ingest-tweets")),
+        "summary, truncated": ("summary", ("report",), lambda lines: 1, _cut_in_half),
+        "summary, not utf-8": ("summary", ("report",), lambda lines: 1, _with_a_byte_not_utf8),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_mutated_line_fails_with_its_file(self, completed_run, fixtures_dir, tmp_path,
+                                                capsys, case):
+        name, stages, where, change = self.CASES[case]
+        done, _ = completed_run
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        shutil.copytree(done.corpus_dir, cfg.corpus_dir,
+                        ignore=shutil.ignore_patterns(done.run_log.name))
+        cfg.report_dir.mkdir()
+        shutil.copy(done.report_dir / "summary.json", cfg.report_dir)
+        if name == "summary":
+            path = cfg.report_dir / "summary.json"
+        else:
+            path = getattr(cfg, name)
+            if not path.is_relative_to(tmp_path):  # a fixture table: mutate a copy
+                path = Path(shutil.copy(path, tmp_path))
+                setattr(cfg, name, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        n = where(lines)
+        lines[n] = change(lines[n])
+        path.write_bytes(b"".join(lines))
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n"
+                                       for f in dataclasses.fields(cfg)
+                                       if getattr(cfg, f.name) is not None))
+        for stage in stages:
+            assert cli.main([stage, "--config", str(config_file)]) == 1, stage
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{path}:" in err and err.count("\n") == 1, err
 
 
 class TestRunLock:
@@ -1290,6 +1418,13 @@ class TestMainEntryPoint:
         assert cli.main(["parse", "--config", str(config_file)]) == 1
         assert capsys.readouterr().err == (
             f"error: {resolver}:2: field larger than field limit (131072)\n")
+
+    def test_a_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_bytes(b"seed_path=\xff\n")
+        assert cli.main(["crawl", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config_file}: 'utf-8' codec ")
+        assert list(tmp_path.iterdir()) == [config_file]
 
     def test_truncated_summary_names_the_file(self, tmp_path, capsys):
         summary = tmp_path / "reports" / "summary.json"

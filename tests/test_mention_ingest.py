@@ -19,30 +19,29 @@ from pressmetrics.store import read_csv, read_jsonl
 
 class TestResolveChain:
     def test_no_redirect_is_depth_zero(self):
-        res = resolve_chain("https://h.test/a", lambda url: None)
+        res = resolve_chain("https://h.test/a", {})
         assert res.depth == 0 and res.terminated_by is Terminated.FINAL_TARGET
         assert res.final == "https://h.test/a"
 
     def test_two_hop_chain(self):
         hops = {"https://t.sh/a": "https://bit.ex/b", "https://bit.ex/b": "https://h.test/p"}
-        res = resolve_chain("https://t.sh/a", lambda u: hops.get(u))
+        res = resolve_chain("https://t.sh/a", hops)
         assert res.depth == 2 and res.terminated_by is Terminated.FINAL_TARGET
         assert res.final == "https://h.test/p"
         assert res.chain == ["https://t.sh/a", "https://bit.ex/b", "https://h.test/p"]
 
     def test_cycle_final_is_deepest_distinct(self):
         a, b = "http://x.test/a", "http://x.test/b"
-        res = resolve_chain(a, lambda u: {a: b, b: a}.get(u))
+        res = resolve_chain(a, {a: b, b: a})
         assert res.terminated_by is Terminated.CYCLE
         assert res.chain == [a, b, a] and res.depth == 2
         assert res.final == "https://x.test/b"
 
     def test_max_depth(self):
         hops = {f"u{i}": f"u{i+1}" for i in range(10)}
-        res = resolve_chain("u0", lambda u: hops.get(u), max_depth=3)
-        assert res.terminated_by is Terminated.MAX_DEPTH and res.depth == 3
-        with pytest.raises(ValueError):
-            resolve_chain("u0", lambda u: None, max_depth=0)
+        res = resolve_chain("u0", hops)
+        assert res.terminated_by is Terminated.MAX_DEPTH and res.depth == 5
+        assert res.chain == [f"u{i}" for i in range(6)]
 
     def test_dead_link(self, fixtures_dir):
         resolver = CsvResolver.from_csv(fixtures_dir / "resolver_micro.csv")
@@ -144,6 +143,15 @@ class TestIngest:
         records = [{"tweet_id": "x", "urls": ["https://a.test/"], "is_retweet": False, **time}]
         assert ingest_tweets(records, resolver, corpus_index, stats=stats) == []
         assert stats["malformed_records"] == 1
+
+    # a value the archive gives as another JSON type is not converted
+    @pytest.mark.parametrize("value", [{"is_retweet": "false"}, {"is_retweet": 0},
+                                       {"urls": "https://www.eksci.test/releases/2016/"}])
+    def test_a_value_of_another_type_is_malformed(self, records, resolver, corpus_index, value):
+        stats = {}
+        tweet = dict(records[0], **value)
+        assert ingest_tweets([tweet], resolver, corpus_index, stats=stats) == []
+        assert stats == {"malformed_records": 1}
 
     @pytest.mark.parametrize("time, utc", [
         ("2016-05-01T10:00:00", "2016-05-01T10:00:00Z"),

@@ -14,6 +14,7 @@ the precision their report prints.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -73,6 +74,30 @@ def cograph_to_json_dict(graph: CoGraph) -> dict:
         for (a, b), w in sorted(graph.edges.items())
     ]
     return {"nodes": nodes, "links": links}
+
+
+_LINK = '    {{\n      "source": {},\n      "target": {},\n      "weight": {}\n    }}'
+_NODE = ('    {{\n      "id": {},\n      "label": {},\n      "link_strength": {},\n'
+         '      "occurrences": {}\n    }}')
+
+
+def cograph_json(graph: CoGraph):
+    """The text that store.write_json writes for cograph_to_json_dict(graph),
+    one link or node at a time, without building the document's lists."""
+    order = {keyword: i for i, keyword in enumerate(sorted(graph.nodes), 1)}
+    yield "{\n"
+    for key, items in (
+            ("links", (_LINK.format(order[a], order[b], graph.edges[a, b])
+                       for a, b in sorted(graph.edges))),
+            ("nodes", (_NODE.format(i, json.dumps(k, ensure_ascii=False), graph.link_strength[k],
+                                    graph.nodes[k]) for k, i in order.items()))):
+        yield f'  "{key}": ['
+        separator = "\n"
+        for item in items:
+            yield separator + item
+            separator = ",\n"
+        yield "]" if separator == "\n" else "\n  ]"
+        yield ",\n" if key == "links" else "\n}\n"
 
 
 @dataclass

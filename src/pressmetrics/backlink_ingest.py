@@ -11,7 +11,7 @@ websites_is_upper_bound so reports can say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -81,16 +81,20 @@ def merge_protocol_variants(records) -> list[BacklinkAggregate]:
 
 def _combine(a: BacklinkAggregate, b: BacklinkAggregate) -> BacklinkAggregate:
     """Sum the counts, take the larger flows and the union of the windows,
-    under a's target."""
+    under a's target. Not validated again: a and b were validated when made,
+    sums keep websites within webpages, and max keeps flows in 0-100."""
     starts = [d for d in (a.window_start, b.window_start) if d is not None]
     ends = [d for d in (a.window_end, b.window_end) if d is not None]
-    return replace(a, mentioning_webpages=a.mentioning_webpages + b.mentioning_webpages,
-                   mentioning_websites=a.mentioning_websites + b.mentioning_websites,
-                   citation_flow=max(a.citation_flow, b.citation_flow),
-                   trust_flow=max(a.trust_flow, b.trust_flow),
-                   window_start=min(starts) if starts else None,
-                   window_end=max(ends) if ends else None,
-                   merged_from=a.merged_from + b.merged_from)
+    merged = object.__new__(BacklinkAggregate)
+    merged.__dict__.update(target=a.target,
+                           mentioning_webpages=a.mentioning_webpages + b.mentioning_webpages,
+                           mentioning_websites=a.mentioning_websites + b.mentioning_websites,
+                           citation_flow=max(a.citation_flow, b.citation_flow),
+                           trust_flow=max(a.trust_flow, b.trust_flow),
+                           window_start=min(starts) if starts else None,
+                           window_end=max(ends) if ends else None,
+                           merged_from=a.merged_from + b.merged_from)
+    return merged
 
 
 @dataclass

@@ -307,27 +307,35 @@ def _fmt(value: float, places: int) -> str:
 
 
 def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    releases = list(_releases(cfg, manifest))
+    releases = _releases(cfg, manifest)
     counts_path = _existing(manifest, cfg.external_counts, "external counts CSV")
     external_counts = coupling.load_external_counts(counts_path, manifest.input_digests)
     aliases = _table(manifest, cfg.alias_journals, "journal aliases", load_alias_table, {})
     doi_journals = _table(manifest, cfg.doi_journals, "DOI journals", coupling.load_doi_journals)
-    edges = coupling.build_coupling_graph(releases, doi_journals)
     try:
-        rows = coupling.journal_coverage(releases, external_counts,
-                                         alias_table=aliases, stats=manifest.counts)
+        tally = coupling.CoverageTally(external_counts, aliases)
     except ValueError as err:
         raise PipelineError("couple", f"{counts_path}: {err}") from err
+    manifest.counts["edges"] = 0
+
+    def edge_rows():
+        # one corpus pass: each release is tallied and its edges written, then dropped
+        for release in releases:
+            tally.add(release)
+            for e in coupling.build_coupling_graph([release], doi_journals):
+                manifest.counts["edges"] += 1
+                yield [e.release_id, e.doi, e.journal or ""]
+
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     _write(manifest, store.write_csv, cfg.report_dir / "coupling_edges.csv",
-           ["release_id", "doi", "journal"],
-           [[e.release_id, e.doi, e.journal or ""] for e in edges])
+           ["release_id", "doi", "journal"], edge_rows())
+    rows = tally.rows(manifest.counts)
     _write(manifest, store.write_csv, cfg.report_dir / "journal_coverage.csv",
            ["journal", "publications_with_doi", "press_release_count", "coverage_pct"],
            [[r.journal, r.publications_with_doi, r.press_release_count,
              "" if r.coverage_pct is None else _fmt(r.coverage_pct, 1)]
             for r in rows])
-    manifest.counts.update(edges=len(edges), journals=len(rows))
+    manifest.counts["journals"] = len(rows)
 
 
 def _distribution_rows(dist: dict) -> list[list]:
@@ -387,8 +395,8 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
     write_csv("keyword_frequency.csv", ["keyword", "occurrences"],
               [[k, n] for k, n in fold.keyword_frequency()])
 
-    _write(manifest, store.write_json, report / "cooccurrence_graph.json",
-           analytics.cograph_to_json_dict(fold.graph))
+    _write(manifest, store.write_text, report / "cooccurrence_graph.json",
+           analytics.cograph_json(fold.graph))
 
     regions = fold.region_distribution()
     write_csv("region_distribution.csv", ["region", "count", "pct"], _distribution_rows(regions))

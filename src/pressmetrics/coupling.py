@@ -51,43 +51,55 @@ def build_coupling_graph(corpus, doi_journals: dict[str, str] | None = None) -> 
 def journal_coverage(corpus, external_counts: dict[str, int],
                      alias_table: dict[str, str] | None = None, *,
                      stats: Counter) -> list[JournalCoverage]:
-    """Coverage percentage per journal over the releases naming it.
+    """Coverage percentage per journal over the releases naming it; see CoverageTally."""
+    tally = CoverageTally(external_counts, alias_table)
+    for release in corpus:
+        tally.add(release)
+    return tally.rows(stats)
+
+
+class CoverageTally:
+    """journal_coverage one release at a time: ``add`` each release, then read ``rows``.
 
     Each release contributes at most once per named journal. Journals known
     only to the external counts appear with zero press releases; a journal
     with press releases but no external count gets a null percentage and a
     warning counted in ``stats``. Two external names that the alias table
     maps to one journal may repeat a count but not give two: that fails
-    with a ValueError naming both. Rows sort by press-release count
-    descending, ties broken on the journal name.
+    with a ValueError naming both, before any release is added. Rows sort by
+    press-release count descending, ties broken on the journal name.
     """
-    alias_table = alias_table or {}
 
-    press_counts = Counter(journal for release in corpus for journal in
-                           {normalize_institution(j, alias_table) for j in release.metadata.journal})
+    def __init__(self, external_counts: dict[str, int], alias_table: dict[str, str] | None = None):
+        self.alias_table = alias_table or {}
+        self.press: Counter[str] = Counter()
+        self.externals: Counter[str] = Counter()
+        named: dict[str, str] = {}  # journal -> the external name its count came from
+        for name, count in external_counts.items():
+            journal = normalize_institution(name, self.alias_table)
+            if self.externals.setdefault(journal, int(count)) != int(count):
+                raise ValueError(f"{named[journal]!r} and {name!r} both name {journal!r}, with "
+                                 f"{self.externals[journal]} and {count} publications")
+            named.setdefault(journal, name)
 
-    externals: Counter[str] = Counter()
-    named: dict[str, str] = {}  # journal -> the external name its count came from
-    for name, count in external_counts.items():
-        journal = normalize_institution(name, alias_table)
-        if externals.setdefault(journal, int(count)) != int(count):
-            raise ValueError(f"{named[journal]!r} and {name!r} both name {journal!r}, with "
-                             f"{externals[journal]} and {count} publications")
-        named.setdefault(journal, name)
+    def add(self, release) -> None:
+        self.press.update({normalize_institution(j, self.alias_table)
+                           for j in release.metadata.journal})
 
-    rows: list[JournalCoverage] = []
-    for journal in set(press_counts) | set(externals):
-        publications = externals[journal]
-        press = press_counts[journal]
-        if publications > 0:
-            pct = percentage(press, publications, 1)
-        else:
-            pct = None
-            if press > 0:
-                stats["undefined_coverage"] += 1
-        rows.append(JournalCoverage(journal, publications, press, pct))
-    rows.sort(key=lambda r: (-r.press_release_count, r.journal))
-    return rows
+    def rows(self, stats: Counter) -> list[JournalCoverage]:
+        rows: list[JournalCoverage] = []
+        for journal in set(self.press) | set(self.externals):
+            publications = self.externals[journal]
+            press = self.press[journal]
+            if publications > 0:
+                pct = percentage(press, publications, 1)
+            else:
+                pct = None
+                if press > 0:
+                    stats["undefined_coverage"] += 1
+            rows.append(JournalCoverage(journal, publications, press, pct))
+        rows.sort(key=lambda r: (-r.press_release_count, r.journal))
+        return rows
 
 
 def load_external_counts(path: str | Path, digests: dict | None = None) -> dict[str, int]:

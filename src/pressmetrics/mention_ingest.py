@@ -159,9 +159,9 @@ def ingest_tweets(records, hops: dict, index: CorpusIndex, stats: dict) -> list[
     kept: dict[str, TweetMention] = {}
     for record in records:
         try:
-            tweet_id = str(record["tweet_id"])
+            tweet_id = store.typed(record, "tweet_id", str)
             created_at = _parse_timestamp(record["created_at"])
-            author_id = str(record.get("author_id", ""))
+            author_id = store.typed(record, "author_id", str)
             urls = store.typed(record, "urls", list)
             is_retweet = store.typed(record, "is_retweet", bool)
         except (KeyError, TypeError, ValueError):

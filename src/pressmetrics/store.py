@@ -1,55 +1,82 @@
 """Plain-file persistence: JSON Lines and CSV, committed by rename.
 
-JSON Lines outputs stream to ``<name>.partial`` one record at a time and are
-renamed into place after the last record, so a failed stage leaves the
-partial file and the previous output. CSV and JSON reports are written to a
-mkstemp file in the destination directory and renamed. Crawled page bodies
-are appended to one pack, and the crawl manifest line naming each follows it.
-CSVs are UTF-8, LF line endings, header row always present. Each text writer
-returns the SHA-256 hex digest of the bytes it wrote, and each reader puts the
-digest of the bytes it decoded in a ``digests`` dict, so a stage records its
-files in the one pass that reads or writes them.
+Every output streams: its text is encoded, hashed and written in blocks, so
+no stage holds a whole report or stage file. JSON Lines outputs go to
+``<name>.partial``, flushed after each record, and are renamed into place
+after the last one, so a failed stage leaves the partial file and the
+previous output. CSV and JSON reports go to a mkstemp file in the
+destination directory and are renamed. Crawled page bodies are appended to
+one pack, and the crawl manifest line naming each follows it. CSVs are UTF-8,
+LF line endings, header row always present. Each writer returns the SHA-256
+hex digest of the bytes it wrote, and each reader puts the digest of the
+bytes it decoded in a ``digests`` dict.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
 from contextlib import suppress
+from itertools import chain, islice
 from pathlib import Path
+from types import SimpleNamespace
 
 
 _TEMP_SUFFIX = ".tmp"
+_BLOCK = 1024  # chunks of a report's text joined into one write
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False, sort_keys=True)
 
 
 def is_temp_file(path: str | Path) -> bool:
-    """Whether ``path`` is named as atomic_write_bytes names its temp files,
+    """Whether ``path`` is named as the report writers name their temp files,
     ``<name>.<random>.tmp``: one left behind is a write killed before its rename."""
     return Path(path).name.endswith(_TEMP_SUFFIX)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def _write_blocks(fh, chunks, n: int) -> str:
+    """Write the text ``chunks`` to ``fh``, each ``n`` joined, encoded, written,
+    flushed and hashed before the next is drawn; returns the SHA-256 hex digest."""
+    digest = hashlib.sha256()
+    chunks = iter(chunks)
+    while block := list(islice(chunks, n)):
+        data = "".join(block).encode("utf-8")
+        fh.write(data)
+        fh.flush()
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _replace(path: str | Path, write):
+    """``write(fh)``'s result, written to a mkstemp file that is renamed to
+    ``path`` once it returns; if it raises, ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=_TEMP_SUFFIX)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            result = write(fh)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+    return result
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    _replace(path, lambda fh: fh.write(data))
 
 
 def atomic_write_text(path: str | Path, text: str) -> str:
-    data = text.encode("utf-8")
-    atomic_write_bytes(path, data)
-    return hashlib.sha256(data).hexdigest()
+    return write_text(path, [text])
+
+
+def write_text(path: str | Path, chunks) -> str:
+    """Replace ``path`` with the text ``chunks``, streamed through a temp file."""
+    return _replace(path, lambda fh: _write_blocks(fh, chunks, _BLOCK))
 
 
 def write_jsonl(path: str | Path, records) -> str:
@@ -61,15 +88,10 @@ def write_jsonl(path: str | Path, records) -> str:
     every line written before it and ``path`` is left as it was."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    digest = hashlib.sha256()
     with open(partial, "wb") as fh:
-        for record in records:
-            data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
-            fh.write(data)
-            fh.flush()
-            digest.update(data)
+        digest = _write_blocks(fh, (json.dumps(r, ensure_ascii=False) + "\n" for r in records), 1)
     os.replace(partial, path)
-    return digest.hexdigest()
+    return digest
 
 
 def _converted(convert, record, path, lineno: int, missing: str):
@@ -184,20 +206,15 @@ def read_mapping(path: str | Path, convert, digests: dict | None = None) -> dict
     return {key: value for key, (value, _) in first.items()}
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return atomic_write_text(path, buf.getvalue())
+def write_csv(path: str | Path, header: list[str], rows) -> str:
+    """The header and each row of the iterable ``rows``, streamed as write_text streams."""
+    lines = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # writerow returns the line
+    return write_text(path, map(lines.writerow, chain([header], rows)))
 
 
 def write_json(path: str | Path, payload) -> str:
-    # json.dump appends each chunk to the buffer; json.dumps would hold them all in a list
-    buf = io.StringIO()
-    json.dump(payload, buf, indent=2, ensure_ascii=False, sort_keys=True)
-    buf.write("\n")
-    return atomic_write_text(path, buf.getvalue())
+    """``payload`` as json.dump writes it with indent 2, sorted keys and no ASCII escapes."""
+    return write_text(path, chain(_JSON.iterencode(payload), ["\n"]))
 
 
 def file_digest(path: str | Path) -> str:

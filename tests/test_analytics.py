@@ -1,10 +1,16 @@
+import json
 from collections import Counter
 from datetime import date
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracle
+from pressmetrics import analytics
 from pressmetrics.analytics import (
+    CoGraph,
     cooccurrence_graph,
     cograph_to_json_dict,
     coverage_table,
@@ -132,6 +138,21 @@ class TestCooccurrence:
             assert set(link) == {"source", "target", "weight"}
             assert link["source"] in ids and link["target"] in ids
             assert link["source"] != link["target"] and link["weight"] >= 1
+
+
+    def test_json_text_of_an_empty_graph(self):
+        assert "".join(analytics.cograph_json(CoGraph())) == '{\n  "links": [],\n  "nodes": []\n}\n'
+
+    @given(st.lists(st.lists(st.text(max_size=8), max_size=6), max_size=6))
+    def test_json_text_is_json_dump_of_the_dict(self, keyword_lists):
+        graph = CoGraph()
+        for keywords in (sorted(set(k)) for k in keyword_lists):
+            graph.nodes.update(keywords)
+            graph.edges.update(combinations(keywords, 2))
+            graph.link_strength.update(dict.fromkeys(keywords, len(keywords) - 1))
+        want = json.dumps(cograph_to_json_dict(graph), indent=2, ensure_ascii=False,
+                          sort_keys=True) + "\n"
+        assert "".join(analytics.cograph_json(graph)) == want
 
 
 class TestRegionDistribution:

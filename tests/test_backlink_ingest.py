@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pressmetrics import backlink_ingest
 from pressmetrics.backlink_ingest import (
+    BacklinkAggregate,
     LinkValidationError,
     RawLinkRecord,
     link_coverage_index,
@@ -48,6 +50,22 @@ def test_validation_errors_name_the_record(fields):
     with pytest.raises(LinkValidationError) as err:
         merge_protocol_variants([RawLinkRecord(*fields)])
     assert "h.test/p" in str(err.value)
+
+
+def test_merging_does_not_canonicalize_a_target_again(monkeypatch):
+    records = [RawLinkRecord(f"{scheme}://www.eksci.test/releases/p{i}.html", 5 + i, 2, 10 * i, 7)
+               for i in range(3) for scheme in ("http", "https")]
+    calls = []
+    canonicalize = backlink_ingest.canonicalize_url
+    monkeypatch.setattr(backlink_ingest, "canonicalize_url",
+                        lambda url: calls.append(url) or canonicalize(url))
+    merged = merge_protocol_variants(records)
+    assert calls == []
+    # each merged record is what validating its fields would have built
+    assert merged == [BacklinkAggregate(a.target, a.mentioning_webpages, a.mentioning_websites,
+                                        a.citation_flow, a.trust_flow, merged_from=2)
+                      for a in merged]
+    assert [a.mentioning_webpages for a in merged] == [10, 12, 14]
 
 
 RECORDS = st.builds(

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import fcntl
 import hashlib
+import io
 import json
 import os
 import random
@@ -15,6 +16,7 @@ import typing
 from collections import Counter
 from datetime import date, datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -795,6 +797,33 @@ class TestCouple:
         assert str(err.value).startswith(f"[couple] {cfg.external_counts}: 'j. fixture sci.' "
                                          f"and 'journal of fixture science' both name ")
 
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path, fixtures_dir):
+        rng = random.Random(21)
+        journals = ["Journal of Fixture Science", "Acta Synthetica", "Unlisted Letters"]
+
+        def couple_peak(n: int) -> int:
+            cfg = fixture_config(tmp_path / f"n{n}", fixtures_dir)
+            cfg.corpus_dir.mkdir(parents=True)
+            records = _synthetic_corpus(rng, n)
+            for i, record in enumerate(records):
+                record.update(description="a long description " * 200,
+                              journal=[rng.choice(journals)],
+                              dois=[{"raw": f"10.1000/r{i}", "normalized": f"10.1000/r{i}",
+                                     "repair": "none"}])
+            store.write_jsonl(cfg.corpus_file, records)
+            del records
+            tracemalloc.start()
+            try:
+                counts = cli.run("couple", cfg).counts
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts["edges"] == n
+            return peak
+
+        small, large = couple_peak(300), couple_peak(1200)
+        assert large - small < 512 * 1024, (small, large)
+
 
 class TestAnalyze:
     def test_reports_equal_the_public_statistics(self, tmp_path, fixtures_dir):
@@ -890,6 +919,42 @@ class TestAnalyze:
         small, large = analyze_peak(300), analyze_peak(1200)
         assert large - small < 512 * 1024, (small, large)
 
+    def test_memory_beyond_the_fold_does_not_grow_with_the_keyword_graph(self, tmp_path,
+                                                                         fixtures_dir):
+        rng = random.Random(8)
+        vocabulary = [f"keyword{i:03d}" for i in range(400)]
+
+        def traced(work) -> tuple:
+            """What ``work()`` returns, and the traced peak while it ran."""
+            tracemalloc.start()
+            try:
+                return work(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def folded(cfg) -> analytics.Fold:
+            fold = analytics.Fold()
+            for release in store.read_jsonl(cfg.corpus_file,
+                                            convert=release_parser.release_from_dict):
+                fold.add_release(release)
+            return fold
+
+        def excess(keywords: int) -> tuple[int, int]:
+            """The analyze peak above the peak of folding its corpus, and the graph's edges."""
+            cfg = fixture_config(tmp_path / f"k{keywords}", fixtures_dir)
+            cfg.corpus_dir.mkdir(parents=True)
+            records = _synthetic_corpus(rng, 300)
+            for record in records:
+                record["keywords"] = rng.sample(vocabulary, keywords)
+            store.write_jsonl(cfg.corpus_file, records)
+            edges, fold_peak = traced(lambda: len(folded(cfg).graph.edges))
+            _, analyze_peak = traced(lambda: cli.run("analyze", cfg))
+            return analyze_peak - fold_peak, edges
+
+        (small, small_edges), (large, large_edges) = excess(8), excess(16)
+        assert 3 * small_edges < large_edges < 5 * small_edges
+        assert large - small < 512 * 1024, (small, large)
+
     def test_inputs_are_recorded_from_the_read_that_decodes_them(
             self, tmp_path, fixtures_dir, monkeypatch):
         cfg = fixture_config(tmp_path, fixtures_dir)
@@ -926,7 +991,70 @@ def _python(code: str, *args) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, timeout=60)
 
 
+def _stringio_csv(header: list, rows: list) -> bytes:
+    """What store.write_csv wrote before reports streamed, built in one StringIO."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _stringio_json(payload) -> bytes:
+    """What store.write_json wrote before reports streamed, built in one StringIO."""
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, ensure_ascii=False, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+_CELLS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    st.text() | st.integers() | st.floats() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
 class TestStorePrimitives:
+    # a block of one to three chunks puts block boundaries inside every small report
+    @given(st.lists(st.text(), max_size=4), st.lists(st.lists(_CELLS, max_size=5), max_size=8),
+           st.integers(1, 3))
+    def test_a_streamed_csv_has_the_bytes_and_digest_of_one_string(self, header, rows, block):
+        want = _stringio_csv(header, rows)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(store, "_BLOCK", block):
+            path = Path(tmp) / "report.csv"
+            assert store.write_csv(path, header, iter(rows)) == hashlib.sha256(want).hexdigest()
+            assert path.read_bytes() == want
+
+    @given(_JSON_VALUES, st.integers(1, 3))
+    def test_a_streamed_json_document_has_the_bytes_and_digest_of_one_string(self, payload,
+                                                                              block):
+        want = _stringio_json(payload)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(store, "_BLOCK", block):
+            path = Path(tmp) / "report.json"
+            assert store.write_json(path, payload) == hashlib.sha256(want).hexdigest()
+            assert path.read_bytes() == want
+
+    def test_a_report_streams_to_its_temp_file_and_a_failure_removes_it(self, tmp_path):
+        path = tmp_path / "report.csv"
+        store.write_csv(path, ["n"], [[1]])
+        temp_sizes = []
+
+        def rows():
+            for i in range(5000):
+                if i == 4000:
+                    temp_sizes.extend(p.stat().st_size for p in tmp_path.iterdir()
+                                      if store.is_temp_file(p))
+                yield [i]
+            raise RuntimeError("the row source failed")
+
+        with pytest.raises(RuntimeError):
+            store.write_csv(path, ["n"], rows())
+        assert path.read_text() == "n\n1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+        [written] = temp_sizes  # the rows before the 4,000th were on disk when it was drawn
+        assert written > 0
+
     def test_atomic_write_no_temp_leftovers(self, tmp_path):
         target = tmp_path / "out" / "file.txt"
         store.atomic_write_text(target, "payload")

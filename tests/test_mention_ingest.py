@@ -128,8 +128,8 @@ class TestIngest:
                                      "ftp://www.eksci.test/releases/2016/nfu-201601.html"])
     def test_url_that_does_not_canonicalise_is_out_of_scope(self, resolver, corpus_index, url):
         stats = {}
-        records = [{"tweet_id": "t1", "created_at": "2019-05-01T00:00:00Z", "urls": [url],
-                    "is_retweet": False}]
+        records = [{"tweet_id": "t1", "created_at": "2019-05-01T00:00:00Z", "author_id": "a1",
+                    "urls": [url], "is_retweet": False}]
         assert ingest_tweets(records, resolver, corpus_index, stats=stats) == []
         assert stats == {"no_corpus_url": 1}
         assert match_to_release(url, corpus_index).kind is MatchKind.OUT_OF_SCOPE
@@ -150,6 +150,23 @@ class TestIngest:
     def test_a_value_of_another_type_is_malformed(self, records, resolver, corpus_index, value):
         stats = {}
         tweet = dict(records[0], **value)
+        assert ingest_tweets([tweet], resolver, corpus_index, stats=stats) == []
+        assert stats == {"malformed_records": 1}
+
+    def test_a_numeric_id_is_malformed_not_a_duplicate_of_its_string(
+            self, records, resolver, corpus_index):
+        stats = {}
+        tweets = [dict(records[0], tweet_id="12"), dict(records[0], tweet_id=12)]
+        (mention,) = ingest_tweets(tweets, resolver, corpus_index, stats=stats)
+        assert mention.tweet_id == "12"
+        assert stats == {"malformed_records": 1}
+
+    # a null author was written as the string "None", a missing one as ""
+    @pytest.mark.parametrize("author", [{"author_id": None}, {"author_id": 7}, {}])
+    def test_an_author_that_is_not_a_string_is_malformed(self, records, resolver, corpus_index,
+                                                         author):
+        stats = {}
+        tweet = {k: v for k, v in records[0].items() if k != "author_id"} | author
         assert ingest_tweets([tweet], resolver, corpus_index, stats=stats) == []
         assert stats == {"malformed_records": 1}
 

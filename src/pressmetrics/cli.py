@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import analytics, backlink_ingest, coupling, harvester, mention_ingest, store
 from .release_parser import (
@@ -57,33 +58,14 @@ class PipelineConfig:
     resolver_file: Path | None = None
 
     # stage file layout
-    @property
-    def pages_pack(self) -> Path:
-        return self.corpus_dir / "pages.pack"
-
-    @property
-    def crawl_manifest(self) -> Path:
-        return self.corpus_dir / "crawl_manifest.jsonl"
-
-    @property
-    def corpus_file(self) -> Path:
-        return self.corpus_dir / "corpus.jsonl"
-
-    @property
-    def mentions_file(self) -> Path:
-        return self.corpus_dir / "mentions.jsonl"
-
-    @property
-    def backlinks_attached(self) -> Path:
-        return self.corpus_dir / "backlinks.jsonl"
-
-    @property
-    def backlinks_outdated(self) -> Path:
-        return self.corpus_dir / "backlinks_outdated.jsonl"
-
-    @property
-    def run_log(self) -> Path:
-        return self.corpus_dir / "run_log.jsonl"
+    pages_pack = property(lambda self: self.corpus_dir / "pages.pack")
+    crawl_manifest = property(lambda self: self.corpus_dir / "crawl_manifest.jsonl")
+    corpus_file = property(lambda self: self.corpus_dir / "corpus.jsonl")
+    mentions_file = property(lambda self: self.corpus_dir / "mentions.jsonl")
+    backlinks_attached = property(lambda self: self.corpus_dir / "backlinks.jsonl")
+    backlinks_outdated = property(lambda self: self.corpus_dir / "backlinks_outdated.jsonl")
+    run_log = property(lambda self: self.corpus_dir / "run_log.jsonl")
+    summary_file = property(lambda self: self.report_dir / "summary.json")
 
 
 _PATH_KEYS = {f.name for f in fields(PipelineConfig) if f.type.startswith("Path")}
@@ -145,26 +127,15 @@ class RunManifest:
         return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
 
 
-def _existing(manifest: RunManifest, path: Path | None, what: str) -> Path:
-    """``path``, which the stage cannot run without; its ``store`` reader records it."""
-    if path is None:
-        raise PipelineError(manifest.command, f"{what} not configured")
-    if not path.exists():
-        raise PipelineError(manifest.command, f"missing prerequisite: {what} at {path} "
-                                              f"(run the producing stage first)")
-    return path
-
-
-def _table(manifest: RunManifest, path: Path | None, what: str, load, default=None):
+def _table(manifest: RunManifest, path: Path | None, load, default=None):
     """``load(path, manifest.input_digests)``, or ``default`` if no table is configured."""
-    return default if path is None else load(_existing(manifest, path, what),
-                                             manifest.input_digests)
+    return default if path is None else load(path, manifest.input_digests)
 
 
-def _resolver(cfg: PipelineConfig, manifest: RunManifest) -> mention_ingest.CsvResolver:
+def _resolver(inputs, manifest: RunManifest) -> mention_ingest.CsvResolver:
     """The recorded redirects; with none, every URL is terminal."""
-    return _table(manifest, cfg.resolver_file, "resolver fixture",
-                  mention_ingest.CsvResolver.from_csv, mention_ingest.CsvResolver())
+    return _table(manifest, inputs.resolver_file, mention_ingest.CsvResolver.from_csv,
+                  mention_ingest.CsvResolver())
 
 
 def _write(manifest: RunManifest, write, path: Path, *args) -> None:
@@ -176,12 +147,10 @@ def _write(manifest: RunManifest, write, path: Path, *args) -> None:
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_crawl(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    if not cfg.seed_path:
-        raise PipelineError("crawl", "seed_path not configured")
-    scope = harvester.CrawlScope(cfg.seed_path, cfg.rate_limit)
-    if cfg.fixtures_dir is not None:
-        fetcher = harvester.DirectoryFetcher(_existing(manifest, cfg.fixtures_dir, "fixtures_dir"))
+def stage_crawl(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    scope = harvester.CrawlScope(inputs.seed_path, inputs.rate_limit)
+    if inputs.fixtures_dir is not None:
+        fetcher = harvester.DirectoryFetcher(inputs.fixtures_dir)
         clock = harvester.VirtualClock()
     else:
         fetcher = harvester.HttpFetcher()
@@ -220,11 +189,10 @@ def _manifest_line(entry: dict) -> tuple:
             harvester.PageClass(entry["class"]))
 
 
-def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    crawl_manifest = _existing(manifest, cfg.crawl_manifest, "crawl manifest")
-    pages_pack = _existing(manifest, cfg.pages_pack, "page pack")
-    rewrite_table = _table(manifest, cfg.doi_rewrites, "DOI rewrite table", load_rewrite_table, ())
-    unshorten = _resolver(cfg, manifest).unshorten
+def stage_parse(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    crawl_manifest, pages_pack = inputs.crawl_manifest, inputs.pages_pack
+    rewrite_table = _table(manifest, inputs.doi_rewrites, load_rewrite_table, ())
+    unshorten = _resolver(inputs, manifest).unshorten
 
     manifest.counts.update(parsed=0, parse_errors=0, skipped_non_content=0)
     urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
@@ -258,34 +226,38 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest) -> None:
         _write(manifest, store.write_jsonl, cfg.corpus_file, records(pack))
 
 
-def _releases(cfg: PipelineConfig, manifest: RunManifest):
-    """Each corpus release, decoded as it is read; a stage calls this at most once."""
-    corpus = _existing(manifest, cfg.corpus_file, "parsed corpus")
-    return store.read_jsonl(corpus, manifest.input_digests, release_from_dict)
+def _releases(inputs, manifest: RunManifest):
+    """Each corpus release, decoded as it is read; a stage calls this at most once.
+    A release id that an earlier line has fails at its line."""
+    ids: set[str] = set()
+
+    def decode(record: dict):
+        release = release_from_dict(record)
+        if release.id in ids:
+            raise ValueError(f"release id {release.id!r} repeats an earlier line")
+        ids.add(release.id)
+        return release
+
+    return store.read_jsonl(inputs.corpus_file, manifest.input_digests, decode)
 
 
-def _corpus_index(cfg: PipelineConfig, manifest: RunManifest) -> CorpusIndex:
-    releases = _releases(cfg, manifest)
-    if not cfg.seed_path:
-        raise PipelineError(manifest.command, "seed_path not configured")
-    return CorpusIndex.from_releases(releases, cfg.seed_path)
+def _corpus_index(inputs, manifest: RunManifest) -> CorpusIndex:
+    return CorpusIndex.from_releases(_releases(inputs, manifest), inputs.seed_path)
 
 
-def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    tweets_path = _existing(manifest, cfg.tweets_file, "tweet archive")
-    index = _corpus_index(cfg, manifest)
+def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    index = _corpus_index(inputs, manifest)
     mentions = mention_ingest.ingest_tweets(
-        store.read_jsonl(tweets_path, manifest.input_digests), _resolver(cfg, manifest), index,
-        stats=manifest.counts)
+        store.read_jsonl(inputs.tweets_file, manifest.input_digests), _resolver(inputs, manifest),
+        index, stats=manifest.counts)
     _write(manifest, store.write_jsonl, cfg.mentions_file,
            map(mention_ingest.mention_to_dict, mentions))
     manifest.counts["mentions_kept"] = len(mentions)
 
 
-def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    links_path = _existing(manifest, cfg.backlinks_file, "backlink CSV")
-    index = _corpus_index(cfg, manifest)
-    records = backlink_ingest.read_raw_links_csv(links_path, manifest.input_digests)
+def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    index = _corpus_index(inputs, manifest)
+    records = backlink_ingest.read_raw_links_csv(inputs.backlinks_file, manifest.input_digests)
     aggregates = backlink_ingest.merge_protocol_variants(records)
     coverage = backlink_ingest.link_coverage_index(aggregates, index)
     _write(manifest, store.write_jsonl, cfg.backlinks_attached,
@@ -306,16 +278,15 @@ def _fmt(value: float, places: int) -> str:
     return f"{value:.{places}f}"
 
 
-def stage_couple(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    releases = _releases(cfg, manifest)
-    counts_path = _existing(manifest, cfg.external_counts, "external counts CSV")
-    external_counts = coupling.load_external_counts(counts_path, manifest.input_digests)
-    aliases = _table(manifest, cfg.alias_journals, "journal aliases", load_alias_table, {})
-    doi_journals = _table(manifest, cfg.doi_journals, "DOI journals", coupling.load_doi_journals)
+def stage_couple(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    releases = _releases(inputs, manifest)
+    external_counts = coupling.load_external_counts(inputs.external_counts, manifest.input_digests)
+    aliases = _table(manifest, inputs.alias_journals, load_alias_table, {})
+    doi_journals = _table(manifest, inputs.doi_journals, coupling.load_doi_journals)
     try:
         tally = coupling.CoverageTally(external_counts, aliases)
     except ValueError as err:
-        raise PipelineError("couple", f"{counts_path}: {err}") from err
+        raise PipelineError("couple", f"{inputs.external_counts}: {err}") from err
     manifest.counts["edges"] = 0
 
     def edge_rows():
@@ -344,21 +315,21 @@ def _distribution_rows(dist: dict) -> list[list]:
             for key, (n, p) in sorted(dist.items(), key=lambda kv: (-kv[1][0], kv[0].value))]
 
 
-def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    releases = _releases(cfg, manifest)
-    aliases = _table(manifest, cfg.alias_institutions, "institution aliases", load_alias_table, {})
+def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    releases = _releases(inputs, manifest)
+    aliases = _table(manifest, inputs.alias_institutions, load_alias_table, {})
     fold = analytics.Fold()
     for release in releases:
         fold.add_release(release)
-    has_mentions = cfg.mentions_file.is_file()
+    has_mentions = inputs.mentions_file is not None
     if has_mentions:
-        for mention in store.read_jsonl(cfg.mentions_file, manifest.input_digests,
+        for mention in store.read_jsonl(inputs.mentions_file, manifest.input_digests,
                                         mention_ingest.mention_from_dict):
             fold.add_mention(mention)
-    has_backlinks = cfg.backlinks_attached.is_file()
+    has_backlinks = inputs.backlinks_attached is not None
     windows: dict[str, str] = {}
     if has_backlinks:
-        links = store.read_jsonl(cfg.backlinks_attached, manifest.input_digests,
+        links = store.read_jsonl(inputs.backlinks_attached, manifest.input_digests,
                                  backlink_ingest.link_window_from_dict)
         for release_id, *ends in links:
             fold.add_link(release_id)
@@ -378,11 +349,11 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
         **{f"backlink_{end}": value for end, value in windows.items()},
     }
 
-    series = fold.output_series(cfg.granularity)
-    write_csv("annual_output.csv", ["year" if cfg.granularity == "yearly" else "date", "count"],
+    series = fold.output_series(inputs.granularity)
+    write_csv("annual_output.csv", ["year" if inputs.granularity == "yearly" else "date", "count"],
               [[str(b), n] for b, n in series])
     populations["annual_output"] = sum(n for _, n in series)
-    if cfg.granularity == "daily":
+    if inputs.granularity == "daily":
         peak = analytics.peak_bucket(series)
         if peak is not None:
             populations["peak_day"] = str(peak[0])
@@ -420,12 +391,15 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest) -> None:
                     r.web_linked, _fmt(r.pct_web, 1)] for r in rows])
         populations["coverage_table"] = sum(r.published for r in rows)
 
-    _write(manifest, store.write_json, report / "summary.json", populations)
+    _write(manifest, store.write_json, cfg.summary_file, populations)
     dict.update(manifest.counts, populations)  # set, as Counter.update would add to strings
+    for name in ("mention_series.csv", "tweets_per_release.csv", "coverage_table.csv"):
+        if str(report / name) not in manifest.output_digests:  # an earlier run's, now stale
+            (report / name).unlink(missing_ok=True)
 
 
-def stage_report(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    summary = _existing(manifest, cfg.report_dir / "summary.json", "analyze output")
+def stage_report(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
+    summary = inputs.summary_file
     populations = store.read_json(summary, manifest.input_digests)
     reports = {p.name: store.file_digest(p) for p in cfg.report_dir.iterdir()
                if p.is_file() and not store.is_temp_file(p)
@@ -436,16 +410,40 @@ def stage_report(cfg: PipelineConfig, manifest: RunManifest) -> None:
     manifest.counts["report_files"] = len(reports)
 
 
+# What each stage reads: stage -> (function, the keys it cannot run without,
+# the keys it reads if set). A stage file counts as a key.
 _STAGES = {
-    "crawl": stage_crawl,
-    "parse": stage_parse,
-    "ingest-tweets": stage_ingest_tweets,
-    "ingest-links": stage_ingest_links,
-    "couple": stage_couple,
-    "analyze": stage_analyze,
-    "report": stage_report,
+    "crawl": (stage_crawl, ("seed_path",), ("rate_limit", "fixtures_dir")),
+    "parse": (stage_parse, ("crawl_manifest", "pages_pack"), ("doi_rewrites", "resolver_file")),
+    "ingest-tweets": (stage_ingest_tweets, ("tweets_file", "corpus_file", "seed_path"),
+                      ("resolver_file",)),
+    "ingest-links": (stage_ingest_links, ("backlinks_file", "corpus_file", "seed_path"), ()),
+    "couple": (stage_couple, ("corpus_file", "external_counts"),
+               ("alias_journals", "doi_journals")),
+    "analyze": (stage_analyze, ("corpus_file",),
+                ("granularity", "alias_institutions", "mentions_file", "backlinks_attached")),
+    "report": (stage_report, ("summary_file",), ()),
 }
 COMMANDS = tuple(_STAGES)
+
+
+def _inputs(command: str, cfg: PipelineConfig) -> SimpleNamespace:
+    """The value of each key ``command`` reads, checked before the stage starts: a
+    required key must be set and a path that is set must exist, except an optional
+    stage file, which reads as unset until the stage that writes it has run."""
+    _, required, optional = _STAGES[command]
+    inputs = SimpleNamespace()
+    for key in required + optional:
+        value = getattr(cfg, key)
+        if key in required and not value:
+            raise PipelineError(command, f"{key} not configured")
+        if isinstance(value, Path) and not value.exists():
+            if key in required or key in _PATH_KEYS:
+                raise PipelineError(command, f"missing prerequisite: {key} at {value} "
+                                             f"(run the producing stage first)")
+            value = None
+        setattr(inputs, key, value)
+    return inputs
 
 
 def run(command: str, cfg: PipelineConfig) -> RunManifest:
@@ -462,7 +460,8 @@ def run(command: str, cfg: PipelineConfig) -> RunManifest:
             fcntl.flock(log, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RuntimeError(f"output directory is locked by another run: {cfg.run_log}") from None
-        _STAGES[command](cfg, manifest)
+        # checked under the lock, so that no other run is writing what is checked
+        _STAGES[command][0](cfg, manifest, _inputs(command, cfg))
         manifest.finished_at = datetime.now(timezone.utc).isoformat()
         log.write(manifest.to_json() + "\n")
     return manifest

@@ -120,53 +120,101 @@ class TestConfig:
         assert all(getattr(cfg, name) is None for name in optional)
 
 
-class TestPrerequisites:
-    def test_parse_before_crawl(self, tmp_path, fixtures_dir):
-        cfg = fixture_config(tmp_path, fixtures_dir)
-        with pytest.raises(cli.PipelineError) as err:
-            cli.run("parse", cfg)
-        assert err.value.stage == "parse"
-        assert "missing prerequisite" in str(err.value)
+def copied_run(completed_run, base: Path) -> cli.PipelineConfig:
+    """The completed fixture run's configuration, on a copy of its stage files and reports."""
+    cfg, _ = completed_run
+    copy = dataclasses.replace(cfg, corpus_dir=base / "corpus", report_dir=base / "reports")
+    shutil.copytree(cfg.corpus_dir, copy.corpus_dir)
+    shutil.copytree(cfg.report_dir, copy.report_dir)
+    return copy
 
-    def test_parse_requires_configured_resolver(self, tmp_path, fixtures_dir):
-        cfg = fixture_config(tmp_path, fixtures_dir)
-        cli.run("crawl", cfg)
-        cfg.resolver_file = tmp_path / "no_resolver.csv"
+
+def file_tree(cfg: cli.PipelineConfig) -> dict:
+    """Each stage file and report with its bytes and inode; a rewrite by rename changes the inode."""
+    return {p: (p.read_bytes(), p.stat().st_ino)
+            for d in (cfg.corpus_dir, cfg.report_dir) for p in d.rglob("*") if p.is_file()}
+
+
+# each required config key of each stage, set to "not configured"
+UNSET = [("crawl", "seed_path"), ("ingest-tweets", "tweets_file"), ("ingest-tweets", "seed_path"),
+         ("ingest-links", "backlinks_file"), ("ingest-links", "seed_path"),
+         ("couple", "external_counts")]
+# each path a stage reads, required or configured, pointed at nothing
+MISSING = [("crawl", "fixtures_dir"), ("parse", "crawl_manifest"), ("parse", "pages_pack"),
+           ("parse", "doi_rewrites"), ("parse", "resolver_file"), ("ingest-tweets", "tweets_file"),
+           ("ingest-tweets", "corpus_file"), ("ingest-tweets", "resolver_file"),
+           ("ingest-links", "backlinks_file"), ("ingest-links", "corpus_file"),
+           ("couple", "corpus_file"), ("couple", "external_counts"), ("couple", "alias_journals"),
+           ("couple", "doi_journals"), ("analyze", "corpus_file"),
+           ("analyze", "alias_institutions"), ("report", "summary_file")]
+# stage files that analyze reads only once the stage that writes them has run
+READ_IF_WRITTEN = [("analyze", "mentions_file"), ("analyze", "backlinks_attached")]
+
+
+class TestPrerequisites:
+    """What each stage reads, as ``cli._STAGES`` lists it, is checked before the stage starts."""
+
+    @staticmethod
+    def fails_before_the_stage(cfg: cli.PipelineConfig, stage: str, message: str) -> None:
+        before = file_tree(cfg)
         with pytest.raises(cli.PipelineError) as err:
-            cli.run("parse", cfg)
-        assert err.value.stage == "parse"
-        assert "missing prerequisite" in str(err.value)
+            cli.run(stage, cfg)
+        assert (err.value.stage, str(err.value)) == (stage, f"[{stage}] {message}")
+        assert file_tree(cfg) == before  # no output, and no run-log line
+
+    @pytest.mark.parametrize("stage,key", UNSET)
+    def test_an_unset_required_key_is_not_configured(self, completed_run, tmp_path, stage, key):
+        cfg = copied_run(completed_run, tmp_path)
+        setattr(cfg, key, "" if key == "seed_path" else None)
+        self.fails_before_the_stage(cfg, stage, f"{key} not configured")
+
+    @pytest.mark.parametrize("stage,key", MISSING)
+    def test_a_missing_path_is_a_missing_prerequisite(self, completed_run, tmp_path, stage, key):
+        cfg = copied_run(completed_run, tmp_path)
+        if key in cli.PipelineConfig.__dataclass_fields__:
+            setattr(cfg, key, tmp_path / "missing.csv")
+        else:
+            getattr(cfg, key).unlink()
+        self.fails_before_the_stage(cfg, stage, f"missing prerequisite: {key} at "
+                                                f"{getattr(cfg, key)} (run the producing stage first)")
+
+    def test_the_cases_cover_every_key_in_the_stage_table(self, tmp_path, fixtures_dir):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cfg.doi_journals = tmp_path / "doi_journals.csv"
+        table = {(stage, key) for stage, (_, required, optional) in cli._STAGES.items()
+                 for key in required + optional}
+        assert set(MISSING) | set(READ_IF_WRITTEN) == {
+            (stage, key) for stage, key in table if isinstance(getattr(cfg, key), Path)}
+        assert set(UNSET) == {(stage, key) for stage, (_, required, _) in cli._STAGES.items()
+                              for key in required
+                              if key in cli.PipelineConfig.__dataclass_fields__}
+
+    def test_a_missing_resolver_is_reported_before_the_corpus_is_read(self, completed_run,
+                                                                      tmp_path):
+        cfg = copied_run(completed_run, tmp_path)
+        corpus = cfg.corpus_file.read_bytes()
+        cfg.corpus_file.write_bytes(corpus[:-10])  # the last line cut short
+        cfg.resolver_file = tmp_path / "no_resolver.csv"
+        self.fails_before_the_stage(cfg, "ingest-tweets", f"missing prerequisite: resolver_file "
+                                    f"at {cfg.resolver_file} (run the producing stage first)")
 
     def test_unknown_command(self, tmp_path, fixtures_dir):
         with pytest.raises(cli.PipelineError):
             cli.run("transmogrify", fixture_config(tmp_path, fixtures_dir))
 
-    def test_couple_requires_external_counts(self, tmp_path, fixtures_dir):
-        cfg = fixture_config(tmp_path, fixtures_dir)
-        cli.run("crawl", cfg)
-        cli.run("parse", cfg)
-        cfg.external_counts = None
-        with pytest.raises(cli.PipelineError) as err:
-            cli.run("couple", cfg)
-        assert err.value.stage == "couple"
 
-    @pytest.mark.parametrize("stage,table", [
-        ("parse", "doi_rewrites"),
-        ("couple", "alias_journals"),
-        ("couple", "doi_journals"),
-        ("analyze", "alias_institutions"),
-    ])
-    def test_configured_table_missing_is_a_prerequisite_error(self, tmp_path, fixtures_dir,
-                                                              stage, table):
-        cfg = fixture_config(tmp_path, fixtures_dir)
-        cli.run("crawl", cfg)
-        if stage != "parse":
-            cli.run("parse", cfg)
-        setattr(cfg, table, tmp_path / "missing.csv")
-        with pytest.raises(cli.PipelineError) as err:
+class TestRepeatedReleaseIds:
+    @pytest.mark.parametrize("stage", ["ingest-tweets", "ingest-links", "couple", "analyze"])
+    def test_a_repeated_corpus_line_fails_at_its_line(self, completed_run, tmp_path, stage):
+        cfg = copied_run(completed_run, tmp_path)
+        lines = cfg.corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        cfg.corpus_file.write_text("".join(lines[:3] + [lines[1]] + lines[3:]), encoding="utf-8")
+        before = file_tree(cfg)
+        with pytest.raises(ValueError) as err:
             cli.run(stage, cfg)
-        assert err.value.stage == stage
-        assert "missing prerequisite" in str(err.value)
+        assert str(err.value) == (f"{cfg.corpus_file}:4: release id "
+                                  f"{json.loads(lines[1])['id']!r} repeats an earlier line")
+        assert file_tree(cfg) == before
 
 
 class TestPipelineOutputs:
@@ -980,6 +1028,31 @@ class TestAnalyze:
             cfg.tweets_file, cfg.backlinks_file, cfg.resolver_file, cfg.doi_rewrites,
             cfg.external_counts, cfg.alias_journals, cfg.doi_journals, cfg.alias_institutions,
             cfg.report_dir / "summary.json")}
+
+    @pytest.mark.parametrize("stage_files", [(), ("mentions_file",), ("backlinks_attached",),
+                                             ("mentions_file", "backlinks_attached")])
+    def test_an_optional_report_this_run_does_not_write_is_removed(self, completed_run, tmp_path,
+                                                                   stage_files):
+        # a second corpus analyzed into the report directory of a full run
+        cfg, _ = completed_run
+        second = cli.PipelineConfig(corpus_dir=tmp_path / "corpus", report_dir=tmp_path / "reports")
+        shutil.copytree(cfg.report_dir, second.report_dir)
+        second.corpus_dir.mkdir()
+        for name in ("corpus_file",) + stage_files:
+            shutil.copy(getattr(cfg, name), getattr(second, name))
+        for command in ("analyze", "report"):
+            cli.run(command, second)
+        optional = {"mention_series.csv", "tweets_per_release.csv", "coverage_table.csv"}
+        want = set()
+        if "mentions_file" in stage_files:
+            want |= {"mention_series.csv", "tweets_per_release.csv"}
+        if len(stage_files) == 2:
+            want.add("coverage_table.csv")
+        assert {p.name for p in second.report_dir.iterdir()} & optional == want
+        manifest = json.loads((second.report_dir / "report_manifest.json").read_text())
+        assert set(manifest["reports"]) & optional == want
+        assert ("mentions" in manifest["populations"]) == ("mentions_file" in stage_files)
+        assert ("coverage_table" in manifest["populations"]) == ("coverage_table.csv" in want)
 
 
 def _python(code: str, *args) -> subprocess.CompletedProcess:

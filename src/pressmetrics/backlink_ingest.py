@@ -153,9 +153,9 @@ def aggregate_to_dict(release_id: str, agg: BacklinkAggregate) -> dict:
     }
 
 
-def link_window_from_dict(record: dict) -> tuple[str, str | None, str | None]:
-    """The release id and window ends of a line that aggregate_to_dict wrote;
-    a value of another JSON type is refused, as store.typed refuses it."""
+def link_window_from_dict(record: dict) -> tuple[str, date | None, date | None]:
+    """The release id and window-end dates of a line that aggregate_to_dict wrote;
+    another JSON type is refused, as store.typed refuses it, as is a date not YYYY-MM-DD."""
     return (store.typed(record, "release_id", str),
-            *(None if record[end] is None else store.typed(record, end, str)
+            *(None if record[end] is None else iso_date(store.typed(record, end, str))
               for end in ("window_start", "window_end")))

@@ -17,7 +17,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,9 +85,11 @@ def load_config_file(path: str | Path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {values[key][1]}")
+        values[key] = value, lineno
+    return {key: value for key, (value, _) in values.items()}
 
 
 def build_config(file_values: dict, overrides: dict) -> PipelineConfig:
@@ -100,6 +102,8 @@ def build_config(file_values: dict, overrides: dict) -> PipelineConfig:
                 kwargs[key] = float(value)
             except ValueError:
                 raise ValueError(f"config key 'rate_limit' is not a number: {value!r}") from None
+            if not 0 <= kwargs[key] < float("inf"):  # NaN or inf would spin the crawl's limiter
+                raise ValueError(f"config key 'rate_limit' is not a finite number >= 0: {value!r}")
         elif key == "granularity" and value not in GRANULARITIES:
             raise ValueError(f"config key 'granularity' is not one of {', '.join(GRANULARITIES)}: "
                              f"{value!r}")
@@ -125,17 +129,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
-
-
-def _table(manifest: RunManifest, path: Path | None, load, default=None):
-    """``load(path, manifest.input_digests)``, or ``default`` if no table is configured."""
-    return default if path is None else load(path, manifest.input_digests)
-
-
-def _resolver(inputs, manifest: RunManifest) -> mention_ingest.CsvResolver:
-    """The recorded redirects; with none, every URL is terminal."""
-    return _table(manifest, inputs.resolver_file, mention_ingest.CsvResolver.from_csv,
-                  mention_ingest.CsvResolver())
 
 
 def _write(manifest: RunManifest, write, path: Path, *args) -> None:
@@ -190,26 +183,22 @@ def _manifest_line(entry: dict) -> tuple:
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    crawl_manifest, pages_pack = inputs.crawl_manifest, inputs.pages_pack
-    rewrite_table = _table(manifest, inputs.doi_rewrites, load_rewrite_table, ())
-    unshorten = _resolver(inputs, manifest).unshorten
-
+    unshorten = inputs.resolver_file.unshorten
     manifest.counts.update(parsed=0, parse_errors=0, skipped_non_content=0)
     urls: dict[str, str] = {}  # release id -> canonical URL, for the collision check
 
     def records(pack):
         # bodies sit in manifest order, so one sequential pass reads each in turn
-        for url, digest, length, page_class in store.read_jsonl(
-                crawl_manifest, manifest.input_digests, _manifest_line):
+        for url, digest, length, page_class in inputs.crawl_manifest:
             body = pack.read(length)
             if hashlib.sha256(body).hexdigest() != digest:
-                raise PipelineError("parse", f"{pages_pack}: {url}'s {len(body)} of {length} bytes "
-                                    f"differ from the digest that {crawl_manifest} records")
+                raise PipelineError("parse", f"{pack.name}: {url}'s {len(body)} of {length} bytes "
+                                    f"differ from the digest that {cfg.crawl_manifest} records")
             if not page_class.press_release:
                 manifest.counts["skipped_non_content"] += 1
                 continue
             try:
-                release = parse_release(url, body, rewrite_table=rewrite_table,
+                release = parse_release(url, body, rewrite_table=inputs.doi_rewrites,
                                         unshorten=unshorten, stats=manifest.counts)
             except ParseError as err:
                 manifest.counts["parse_errors"] += 1
@@ -222,13 +211,13 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
             urls[release.id] = release.canonical_url
             yield release_to_dict(release)
 
-    with open(pages_pack, "rb") as pack:
+    with open(inputs.pages_pack, "rb") as pack:
         _write(manifest, store.write_jsonl, cfg.corpus_file, records(pack))
 
 
-def _releases(inputs, manifest: RunManifest):
-    """Each corpus release, decoded as it is read; a stage calls this at most once.
-    A release id that an earlier line has fails at its line."""
+def _releases(path: Path, digests: dict):
+    """Each corpus release, decoded as it is read. A release id that an earlier
+    line has fails at its line."""
     ids: set[str] = set()
 
     def decode(record: dict):
@@ -238,27 +227,21 @@ def _releases(inputs, manifest: RunManifest):
         ids.add(release.id)
         return release
 
-    return store.read_jsonl(inputs.corpus_file, manifest.input_digests, decode)
-
-
-def _corpus_index(inputs, manifest: RunManifest) -> CorpusIndex:
-    return CorpusIndex.from_releases(_releases(inputs, manifest), inputs.seed_path)
+    return store.read_jsonl(path, digests, decode)
 
 
 def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    index = _corpus_index(inputs, manifest)
-    mentions = mention_ingest.ingest_tweets(
-        store.read_jsonl(inputs.tweets_file, manifest.input_digests), _resolver(inputs, manifest),
-        index, stats=manifest.counts)
+    index = CorpusIndex.from_releases(inputs.corpus_file, inputs.seed_path)
+    mentions = mention_ingest.ingest_tweets(inputs.tweets_file, inputs.resolver_file, index,
+                                            stats=manifest.counts)
     _write(manifest, store.write_jsonl, cfg.mentions_file,
            map(mention_ingest.mention_to_dict, mentions))
     manifest.counts["mentions_kept"] = len(mentions)
 
 
 def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    index = _corpus_index(inputs, manifest)
-    records = backlink_ingest.read_raw_links_csv(inputs.backlinks_file, manifest.input_digests)
-    aggregates = backlink_ingest.merge_protocol_variants(records)
+    index = CorpusIndex.from_releases(inputs.corpus_file, inputs.seed_path)
+    aggregates = backlink_ingest.merge_protocol_variants(inputs.backlinks_file)
     coverage = backlink_ingest.link_coverage_index(aggregates, index)
     _write(manifest, store.write_jsonl, cfg.backlinks_attached,
            (backlink_ingest.aggregate_to_dict(rid, coverage.attached[rid])
@@ -266,7 +249,7 @@ def stage_ingest_links(cfg: PipelineConfig, manifest: RunManifest, inputs) -> No
     _write(manifest, store.write_jsonl, cfg.backlinks_outdated,
            ({"target": t} for t in sorted(coverage.outdated)))
     manifest.counts.update(
-        raw_records=len(records),
+        raw_records=len(inputs.backlinks_file),
         aggregates=len(aggregates),
         attached=len(coverage.attached),
         outdated=len(coverage.outdated),
@@ -279,21 +262,17 @@ def _fmt(value: float, places: int) -> str:
 
 
 def stage_couple(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    releases = _releases(inputs, manifest)
-    external_counts = coupling.load_external_counts(inputs.external_counts, manifest.input_digests)
-    aliases = _table(manifest, inputs.alias_journals, load_alias_table, {})
-    doi_journals = _table(manifest, inputs.doi_journals, coupling.load_doi_journals)
     try:
-        tally = coupling.CoverageTally(external_counts, aliases)
+        tally = coupling.CoverageTally(inputs.external_counts, inputs.alias_journals)
     except ValueError as err:
-        raise PipelineError("couple", f"{inputs.external_counts}: {err}") from err
+        raise PipelineError("couple", f"{cfg.external_counts}: {err}") from err
     manifest.counts["edges"] = 0
 
     def edge_rows():
         # one corpus pass: each release is tallied and its edges written, then dropped
-        for release in releases:
+        for release in inputs.corpus_file:
             tally.add(release)
-            for e in coupling.build_coupling_graph([release], doi_journals):
+            for e in coupling.build_coupling_graph([release], inputs.doi_journals):
                 manifest.counts["edges"] += 1
                 yield [e.release_id, e.doi, e.journal or ""]
 
@@ -316,26 +295,19 @@ def _distribution_rows(dist: dict) -> list[list]:
 
 
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    releases = _releases(inputs, manifest)
-    aliases = _table(manifest, inputs.alias_institutions, load_alias_table, {})
     fold = analytics.Fold()
-    for release in releases:
+    for release in inputs.corpus_file:
         fold.add_release(release)
     has_mentions = inputs.mentions_file is not None
-    if has_mentions:
-        for mention in store.read_jsonl(inputs.mentions_file, manifest.input_digests,
-                                        mention_ingest.mention_from_dict):
-            fold.add_mention(mention)
+    for mention in inputs.mentions_file or ():
+        fold.add_mention(mention)
     has_backlinks = inputs.backlinks_attached is not None
-    windows: dict[str, str] = {}
-    if has_backlinks:
-        links = store.read_jsonl(inputs.backlinks_attached, manifest.input_digests,
-                                 backlink_ingest.link_window_from_dict)
-        for release_id, *ends in links:
-            fold.add_link(release_id)
-            for (end, pick), value in zip((("window_start", min), ("window_end", max)), ends):
-                if value:
-                    windows[end] = pick(windows.get(end, value), value)
+    windows: dict[str, date] = {}
+    for release_id, *ends in inputs.backlinks_attached or ():
+        fold.add_link(release_id)
+        for (end, pick), value in zip((("window_start", min), ("window_end", max)), ends):
+            if value:
+                windows[end] = pick(windows.get(end, value), value)
 
     report = cfg.report_dir
     report.mkdir(parents=True, exist_ok=True)
@@ -346,7 +318,7 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
     populations: dict = {
         "corpus_total": fold.releases,
         "date_anomalous_excluded_from_series": fold.date_anomalous,
-        **{f"backlink_{end}": value for end, value in windows.items()},
+        **{f"backlink_{end}": value.isoformat() for end, value in windows.items()},
     }
 
     series = fold.output_series(inputs.granularity)
@@ -374,7 +346,7 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
     populations["region_distribution"] = sum(n for n, _ in regions.values())
 
     write_csv("pio_ranking.csv", ["institution", "count"],
-              [[name, n] for name, n in fold.pio_ranking(aliases)])
+              [[name, n] for name, n in fold.pio_ranking(inputs.alias_institutions)])
 
     if has_mentions:
         populations["mentions"] = fold.mentions
@@ -399,14 +371,13 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    summary = inputs.summary_file
-    populations = store.read_json(summary, manifest.input_digests)
+    summary = cfg.summary_file
     reports = {p.name: store.file_digest(p) for p in cfg.report_dir.iterdir()
                if p.is_file() and not store.is_temp_file(p)
                and p.name not in ("report_manifest.json", summary.name)}
     reports[summary.name] = manifest.input_digests[str(summary)]
     _write(manifest, store.write_json, cfg.report_dir / "report_manifest.json",
-           {"reports": reports, "populations": populations})
+           {"reports": reports, "populations": inputs.summary_file})
     manifest.counts["report_files"] = len(reports)
 
 
@@ -426,11 +397,34 @@ _STAGES = {
 }
 COMMANDS = tuple(_STAGES)
 
+# How a stage gets each file it reads: key -> (decode(path, digests), the value
+# a stage gets when the optional table is unset). A table is read whole when its
+# key is checked; a stream is a generator that reads as the stage draws from it,
+# so every table fails before a stream is read. A reader is looked up when it
+# runs, so that one patched after import is the one called.
+_DECODERS = {
+    "crawl_manifest": (lambda p, d: store.read_jsonl(p, d, _manifest_line), None),
+    "doi_rewrites": (lambda p, d: load_rewrite_table(p, d), tuple),
+    "resolver_file": (lambda p, d: mention_ingest.CsvResolver.from_csv(p, d),
+                      mention_ingest.CsvResolver),  # with none, every URL is terminal
+    "tweets_file": (lambda p, d: store.read_jsonl(p, d), None),
+    "corpus_file": (_releases, None),
+    "backlinks_file": (lambda p, d: backlink_ingest.read_raw_links_csv(p, d), None),
+    "external_counts": (lambda p, d: coupling.load_external_counts(p, d), None),
+    "alias_journals": (lambda p, d: load_alias_table(p, d), dict),
+    "doi_journals": (lambda p, d: coupling.load_doi_journals(p, d), dict),
+    "alias_institutions": (lambda p, d: load_alias_table(p, d), dict),
+    "mentions_file": (lambda p, d: store.read_jsonl(p, d, mention_ingest.mention_from_dict), None),
+    "backlinks_attached": (
+        lambda p, d: store.read_jsonl(p, d, backlink_ingest.link_window_from_dict), None),
+    "summary_file": (lambda p, d: store.read_json(p, d), None),
+}
 
-def _inputs(command: str, cfg: PipelineConfig) -> SimpleNamespace:
-    """The value of each key ``command`` reads, checked before the stage starts: a
-    required key must be set and a path that is set must exist, except an optional
-    stage file, which reads as unset until the stage that writes it has run."""
+
+def _inputs(command: str, cfg: PipelineConfig, digests: dict) -> SimpleNamespace:
+    """Each key ``command`` reads, checked, then decoded with its digest put in ``digests``:
+    a required key must be set and a path that is set must exist, except an optional
+    stage file, which reads as unset (None) until the stage that writes it has run."""
     _, required, optional = _STAGES[command]
     inputs = SimpleNamespace()
     for key in required + optional:
@@ -442,6 +436,9 @@ def _inputs(command: str, cfg: PipelineConfig) -> SimpleNamespace:
                 raise PipelineError(command, f"missing prerequisite: {key} at {value} "
                                              f"(run the producing stage first)")
             value = None
+        if key in _DECODERS:  # an unset stage file stays None
+            decode, unset = _DECODERS[key]
+            value = decode(value, digests) if value is not None else unset and unset()
         setattr(inputs, key, value)
     return inputs
 
@@ -454,14 +451,17 @@ def run(command: str, cfg: PipelineConfig) -> RunManifest:
         raise PipelineError(command, f"unknown command; expected one of {', '.join(COMMANDS)}")
     manifest = RunManifest(command=command,
                            started_at=datetime.now(timezone.utc).isoformat())
-    cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
+    if command == "crawl":
+        cfg.corpus_dir.mkdir(parents=True, exist_ok=True)
+    elif not cfg.corpus_dir.is_dir():  # only crawl creates it, so a mistyped path is refused
+        raise PipelineError(command, f"missing prerequisite: corpus_dir at {cfg.corpus_dir}")
     with open(cfg.run_log, "a", encoding="utf-8") as log:
         try:
             fcntl.flock(log, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RuntimeError(f"output directory is locked by another run: {cfg.run_log}") from None
-        # checked under the lock, so that no other run is writing what is checked
-        _STAGES[command][0](cfg, manifest, _inputs(command, cfg))
+        # checked and decoded under the lock, so that no other run is writing what is read
+        _STAGES[command][0](cfg, manifest, _inputs(command, cfg, manifest.input_digests))
         manifest.finished_at = datetime.now(timezone.utc).isoformat()
         log.write(manifest.to_json() + "\n")
     return manifest

@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pressmetrics import analytics, cli, harvester, mention_ingest, pagescan, release_parser, store
+from pressmetrics import (analytics, backlink_ingest, cli, harvester, mention_ingest, pagescan,
+                          release_parser, store)
 
 FOLD = "www.eksci.test/releases/"
 
@@ -100,6 +101,14 @@ class TestConfig:
             cli.build_config({"surprise": "1"}, {})
         with pytest.raises(ValueError, match="unknown config key 'max_depth'"):
             cli.build_config({"max_depth": "5"}, {})
+
+    def test_a_repeated_key_fails_naming_both_lines(self, tmp_path):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("corpus_dir=/tmp/a\n# runs on the second, silently, if accepted\n"
+                               "corpus_dir = /tmp/b\n")
+        with pytest.raises(ValueError) as err:
+            cli.load_config_file(config_file)
+        assert str(err.value) == f"{config_file}:3: key 'corpus_dir' repeats line 1"
 
     def test_bad_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -188,6 +197,9 @@ class TestPrerequisites:
         assert set(UNSET) == {(stage, key) for stage, (_, required, _) in cli._STAGES.items()
                               for key in required
                               if key in cli.PipelineConfig.__dataclass_fields__}
+        # every file a stage reads reaches it decoded, but the page pack and the fixture site
+        assert set(cli._DECODERS) == {key for _, key in MISSING + READ_IF_WRITTEN} - {
+            "pages_pack", "fixtures_dir"}
 
     def test_a_missing_resolver_is_reported_before_the_corpus_is_read(self, completed_run,
                                                                       tmp_path):
@@ -197,6 +209,29 @@ class TestPrerequisites:
         cfg.resolver_file = tmp_path / "no_resolver.csv"
         self.fails_before_the_stage(cfg, "ingest-tweets", f"missing prerequisite: resolver_file "
                                     f"at {cfg.resolver_file} (run the producing stage first)")
+
+    @pytest.mark.parametrize("stage,key,table", [
+        ("ingest-tweets", "resolver_file", "from_url,to_url\nhttps://t.sh/a,https://x.test/1\n"
+                                            "https://t.sh/a,https://x.test/2\n"),
+        ("ingest-links", "backlinks_file",
+         "target_url,mentioning_webpages,mentioning_websites,citation_flow,trust_flow,"
+         "window_start,window_end\n"
+         f"https://{FOLD}2016/nfu-201601.html,30,12,12,8,2015-09-01,2021-04-01\n"
+         f"https://{FOLD}2016/mit-201602.html,41,19,230,12,2015-09-01,2021-04-01\n"),
+    ], ids=["ingest-tweets", "ingest-links"])
+    def test_a_bad_table_row_is_reported_before_the_corpus_is_read(self, completed_run, tmp_path,
+                                                                   stage, key, table):
+        cfg = copied_run(completed_run, tmp_path)
+        corpus = cfg.corpus_file.read_bytes()
+        cfg.corpus_file.write_bytes(corpus[:-10])  # the last line cut short
+        path = tmp_path / ("resolver.csv" if key == "resolver_file" else "links.csv")
+        path.write_text(table, encoding="utf-8")
+        setattr(cfg, key, path)
+        before = file_tree(cfg)
+        with pytest.raises(ValueError) as err:
+            cli.run(stage, cfg)
+        assert str(err.value).startswith(f"{path}:3: "), err.value
+        assert file_tree(cfg) == before
 
     def test_unknown_command(self, tmp_path, fixtures_dir):
         with pytest.raises(cli.PipelineError):
@@ -587,6 +622,52 @@ class TestOneDecodePerStage:
             decoded.clear()
             cli.run(command, cfg)
             assert sorted(decoded) == corpus_ids, command
+
+
+class TestReadersAreLookedUpWhenTheyRun:
+    """A reader patched after import, as the traced benchmark patches it, sees every read."""
+
+    def test_every_read_goes_through_the_patched_names(self, tmp_path, fixtures_dir,
+                                                       monkeypatch):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        command = ""
+        drawn: Counter = Counter()  # (stage, file name) -> records drawn through read_jsonl
+        calls: list = []
+        read_jsonl = store.read_jsonl
+        mention_from_dict = mention_ingest.mention_from_dict
+        read_raw_links_csv = backlink_ingest.read_raw_links_csv
+
+        def patched_read_jsonl(path, *args):
+            for record in read_jsonl(path, *args):
+                drawn[command, Path(path).name] += 1
+                yield record
+
+        def patched_mention_from_dict(record):
+            calls.append((command, "mention_from_dict"))
+            return mention_from_dict(record)
+
+        def patched_read_raw_links_csv(path, *args):
+            calls.append((command, Path(path).name))
+            return read_raw_links_csv(path, *args)
+
+        monkeypatch.setattr(store, "read_jsonl", patched_read_jsonl)
+        monkeypatch.setattr(mention_ingest, "mention_from_dict", patched_mention_from_dict)
+        monkeypatch.setattr(backlink_ingest, "read_raw_links_csv", patched_read_raw_links_csv)
+        for command in cli.COMMANDS:
+            cli.run(command, cfg)
+
+        def lines(path: Path) -> int:
+            return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+
+        want = {("parse", "crawl_manifest.jsonl"): lines(cfg.crawl_manifest),
+                ("ingest-tweets", cfg.tweets_file.name): lines(cfg.tweets_file),
+                ("analyze", "mentions.jsonl"): lines(cfg.mentions_file),
+                ("analyze", "backlinks.jsonl"): lines(cfg.backlinks_attached)}
+        for stage in ("ingest-tweets", "ingest-links", "couple", "analyze"):
+            want[stage, "corpus.jsonl"] = lines(cfg.corpus_file)
+        assert drawn == want
+        assert calls == ([("ingest-links", cfg.backlinks_file.name)]
+                         + [("analyze", "mention_from_dict")] * lines(cfg.mentions_file))
 
 
 class TestParse:
@@ -1266,6 +1347,9 @@ class TestStorePrimitives:
 
     # (stage, the stage input, its line, the edit to that line's record, the error's detail)
     BAD_RECORDS = {
+        "backlink window end not zero-padded": ("analyze", "backlinks_attached", 2,
+                                                lambda r: r.update(window_end="2016-5-1"),
+                                                "not a YYYY-MM-DD date: '2016-5-1'"),
         "mention without tweet_id": ("analyze", "mentions_file", 3,
                                      lambda r: r.pop("tweet_id"), "missing field 'tweet_id'"),
         "manifest line without class": ("parse", "crawl_manifest", 4,
@@ -1417,7 +1501,9 @@ class TestMutatedStageInputs:
                         "match kind retyped": lambda r: r["matches"][0].update(kind=5)}),
         **_jsonl_cases("backlinks_attached", ("analyze",), lambda r: True,
                        ("release_id", "window_start", "window_end"),
-                       {"release_id a list": lambda r: r.update(release_id=["x"])}),
+                       {"release_id a list": lambda r: r.update(release_id=["x"]),
+                        "window_end not zero-padded": lambda r: r.update(window_end="2016-5-1"),
+                        "window_start not a date": lambda r: r.update(window_start="garbage")}),
         **_table_cases("alias_institutions", ("analyze",)),
         **_table_cases("alias_journals", ("couple",)),
         **_table_cases("doi_rewrites", ("parse",)),
@@ -1539,6 +1625,7 @@ class TestReport:
         assert proc.returncode == -signal.SIGKILL
         [leftover] = [p for p in reports.iterdir() if store.is_temp_file(p)]
         assert leftover.name.startswith("annual_output.csv.")
+        (tmp_path / "corpus").mkdir()
         cli.run("report", cli.PipelineConfig(corpus_dir=tmp_path / "corpus", report_dir=reports))
         assert (reports / "report_manifest.json").read_bytes() == (
             cfg.report_dir / "report_manifest.json").read_bytes()
@@ -1570,6 +1657,8 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize("line,message", [
         ("granularity=weekly", "config key 'granularity' is not one of yearly, daily: 'weekly'"),
         ("rate_limit=fast", "config key 'rate_limit' is not a number: 'fast'"),
+        *((f"rate_limit={value}", f"config key 'rate_limit' is not a finite number >= 0: {value!r}")
+          for value in ("nan", "inf", "-1")),
     ])
     def test_a_bad_config_value_fails_before_any_stage(self, tmp_path, fixtures_dir, capsys,
                                                        line, message):
@@ -1583,6 +1672,15 @@ class TestMainEntryPoint:
         assert cli.main(["crawl", "--config", str(config_file)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("stage", [c for c in cli.COMMANDS if c != "crawl"])
+    def test_a_missing_corpus_dir_is_refused_not_created(self, tmp_path, capsys, stage):
+        typo = tmp_path / "typo"
+        assert cli.main([stage, "--corpus-dir", str(typo),
+                         "--report-dir", str(tmp_path / "reports")]) == 1
+        assert capsys.readouterr().err == (f"error: [{stage}] missing prerequisite: "
+                                           f"corpus_dir at {typo}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["corpus_dir", "report_dir"])
     @pytest.mark.parametrize("via_flag", [False, True])
@@ -1631,6 +1729,7 @@ class TestMainEntryPoint:
         summary = tmp_path / "reports" / "summary.json"
         summary.parent.mkdir()
         summary.write_text('{"corpus_total": 5', encoding="utf-8")
+        (tmp_path / "corpus").mkdir()
         assert cli.main(["report", "--corpus-dir", str(tmp_path / "corpus"),
                          "--report-dir", str(summary.parent)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {summary}: ")

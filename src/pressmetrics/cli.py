@@ -276,7 +276,6 @@ def stage_couple(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
                 manifest.counts["edges"] += 1
                 yield [e.release_id, e.doi, e.journal or ""]
 
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
     _write(manifest, store.write_csv, cfg.report_dir / "coupling_edges.csv",
            ["release_id", "doi", "journal"], edge_rows())
     rows = tally.rows(manifest.counts)
@@ -310,7 +309,6 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
                 windows[end] = pick(windows.get(end, value), value)
 
     report = cfg.report_dir
-    report.mkdir(parents=True, exist_ok=True)
 
     def write_csv(name: str, header: list[str], rows: list[list]) -> None:
         _write(manifest, store.write_csv, report / name, header, rows)
@@ -365,17 +363,23 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
 
     _write(manifest, store.write_json, cfg.summary_file, populations)
     dict.update(manifest.counts, populations)  # set, as Counter.update would add to strings
-    for name in ("mention_series.csv", "tweets_per_release.csv", "coverage_table.csv"):
-        if str(report / name) not in manifest.output_digests:  # an earlier run's, now stale
-            (report / name).unlink(missing_ok=True)
 
 
 def stage_report(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    summary = cfg.summary_file
-    reports = {p.name: store.file_digest(p) for p in cfg.report_dir.iterdir()
-               if p.is_file() and not store.is_temp_file(p)
-               and p.name not in ("report_manifest.json", summary.name)}
-    reports[summary.name] = manifest.input_digests[str(summary)]
+    summary = str(cfg.summary_file)
+    wrote: dict = {}  # couple or analyze -> {path: digest} of its last run into report_dir
+    for command, outputs in store.read_jsonl(cfg.run_log, None, lambda line: (
+            line["command"], {path: digest for path, digest in store.typed(
+                line, "output_digests", dict).items() if Path(path).parent == cfg.report_dir})):
+        if outputs and command in ("couple", "analyze"):
+            wrote[command] = outputs
+    if summary not in wrote.get("analyze", ()):
+        raise PipelineError("report", f"no analyze run in {cfg.run_log} wrote {summary}")
+    reports = {}  # name -> digest of each listed file, checked to be as its stage wrote it
+    for path, digest in {**wrote.get("couple", {}), **wrote["analyze"]}.items():
+        if (manifest.input_digests[path] if path == summary else store.file_digest(path)) != digest:
+            raise PipelineError("report", f"{path} differs from what {cfg.run_log} records")
+        reports[Path(path).name] = digest
     _write(manifest, store.write_json, cfg.report_dir / "report_manifest.json",
            {"reports": reports, "populations": inputs.summary_file})
     manifest.counts["report_files"] = len(reports)

@@ -180,7 +180,7 @@ def ingest_tweets(records, hops: dict, index: CorpusIndex, stats: dict) -> list[
                 dropped["bad_urls"] += 1
                 continue
             if url not in finals:
-                finals[url] = resolve_chain(url, hops).final
+                finals[url] = resolve_chain(url.strip(), hops).final
             resolved.append(finals[url])
             matches.append(match_to_release(finals[url], index))
         if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):

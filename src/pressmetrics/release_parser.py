@@ -307,16 +307,18 @@ def load_alias_table(path: str | Path, digests: dict | None = None) -> dict[str,
     return table
 
 
-def load_rewrite_table(path: str | Path, digests: dict | None = None) -> list[tuple[str, str, str]]:
-    """Rows of (journal_pattern, find, replace) for per-journal DOI fixes."""
-    return store.read_csv(path, lambda row: (row["journal_pattern"], row["find"], row["replace"]),
-                          digests)
+def load_rewrite_table(path: str | Path, digests: dict | None = None) -> list[tuple]:
+    """Rows of (compiled journal_pattern, find, replace) for per-journal DOI fixes."""
+    def rule(row: dict) -> tuple:  # a pattern or template that re refuses fails at its row
+        re.compile(row["find"]).sub(row["replace"], "")
+        return re.compile(row["journal_pattern"], re.IGNORECASE), row["find"], row["replace"]
+    return store.read_csv(path, rule, digests)
 
 
 def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:
     """Select rewrite rules whose journal pattern matches any named journal."""
     return [(find, replace) for journal_pattern, find, replace in table
-            if any(re.search(journal_pattern, j, re.IGNORECASE) for j in journals)]
+            if any(journal_pattern.search(j) for j in journals)]
 
 
 # ---------------------------------------------------------------------------

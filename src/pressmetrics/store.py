@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import tempfile
 from contextlib import suppress
 from itertools import chain, islice
@@ -25,15 +26,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 
-_TEMP_SUFFIX = ".tmp"
 _BLOCK = 1024  # chunks of a report's text joined into one write
 _JSON = json.JSONEncoder(indent=2, ensure_ascii=False, sort_keys=True)
-
-
-def is_temp_file(path: str | Path) -> bool:
-    """Whether ``path`` is named as the report writers name their temp files,
-    ``<name>.<random>.tmp``: one left behind is a write killed before its rename."""
-    return Path(path).name.endswith(_TEMP_SUFFIX)
 
 
 def _write_blocks(fh, chunks, n: int) -> str:
@@ -54,7 +48,7 @@ def _replace(path: str | Path, write):
     ``path`` once it returns; if it raises, ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=_TEMP_SUFFIX)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             result = write(fh)
@@ -95,10 +89,10 @@ def write_jsonl(path: str | Path, records) -> str:
 
 
 def _converted(convert, record, path, lineno: int, missing: str):
-    """``convert(record)``; a KeyError, TypeError or ValueError names the file and line."""
+    """``convert(record)``; a KeyError, TypeError, ValueError or re.error names file and line."""
     try:
         return convert(record)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, re.error) as err:
         detail = f"missing {missing} {err}" if isinstance(err, KeyError) else err
         raise ValueError(f"{path}:{lineno}: {detail}") from err
 

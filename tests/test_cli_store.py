@@ -662,7 +662,8 @@ class TestReadersAreLookedUpWhenTheyRun:
         want = {("parse", "crawl_manifest.jsonl"): lines(cfg.crawl_manifest),
                 ("ingest-tweets", cfg.tweets_file.name): lines(cfg.tweets_file),
                 ("analyze", "mentions.jsonl"): lines(cfg.mentions_file),
-                ("analyze", "backlinks.jsonl"): lines(cfg.backlinks_attached)}
+                ("analyze", "backlinks.jsonl"): lines(cfg.backlinks_attached),
+                ("report", "run_log.jsonl"): len(cli.COMMANDS) - 1}  # a line per stage before it
         for stage in ("ingest-tweets", "ingest-links", "couple", "analyze"):
             want[stage, "corpus.jsonl"] = lines(cfg.corpus_file)
         assert drawn == want
@@ -723,6 +724,21 @@ class TestParse:
         partial = cfg.corpus_file.with_name("corpus.jsonl.partial").read_bytes()
         assert partial and corpus.startswith(partial)
         assert cfg.run_log.read_bytes() == run_log
+
+    @pytest.mark.parametrize("row", [r"Acta (,10\.1234//,10.1234/",
+                                     r"Acta Synthetica,10\.1234//(,10.1234/",
+                                     r"Acta Synthetica,10\.1234//,\9"])
+    def test_a_bad_rewrite_rule_fails_at_its_row_before_the_corpus_is_started(
+            self, tmp_path, fixtures_dir, row):
+        cfg = fixture_config(tmp_path, fixtures_dir)
+        cli.run("crawl", cfg)
+        cfg.doi_rewrites = tmp_path / "doi_rewrites.csv"
+        cfg.doi_rewrites.write_text(f"journal_pattern,find,replace\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            cli.run("parse", cfg)
+        assert str(err.value).startswith(f"{cfg.doi_rewrites}:2: ")
+        assert not cfg.corpus_file.with_name("corpus.jsonl.partial").exists()
+        assert not cfg.corpus_file.exists()
 
     def test_refuses_a_body_altered_after_the_crawl(self, tmp_path, fixtures_dir):
         cfg = fixture_config(tmp_path, fixtures_dir)
@@ -1112,8 +1128,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("stage_files", [(), ("mentions_file",), ("backlinks_attached",),
                                              ("mentions_file", "backlinks_attached")])
-    def test_an_optional_report_this_run_does_not_write_is_removed(self, completed_run, tmp_path,
-                                                                   stage_files):
+    def test_an_optional_report_this_run_does_not_write_is_not_listed(self, completed_run,
+                                                                      tmp_path, stage_files):
         # a second corpus analyzed into the report directory of a full run
         cfg, _ = completed_run
         second = cli.PipelineConfig(corpus_dir=tmp_path / "corpus", report_dir=tmp_path / "reports")
@@ -1129,7 +1145,6 @@ class TestAnalyze:
             want |= {"mention_series.csv", "tweets_per_release.csv"}
         if len(stage_files) == 2:
             want.add("coverage_table.csv")
-        assert {p.name for p in second.report_dir.iterdir()} & optional == want
         manifest = json.loads((second.report_dir / "report_manifest.json").read_text())
         assert set(manifest["reports"]) & optional == want
         assert ("mentions" in manifest["populations"]) == ("mentions_file" in stage_files)
@@ -1198,7 +1213,7 @@ class TestStorePrimitives:
             for i in range(5000):
                 if i == 4000:
                     temp_sizes.extend(p.stat().st_size for p in tmp_path.iterdir()
-                                      if store.is_temp_file(p))
+                                      if p.name.endswith(".tmp"))
                 yield [i]
             raise RuntimeError("the row source failed")
 
@@ -1507,6 +1522,14 @@ class TestMutatedStageInputs:
         **_table_cases("alias_institutions", ("analyze",)),
         **_table_cases("alias_journals", ("couple",)),
         **_table_cases("doi_rewrites", ("parse",)),
+        "doi_rewrites, journal pattern unbalanced": (
+            "doi_rewrites", ("parse",), lambda lines: 1,
+            lambda raw: raw.replace(b"Acta Synthetica,", b"Acta (,")),
+        "doi_rewrites, find unbalanced": (
+            "doi_rewrites", ("parse",), lambda lines: 1, lambda raw: raw.replace(b"//,", b"//(,")),
+        "doi_rewrites, replace names a missing group": (
+            "doi_rewrites", ("parse",), lambda lines: 1,
+            lambda raw: raw[:raw.rindex(b",") + 1] + b"\\9\n"),
         **_table_cases("external_counts", ("couple",)),
         **_table_cases("backlinks_file", ("ingest-links",)),
         **_table_cases("resolver_file", ("parse", "ingest-tweets")),
@@ -1611,24 +1634,101 @@ class TestRunLock:
         assert counts == json.loads((cfg.report_dir / "summary.json").read_text())
 
 
+def analyzed_copy(done: cli.PipelineConfig, fixtures_dir: Path, base: Path) -> cli.PipelineConfig:
+    """A copy of the completed run's stage files under ``base``, without its run
+    log, that couple, analyze and report have run on into their own report directory."""
+    cfg = fixture_config(base, fixtures_dir)
+    shutil.copytree(done.corpus_dir, cfg.corpus_dir,
+                    ignore=shutil.ignore_patterns(done.run_log.name))
+    for command in ("couple", "analyze", "report"):
+        cli.run(command, cfg)
+    return cfg
+
+
+def report_via_main(cfg: cli.PipelineConfig, report_dir: Path, capsys) -> tuple[int, str]:
+    """``report`` run through ``main`` on ``cfg``'s corpus into ``report_dir``: status, stderr."""
+    status = cli.main(["report", "--corpus-dir", str(cfg.corpus_dir),
+                       "--report-dir", str(report_dir)])
+    return status, capsys.readouterr().err
+
+
 class TestReport:
-    def test_a_killed_writers_temp_file_is_not_listed(self, completed_run, tmp_path):
+    def test_a_killed_writers_temp_file_is_not_listed(self, completed_run):
         cfg, _ = completed_run
-        reports = tmp_path / "reports"
-        shutil.copytree(cfg.report_dir, reports)
+        listed = (cfg.report_dir / "report_manifest.json").read_bytes()
         # a writer killed between its temp-file write and the rename
         code = ("import os, signal, sys\n"
                 "from pressmetrics import store\n"
                 "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
                 "store.write_csv(sys.argv[1], ['year', 'count'], [['2016', 1]])\n")
-        proc = _python(code, reports / "annual_output.csv")
+        proc = _python(code, cfg.report_dir / "annual_output.csv")
         assert proc.returncode == -signal.SIGKILL
-        [leftover] = [p for p in reports.iterdir() if store.is_temp_file(p)]
-        assert leftover.name.startswith("annual_output.csv.")
-        (tmp_path / "corpus").mkdir()
-        cli.run("report", cli.PipelineConfig(corpus_dir=tmp_path / "corpus", report_dir=reports))
-        assert (reports / "report_manifest.json").read_bytes() == (
-            cfg.report_dir / "report_manifest.json").read_bytes()
+        [leftover] = [p for p in cfg.report_dir.iterdir() if p.name.endswith(".tmp")]
+        try:
+            assert leftover.name.startswith("annual_output.csv.")
+            cli.run("report", cfg)
+            assert (cfg.report_dir / "report_manifest.json").read_bytes() == listed
+        finally:
+            leftover.unlink()
+
+    def test_a_second_corpus_analyzed_into_a_full_runs_reports_lists_only_its_own(
+            self, completed_run, tmp_path):
+        cfg, _ = completed_run
+        second = cli.PipelineConfig(corpus_dir=tmp_path / "corpus", report_dir=tmp_path / "reports")
+        shutil.copytree(cfg.report_dir, second.report_dir)
+        second.corpus_dir.mkdir()
+        second.corpus_file.write_bytes(b"".join(cfg.corpus_file.read_bytes().splitlines(True)[:10]))
+        analyzed = cli.run("analyze", second).output_digests
+        cli.run("report", second)
+        reports = json.loads((second.report_dir / "report_manifest.json").read_text())["reports"]
+        assert reports == {Path(path).name: digest for path, digest in analyzed.items()}
+        assert not {"coupling_edges.csv", "journal_coverage.csv"} & set(reports)
+        assert (second.report_dir / "coupling_edges.csv").exists()  # still there, not listed
+
+    @pytest.mark.parametrize("name, edit", [
+        ("annual_output.csv", "changed"), ("journal_coverage.csv", "changed"),
+        ("summary.json", "changed"), ("pio_ranking.csv", "removed"),
+        ("coupling_edges.csv", "removed"), ("summary.json", "removed")])
+    def test_a_report_changed_or_removed_since_its_stage_wrote_it_fails(
+            self, completed_run, fixtures_dir, tmp_path, capsys, name, edit):
+        cfg = analyzed_copy(completed_run[0], fixtures_dir, tmp_path)
+        listed = (cfg.report_dir / "report_manifest.json").read_bytes()
+        path = cfg.report_dir / name
+        if edit == "changed":
+            path.write_bytes(path.read_bytes() + b"\n")  # one byte more: summary.json still reads
+        else:
+            path.unlink()
+        status, err = report_via_main(cfg, cfg.report_dir, capsys)
+        assert status == 1
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1, err
+        assert (cfg.report_dir / "report_manifest.json").read_bytes() == listed
+
+    @pytest.mark.parametrize("corpus", ["the run's own", "a new one"])
+    def test_a_summary_that_no_analyze_run_wrote_there_fails(self, completed_run, fixtures_dir,
+                                                             tmp_path, capsys, corpus):
+        cfg = analyzed_copy(completed_run[0], fixtures_dir, tmp_path / "run")
+        if corpus == "a new one":
+            cfg.corpus_dir = tmp_path / "corpus"
+            cfg.corpus_dir.mkdir()
+        # every report, summary.json too, copied where no analyze run wrote it
+        copied = shutil.copytree(cfg.report_dir, tmp_path / "copied")
+        listed = (copied / "report_manifest.json").read_bytes()
+        status, err = report_via_main(cfg, copied, capsys)
+        assert status == 1
+        assert err == (f"error: [report] no analyze run in {cfg.run_log} "
+                       f"wrote {copied / 'summary.json'}\n")
+        assert (copied / "report_manifest.json").read_bytes() == listed
+
+    @pytest.mark.parametrize("line", [b'{"command": "analyze"\n', b'{"command": "analyze"}\n',
+                                      b'{"command": "analyze", "output_digests": []}\n'])
+    def test_a_damaged_run_log_line_fails_at_its_line(self, completed_run, fixtures_dir,
+                                                      tmp_path, capsys, line):
+        cfg = analyzed_copy(completed_run[0], fixtures_dir, tmp_path)
+        with open(cfg.run_log, "ab") as log:
+            log.write(line)
+        status, err = report_via_main(cfg, cfg.report_dir, capsys)
+        assert status == 1
+        assert err.startswith(f"error: {cfg.run_log}:4: ") and err.count("\n") == 1, err
 
 
 class TestMainEntryPoint:

@@ -181,6 +181,20 @@ class TestIngest:
                                    stats=Counter())
         assert mention_to_dict(mention)["created_at"] == utc
 
+    @pytest.mark.parametrize("padded", [" https://t.sh/aa", "https://t.sh/aa\t",
+                                        " https://t.sh/aa "])
+    def test_a_padded_short_link_matches_as_the_bare_one(self, records, resolver, corpus_index,
+                                                         padded):
+        bare = records[1]
+        assert bare["urls"] == ["https://t.sh/aa"]
+        stats = Counter()
+        (want,) = ingest_tweets([bare], resolver, corpus_index, stats=Counter())
+        (got,) = ingest_tweets([dict(bare, urls=[padded])], resolver, corpus_index, stats=stats)
+        assert got.embedded_urls == [padded]
+        assert got.resolved_urls == want.resolved_urls
+        assert got.matches == want.matches and got.matched_release_ids()
+        assert stats == {}
+
     def test_matches_agree_with_oracle(self, records, resolver, corpus_index, truth, fixtures_dir):
         mentions = ingest_tweets(records, resolver, corpus_index, stats=Counter())
         expected = oracle.expected_mentions(truth, fixtures_dir / "tweets_micro.jsonl",

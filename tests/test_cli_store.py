@@ -1508,12 +1508,16 @@ class TestMutatedStageInputs:
                         "journal a number": lambda r: r.update(journal=[5]),
                         "doi raw a number": lambda r: r["dois"][0].update(raw=5),
                         "doi normalized a number": lambda r: r["dois"][0].update(normalized=5),
-                        "doi without repair": lambda r: r["dois"][0].pop("repair")}),
+                        "doi without repair": lambda r: r["dois"][0].pop("repair"),
+                        "type no press type": lambda r: r.update(type="rumour"),
+                        "region no region": lambda r: r.update(region="Atlantis"),
+                        "doi repair no repair": lambda r: r["dois"][0].update(repair="guessed")}),
         **_jsonl_cases("mentions_file", ("analyze",), lambda r: True,
                        ("tweet_id", "created_at", "author_id", "embedded_urls", "resolved_urls",
                         "is_retweet", "matches"),
                        {"resolved url a number": lambda r: r.update(resolved_urls=[5]),
-                        "match kind retyped": lambda r: r["matches"][0].update(kind=5)}),
+                        "match kind retyped": lambda r: r["matches"][0].update(kind=5),
+                        "match kind misspelt": lambda r: r["matches"][0].update(kind="matchd")}),
         **_jsonl_cases("backlinks_attached", ("analyze",), lambda r: True,
                        ("release_id", "window_start", "window_end"),
                        {"release_id a list": lambda r: r.update(release_id=["x"]),
@@ -1566,6 +1570,8 @@ class TestMutatedStageInputs:
             assert cli.main([stage, "--config", str(config_file)]) == 1, stage
             err = capsys.readouterr().err
             assert err.startswith("error: ") and f"{path}:" in err and err.count("\n") == 1, err
+            if path.suffix == ".jsonl":  # a JSON Lines input names the mutated line too
+                assert f"{path}:{n + 1}: " in err, err
 
 
 class TestRunLock:

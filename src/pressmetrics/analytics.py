@@ -60,30 +60,15 @@ class CoGraph:
         return sum(self.edges.values())
 
 
-def cograph_to_json_dict(graph: CoGraph) -> dict:
-    """Network JSON for co-occurrence map viewers: nodes carry occurrence
-    counts and link strength, links carry pair weights."""
-    order = {keyword: i + 1 for i, keyword in enumerate(sorted(graph.nodes))}
-    nodes = [
-        {"id": order[k], "label": k, "occurrences": graph.nodes[k],
-         "link_strength": graph.link_strength[k]}
-        for k in sorted(graph.nodes)
-    ]
-    links = [
-        {"source": order[a], "target": order[b], "weight": w}
-        for (a, b), w in sorted(graph.edges.items())
-    ]
-    return {"nodes": nodes, "links": links}
-
-
 _LINK = '    {{\n      "source": {},\n      "target": {},\n      "weight": {}\n    }}'
 _NODE = ('    {{\n      "id": {},\n      "label": {},\n      "link_strength": {},\n'
          '      "occurrences": {}\n    }}')
 
 
 def cograph_json(graph: CoGraph):
-    """The text that store.write_json writes for cograph_to_json_dict(graph),
-    one link or node at a time, without building the document's lists."""
+    """The network JSON for co-occurrence map viewers, as store.write_json would
+    write it, one link or node at a time: nodes carry occurrence counts and link
+    strength, links carry pair weights, and both number keywords in sorted order."""
     order = {keyword: i for i, keyword in enumerate(sorted(graph.nodes), 1)}
     yield "{\n"
     for key, items in (
@@ -165,12 +150,14 @@ class Fold:
         same-year tweets when one of its matched releases was published
         then."""
         year = mention.created_at.year
-        years = {rid: self.year_of[rid] for rid in mention.matched_release_ids()
-                 if rid in self.year_of}
         self.mentions += 1
         self.mention_years[year] += 1
-        self.tweeted.update(years)
-        if year in years.values():
+        same_year = False
+        for match in mention.matches:  # an unmatched result has no release_id
+            if (released := self.year_of.get(match.release_id)) is not None:
+                self.tweeted.add(match.release_id)
+                same_year = same_year or released == year
+        if same_year:
             self.same_year[year] += 1
 
     def add_link(self, release_id: str) -> None:

@@ -104,9 +104,13 @@ class CoverageTally:
 
 def load_external_counts(path: str | Path, digests: dict | None = None) -> dict[str, int]:
     """journal,publications_with_doi, keyed on the folded journal name, so
-    two rows whose names fold to one journal must give one count."""
-    return store.read_mapping(
-        path, lambda row: (fold_name(row["journal"]), int(row["publications_with_doi"])), digests)
+    two rows whose names fold to one journal must give one count. A count
+    below 0 is refused; one of 0 leaves the journal's coverage undefined."""
+    def journal_count(row: dict) -> tuple[str, int]:
+        if (count := int(row["publications_with_doi"])) < 0:
+            raise ValueError(f"publications_with_doi is {count}, below 0")
+        return fold_name(row["journal"]), count
+    return store.read_mapping(path, journal_count, digests)
 
 
 def load_doi_journals(path: str | Path, digests: dict | None = None) -> dict[str, str]:

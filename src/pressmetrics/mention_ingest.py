@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import store
@@ -48,10 +49,17 @@ class MatchKind(str, Enum):
     OUT_OF_SCOPE = "out_of_scope"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     kind: MatchKind
     release_id: str | None = None
+
+
+# Results are frozen, so the mentions that a stage file decodes share them: one
+# per unmatched kind, and one per recently matched release id.
+_KINDS = MatchKind._value2member_map_
+_UNMATCHED = {kind: MatchResult(kind) for kind in (MatchKind.OUTDATED_URL, MatchKind.OUT_OF_SCOPE)}
+_matched = lru_cache(maxsize=4096)(partial(MatchResult, MatchKind.MATCHED))
 
 
 @dataclass
@@ -65,12 +73,6 @@ class TweetMention:
     resolved_urls: list[str]
     is_retweet: bool
     matches: list[MatchResult] = field(default_factory=list)
-
-    def matched_release_ids(self) -> list[str]:
-        """Distinct matched releases, one entry per (tweet, release) pair,
-        in first-match order."""
-        return list(dict.fromkeys(m.release_id for m in self.matches
-                                  if m.kind is MatchKind.MATCHED))
 
 
 class CsvResolver(dict):
@@ -128,9 +130,7 @@ def match_to_release(final: str, index: CorpusIndex) -> MatchResult:
     release_id = index.get(final)
     if release_id is not None:
         return MatchResult(MatchKind.MATCHED, release_id)
-    if index.in_fold(final):
-        return MatchResult(MatchKind.OUTDATED_URL)
-    return MatchResult(MatchKind.OUT_OF_SCOPE)
+    return _UNMATCHED[MatchKind.OUTDATED_URL if index.in_fold(final) else MatchKind.OUT_OF_SCOPE]
 
 
 # YYYY-MM-DDTHH:MM:SS[.fff|.ffffff][Z|±HH:MM]: read alike by fromisoformat on 3.10 and 3.11
@@ -215,14 +215,15 @@ def mention_to_dict(mention: TweetMention) -> dict:
 
 
 def mention_from_dict(record: dict) -> TweetMention:
-    return TweetMention(
-        tweet_id=store.typed(record, "tweet_id", str),
-        created_at=_parse_timestamp(record["created_at"]),
-        author_id=store.typed(record, "author_id", str),
-        embedded_urls=store.typed(record, "embedded_urls", list),
-        resolved_urls=store.strings(record, "resolved_urls"),
-        is_retweet=store.typed(record, "is_retweet", bool),
-        matches=[MatchResult(MatchKind(m["kind"]), store.typed(m, "release_id", str)
-                             if m["kind"] == MatchKind.MATCHED else None)
-                 for m in store.typed(record, "matches", list)],
+    return TweetMention(  # by position, which costs half as much as by keyword
+        store.typed(record, "tweet_id", str),
+        _parse_timestamp(record["created_at"]),
+        store.typed(record, "author_id", str),
+        store.typed(record, "embedded_urls", list),
+        store.strings(record, "resolved_urls"),
+        store.typed(record, "is_retweet", bool),
+        # a kind other than the two unmatched ones is matched, and needs a release_id
+        [_UNMATCHED.get(store.member(m, "kind", _KINDS))
+         or _matched(store.typed(m, "release_id", str))
+         for m in store.typed(record, "matches", list)],
     )

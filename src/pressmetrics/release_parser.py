@@ -47,10 +47,9 @@ class PressType(str, Enum):
 
     @classmethod
     def parse(cls, raw: str) -> "PressType":
-        try:
-            return cls(raw.strip().lower())
-        except ValueError:
-            raise ParseError("type", f"unknown press type {raw!r}") from None
+        if (member := cls._value2member_map_.get(raw.strip().lower())) is None:
+            raise ParseError("type", f"unknown press type {raw!r}")
+        return member
 
 
 class Region(str, Enum):
@@ -64,11 +63,10 @@ class Region(str, Enum):
 
     @classmethod
     def parse(cls, raw: str) -> "Region":
-        folded = " ".join(raw.split()).lower()
-        for member in cls:
-            if member.value.lower() == folded:
-                return member
-        return cls.UNKNOWN
+        return _FOLDED_REGIONS.get(" ".join(raw.split()).lower(), cls.UNKNOWN)
+
+
+_FOLDED_REGIONS = {region.value.lower(): region for region in Region}
 
 
 class Repair(str, Enum):
@@ -375,17 +373,18 @@ def release_from_dict(record: dict) -> PressRelease:
         date=iso_date(record["date"]),
         funder=store.typed(record, "funder", str),
         journal=store.strings(record, "journal"),
-        type=None if record["type"] is None else PressType(record["type"]),
+        type=(None if record["type"] is None
+              else store.member(record, "type", PressType._value2member_map_)),
         institution=store.typed(record, "institution", str),
         meeting=store.typed(record, "meeting", str),
-        region=Region(record["region"]),
+        region=store.member(record, "region", Region._value2member_map_),
     )
     return PressRelease(
         id=store.typed(record, "id", str),
         canonical_url=store.typed(record, "canonical_url", str),
         metadata=md,
         dois=[DoiRef(store.typed(d, "raw", str), store.typed(d, "normalized", str),
-                     Repair(d["repair"]))
+                     store.member(d, "repair", Repair._value2member_map_))
               for d in store.typed(record, "dois", list)],
         date_anomaly=store.typed(record, "date_anomaly", bool),
     )

@@ -104,6 +104,14 @@ def typed(record: dict, key: str, kind: type):
     return value
 
 
+def member(record: dict, key: str, members: dict):
+    """``E(record[key])`` for a str, found in ``members``, the value map of the Enum
+    ``E``, at a fraction of that call's cost; as typed, another JSON type is refused."""
+    if type(value := record[key]) is not str or (found := members.get(value)) is None:
+        raise ValueError(f"field {key!r} is {value!r}, not one of {', '.join(members)}")
+    return found
+
+
 def strings(record: dict, key: str) -> list[str]:
     """``record[key]`` if it is a list of str; as typed, nothing is converted."""
     value = typed(record, key, list)

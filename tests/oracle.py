@@ -286,3 +286,21 @@ def expected_tweets_per_release(truth, tweets_path, resolver_path):
             same_year[m["year"]] = same_year.get(m["year"], 0) + 1
     return {year: ratio_half_up(same_year.get(year, 0), n)
             for year, n in sorted(published.items())}
+
+
+def cograph_document(graph):
+    """The network JSON of a keyword co-occurrence graph (anything with
+    ``nodes``, ``edges`` and ``link_strength`` counters), built whole: nodes
+    carry occurrence counts and link strength, links carry pair weights, and
+    keywords are numbered from 1 in sorted order."""
+    order = {keyword: i + 1 for i, keyword in enumerate(sorted(graph.nodes))}
+    nodes = [{"id": order[k], "label": k, "occurrences": graph.nodes[k],
+              "link_strength": graph.link_strength[k]} for k in sorted(graph.nodes)]
+    links = [{"source": order[a], "target": order[b], "weight": w}
+             for (a, b), w in sorted(graph.edges.items())]
+    return {"nodes": nodes, "links": links}
+
+
+def matched_release_ids(mention):
+    """The distinct releases a decoded mention matched, in first-match order."""
+    return list(dict.fromkeys(m.release_id for m in mention.matches if m.kind == "matched"))

@@ -215,7 +215,7 @@ def test_criterion_4_mention_pipeline(fixtures_dir, corpus_index):
         for mention in mentions:
             kinds, release_ids = expected[mention.tweet_id]
             assert [m.kind.value for m in mention.matches] == kinds
-            assert mention.matched_release_ids() == release_ids
+            assert oracle.matched_release_ids(mention) == release_ids
             counted = sum(1 for m in mention.matches
                           if m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL,
                                         MatchKind.OUT_OF_SCOPE))

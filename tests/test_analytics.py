@@ -12,7 +12,6 @@ from pressmetrics import analytics
 from pressmetrics.analytics import (
     CoGraph,
     cooccurrence_graph,
-    cograph_to_json_dict,
     coverage_table,
     distribution_percentages,
     keyword_frequency,
@@ -129,7 +128,7 @@ class TestCooccurrence:
         assert sum(graph.link_strength.values()) == 2 * graph.total_weight()
 
     def test_json_export_shape(self, corpus):
-        payload = cograph_to_json_dict(cooccurrence_graph(corpus))
+        payload = oracle.cograph_document(cooccurrence_graph(corpus))
         assert set(payload) == {"nodes", "links"}
         ids = {node["id"] for node in payload["nodes"]}
         for node in payload["nodes"]:
@@ -150,7 +149,7 @@ class TestCooccurrence:
             graph.nodes.update(keywords)
             graph.edges.update(combinations(keywords, 2))
             graph.link_strength.update(dict.fromkeys(keywords, len(keywords) - 1))
-        want = json.dumps(cograph_to_json_dict(graph), indent=2, ensure_ascii=False,
+        want = json.dumps(oracle.cograph_document(graph), indent=2, ensure_ascii=False,
                           sort_keys=True) + "\n"
         assert "".join(analytics.cograph_json(graph)) == want
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from pressmetrics import (analytics, backlink_ingest, cli, harvester, mention_ingest, pagescan,
                           release_parser, store)
 
@@ -1005,7 +1006,7 @@ class TestAnalyze:
             store.write_csv(want / "keyword_frequency.csv", ["keyword", "occurrences"],
                             analytics.keyword_frequency(corpus))
             store.write_json(want / "cooccurrence_graph.json",
-                             analytics.cograph_to_json_dict(analytics.cooccurrence_graph(corpus)))
+                             oracle.cograph_document(analytics.cooccurrence_graph(corpus)))
             store.write_csv(want / "region_distribution.csv", ["region", "count", "pct"],
                             cli._distribution_rows(regions))
             store.write_csv(want / "pio_ranking.csv", ["institution", "count"],
@@ -1182,6 +1183,32 @@ _JSON_VALUES = st.recursive(
     st.text() | st.integers() | st.floats() | st.booleans() | st.none(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=24)
+
+
+_ENUMS = (release_parser.PressType, release_parser.Region, release_parser.Repair,
+          mention_ingest.MatchKind)
+# every member value of the four enums as written, in other letter cases and padded
+_SPELLINGS = st.sampled_from([m.value for kind in _ENUMS for m in kind]).flatmap(
+    lambda v: st.sampled_from([v, v.upper(), v.title(), v.swapcase(), v.capitalize(),
+                               f" {v}", f"{v} ", f"{v}\n", f"\t{v}", v.replace(" ", "  ")]))
+
+
+class TestEnumMembers:
+    @given(st.sampled_from(_ENUMS), _SPELLINGS | _JSON_VALUES)
+    def test_a_member_is_what_the_enum_call_gives_for_a_str_and_all_else_is_refused(
+            self, kind, value):
+        want = None
+        if type(value) is str:
+            try:
+                want = kind(value)  # the oracle
+            except ValueError:
+                pass
+        if want is not None:
+            assert store.member({"f": value}, "f", kind._value2member_map_) is want
+            return
+        with pytest.raises(ValueError) as err:
+            store.member({"f": value}, "f", kind._value2member_map_)
+        assert str(err.value).startswith(f"field 'f' is {value!r}, not one of ")
 
 
 class TestStorePrimitives:
@@ -1535,6 +1562,9 @@ class TestMutatedStageInputs:
             "doi_rewrites", ("parse",), lambda lines: 1,
             lambda raw: raw[:raw.rindex(b",") + 1] + b"\\9\n"),
         **_table_cases("external_counts", ("couple",)),
+        "external_counts, a negative count": (
+            "external_counts", ("couple",), lambda lines: 1,
+            lambda raw: raw.replace(b",1200\n", b",-5\n")),
         **_table_cases("backlinks_file", ("ingest-links",)),
         **_table_cases("resolver_file", ("parse", "ingest-tweets")),
         "summary, truncated": ("summary", ("report",), lambda lines: 1, _cut_in_half),

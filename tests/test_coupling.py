@@ -110,6 +110,21 @@ def test_a_key_with_two_values_names_file_and_both_lines(tmp_path, loader, text)
     assert "on line 2" in str(err.value)
 
 
+def test_a_negative_external_count_names_file_and_line_and_zero_stays_undefined(
+        tmp_path, make_release):
+    from pressmetrics.coupling import load_external_counts
+    path = tmp_path / "external_counts.csv"
+    path.write_text("journal,publications_with_doi\nActa X,0\nActa Y,-5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_external_counts(path)
+    assert str(err.value) == f"{path}:3: publications_with_doi is -5, below 0"
+    path.write_text("journal,publications_with_doi\nActa X,0\n", encoding="utf-8")
+    stats = Counter()
+    rows = journal_coverage([make_release("r1", journal=["Acta X"])], load_external_counts(path),
+                            stats=stats)
+    assert rows == [JournalCoverage("acta x", 0, 1, None)] and stats["undefined_coverage"] == 1
+
+
 def test_external_counts_accept_a_repeated_identical_row(tmp_path):
     from pressmetrics.coupling import load_external_counts
     path = tmp_path / "external_counts.csv"

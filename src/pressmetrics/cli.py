@@ -179,7 +179,7 @@ def _manifest_line(entry: dict) -> tuple:
     if type(length) is not int or length < 0:
         raise ValueError(f"length {length!r} is not a byte count")
     return (store.typed(entry, "url", str), store.typed(entry, "digest", str), length,
-            store.member(entry, "class", harvester.PageClass._value2member_map_))
+            store.member(entry, "class", harvester.PageClass))
 
 
 def stage_parse(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:

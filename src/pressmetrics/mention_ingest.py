@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from functools import lru_cache, partial
 from pathlib import Path
 
 from . import store
@@ -55,11 +54,8 @@ class MatchResult:
     release_id: str | None = None
 
 
-# Results are frozen, so the mentions that a stage file decodes share them: one
-# per unmatched kind, and one per recently matched release id.
-_KINDS = MatchKind._value2member_map_  # read once: a read off an Enum class costs 5 times more
+# Results are frozen, so every unmatched result of a kind can be one object.
 _UNMATCHED = {kind: MatchResult(kind) for kind in (MatchKind.OUTDATED_URL, MatchKind.OUT_OF_SCOPE)}
-_matched = lru_cache(maxsize=4096)(partial(MatchResult, MatchKind.MATCHED))
 
 
 @dataclass
@@ -223,7 +219,7 @@ def mention_from_dict(record: dict) -> TweetMention:
         store.strings(record, "resolved_urls"),
         store.typed(record, "is_retweet", bool),
         # a kind other than the two unmatched ones is matched, and needs a release_id
-        [_UNMATCHED.get(store.member(m, "kind", _KINDS))
-         or _matched(store.typed(m, "release_id", str))
+        [_UNMATCHED.get(kind := store.member(m, "kind", MatchKind))
+         or MatchResult(kind, store.typed(m, "release_id", str))
          for m in store.typed(record, "matches", list)],
     )

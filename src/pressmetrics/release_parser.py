@@ -373,18 +373,17 @@ def release_from_dict(record: dict) -> PressRelease:
         date=iso_date(record["date"]),
         funder=store.typed(record, "funder", str),
         journal=store.strings(record, "journal"),
-        type=(None if record["type"] is None
-              else store.member(record, "type", PressType._value2member_map_)),
+        type=None if record["type"] is None else store.member(record, "type", PressType),
         institution=store.typed(record, "institution", str),
         meeting=store.typed(record, "meeting", str),
-        region=store.member(record, "region", Region._value2member_map_),
+        region=store.member(record, "region", Region),
     )
     return PressRelease(
         id=store.typed(record, "id", str),
         canonical_url=store.typed(record, "canonical_url", str),
         metadata=md,
         dois=[DoiRef(store.typed(d, "raw", str), store.typed(d, "normalized", str),
-                     store.member(d, "repair", Repair._value2member_map_))
+                     store.member(d, "repair", Repair))
               for d in store.typed(record, "dois", list)],
         date_anomaly=store.typed(record, "date_anomaly", bool),
     )

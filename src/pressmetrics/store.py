@@ -104,9 +104,10 @@ def typed(record: dict, key: str, kind: type):
     return value
 
 
-def member(record: dict, key: str, members: dict):
-    """``E(record[key])`` for a str, found in ``members``, the value map of the Enum
-    ``E``, at a fraction of that call's cost; as typed, another JSON type is refused."""
+def member(record: dict, key: str, enum: type):
+    """``enum(record[key])`` for a str, found in the Enum's value map at a fraction of
+    that call's cost; as typed, another JSON type is refused, not converted."""
+    members = enum._value2member_map_
     if type(value := record[key]) is not str or (found := members.get(value)) is None:
         raise ValueError(f"field {key!r} is {value!r}, not one of {', '.join(members)}")
     return found

@@ -1204,10 +1204,10 @@ class TestEnumMembers:
             except ValueError:
                 pass
         if want is not None:
-            assert store.member({"f": value}, "f", kind._value2member_map_) is want
+            assert store.member({"f": value}, "f", kind) is want
             return
         with pytest.raises(ValueError) as err:
-            store.member({"f": value}, "f", kind._value2member_map_)
+            store.member({"f": value}, "f", kind)
         assert str(err.value).startswith(f"field 'f' is {value!r}, not one of ")
 
 

@@ -5,7 +5,6 @@ from datetime import datetime, timezone
 import pytest
 
 import oracle
-from pressmetrics import mention_ingest
 from pressmetrics.analytics import Fold
 from pressmetrics.mention_ingest import (
     CsvResolver,
@@ -249,19 +248,15 @@ def _mention_line(n: int, matches: list[dict]) -> dict:
 
 
 class TestSharedMatchResults:
-    """mention_from_dict shares frozen match results between mentions; each
-    mention still equals one built directly, and owns its matches list."""
+    """mention_from_dict shares the frozen unmatched results between mentions;
+    each mention still equals one built directly, and owns its matches list."""
 
     def test_decoded_mentions_equal_built_ones_and_own_their_lists(self, tmp_path):
         shared = {"kind": "matched", "release_id": "shared-201601"}
         outdated, out_of_scope = {"kind": "outdated_url"}, {"kind": "out_of_scope"}
         mixes = [[shared, outdated, out_of_scope], [shared], [outdated], [out_of_scope, shared],
                  [shared, shared], [], [outdated, out_of_scope]]
-        records = [_mention_line(n, mix) for n, mix in enumerate(mixes)]
-        # more distinct release ids than the results kept, then the first lines again
-        records += [_mention_line(len(records) + n, [{"kind": "matched", "release_id": f"r-{n}"}])
-                    for n in range(5000)]
-        records += [_mention_line(len(records) + n, mix) for n, mix in enumerate(mixes)]
+        records = [_mention_line(n, mix) for n, mix in enumerate(mixes + mixes)]
         path = tmp_path / "mentions.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
@@ -278,6 +273,5 @@ class TestSharedMatchResults:
                          for m in record["matches"]])
             assert mention_to_dict(mention) == record
         assert len({id(m.matches) for m in mentions}) == len(mentions)
-        assert mentions[0].matches[0] is mentions[1].matches[0]  # one result, shared
-        assert mentions[0].matches[1] is mentions[2].matches[0]
-        assert mention_ingest._matched.cache_info().currsize <= 4096  # bounded, whatever the input
+        assert mentions[0].matches[1] is mentions[2].matches[0]  # one result, shared
+        assert mentions[0].matches[2] is mentions[3].matches[0]

@@ -98,14 +98,15 @@ class CoverageRow:
 
 
 class Fold:
-    """What the statistics read of a corpus, its mentions and its backlinks.
+    """What the statistics read of a corpus, its mentions and its backlinks:
+    the constructor adds the ones it is given, in that order, and add_* the rest.
 
     Add every release before the first mention or link: both count only
     through the year of a dated release. Date-anomalous releases count
     toward the corpus totals but stay out of every bucketed statistic.
     """
 
-    def __init__(self):
+    def __init__(self, corpus=(), mentions=(), linked=()):
         self.releases = 0
         self.date_anomalous = 0
         self.days: Counter[date] = Counter()  # dated releases per publication day
@@ -120,6 +121,12 @@ class Fold:
         self.same_year: Counter[int] = Counter()  # tweets linking a release of their year
         self.tweeted: set[str] = set()  # dated releases that a mention matched
         self.linked: set[str] = set()  # dated releases with an attached backlink aggregate
+        for release in corpus:
+            self.add_release(release)
+        for mention in mentions:
+            self.add_mention(mention)
+        for release_id in linked:
+            self.add_link(release_id)
 
     def add_release(self, release) -> None:
         """Count the release toward every corpus statistic. A release with
@@ -203,58 +210,47 @@ class Fold:
                 for year, count in sorted(self.published.items())]
 
 
-def _fold(corpus=(), mentions=(), linked=()) -> Fold:
-    fold = Fold()
-    for release in corpus:
-        fold.add_release(release)
-    for mention in mentions:
-        fold.add_mention(mention)
-    for release_id in linked:
-        fold.add_link(release_id)
-    return fold
-
-
 def output_series(corpus, granularity: str = "yearly") -> list[tuple[int | date, int]]:
     """Publication counts per year (or per day), buckets sorted ascending.
 
     Date-anomalous releases are excluded from bucketed output; they still
     count toward corpus totals elsewhere.
     """
-    return _fold(corpus).output_series(granularity)
+    return Fold(corpus).output_series(granularity)
 
 
 def type_distribution(corpus) -> dict[PressType, tuple[int, float]]:
     """Counts and one-decimal shares per press type, over the releases that
     carry a type value."""
-    return _fold(corpus).type_distribution()
+    return Fold(corpus).type_distribution()
 
 
 def keyword_frequency(corpus) -> list[tuple[str, int]]:
     """Keywords ranked by the number of releases using them (a release
     counts once per keyword no matter how often it repeats one)."""
-    return _fold(corpus).keyword_frequency()
+    return Fold(corpus).keyword_frequency()
 
 
 def cooccurrence_graph(corpus) -> CoGraph:
     """The keyword network of ``corpus``; see Fold.add_release."""
-    return _fold(corpus).graph
+    return Fold(corpus).graph
 
 
 def region_distribution(corpus) -> dict[Region, tuple[int, float]]:
     """Counts and one-decimal shares per PIO region, over the releases that
     carry region metadata."""
-    return _fold(corpus).region_distribution()
+    return Fold(corpus).region_distribution()
 
 
 def pio_ranking(corpus, alias_table: dict[str, str] | None = None) -> list[tuple[str, int]]:
     """Submitting institutions ranked by output, internal units merged
     through the alias table; ties break on the name."""
-    return _fold(corpus).pio_ranking(alias_table or {})
+    return Fold(corpus).pio_ranking(alias_table or {})
 
 
 def mention_series(mentions) -> list[tuple[int, int]]:
     """Tweet mentions per tweet-publication year."""
-    return _fold(mentions=mentions).mention_series()
+    return Fold(mentions=mentions).mention_series()
 
 
 def tweets_per_release(corpus, mentions) -> dict[int, float]:
@@ -263,7 +259,7 @@ def tweets_per_release(corpus, mentions) -> dict[int, float]:
     The numerator counts tweets from year Y that link at least one release
     also published in Y; years without published releases are omitted.
     """
-    return _fold(corpus, mentions).tweets_per_release()
+    return Fold(corpus, mentions).tweets_per_release()
 
 
 def coverage_table(corpus, mentions, backlinks) -> list[CoverageRow]:
@@ -275,4 +271,4 @@ def coverage_table(corpus, mentions, backlinks) -> list[CoverageRow]:
     construction. Percentages print at two decimals for tweets and one for
     web links.
     """
-    return _fold(corpus, mentions, backlinks).coverage_table()
+    return Fold(corpus, mentions, backlinks).coverage_table()

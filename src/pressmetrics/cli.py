@@ -294,12 +294,8 @@ def _distribution_rows(dist: dict) -> list[list]:
 
 
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    fold = analytics.Fold()
-    for release in inputs.corpus_file:
-        fold.add_release(release)
+    fold = analytics.Fold(inputs.corpus_file, inputs.mentions_file or ())
     has_mentions = inputs.mentions_file is not None
-    for mention in inputs.mentions_file or ():
-        fold.add_mention(mention)
     has_backlinks = inputs.backlinks_attached is not None
     windows: dict[str, date] = {}
     for release_id, *ends in inputs.backlinks_attached or ():

@@ -16,7 +16,10 @@ degrades to "whatever was recoverable" instead of raising:
 - a marked section (``<![``) with an unknown keyword ends the scan.
 
 Attributes are parsed only on the tags whose fields a PageScan keeps, and
-character references are expanded only where a ``&`` occurs.
+character references are expanded only where a ``&`` occurs. They are parsed
+once per distinct start-tag text, in a bounded memo, as a site's navigation
+repeats on every page; that text is the key, because the parse never reads
+past the tag's closing ``>``.
 tests/scan_oracle.py holds the reference scanner this is checked against.
 
 Each stage scans a page body once and hands the resulting PageScan to every
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from html import unescape
+from types import MappingProxyType
 
 _XML_ROOT = re.compile(rb"<\?xml[^>]*\?>\s*(?:<!--.*?-->\s*)*<\s*([A-Za-z:_][\w:.-]*)", re.S)
 
@@ -78,14 +83,15 @@ class PageScan:
     empty: bool = False  # the payload was empty or whitespace-only
 
 
-def _attributes(text: str, start: int, end: int) -> tuple[dict[str, str | None], str]:
-    """Attributes of the start tag text[start:end], the last of duplicate
-    names winning, and what is left of the tag after them (">" or "/>" for a
-    well-formed tag). A valueless attribute maps to None."""
-    k = _TAG_NAME.match(text, start + 1).end()
+@lru_cache(maxsize=512)
+def _attributes(tag: str) -> tuple[MappingProxyType[str, str | None], str]:
+    """Attributes of the start tag text ``tag`` (the last of duplicate names
+    winning, a valueless one None; read-only, as pages share it) and what is
+    left of the tag after them: ">" or "/>" for a well-formed tag."""
+    k = _TAG_NAME.match(tag, 1).end()
     attrs: dict[str, str | None] = {}
-    while k < end:
-        m = _ATTRIBUTE.match(text, k)
+    while k < len(tag):
+        m = _ATTRIBUTE.match(tag, k)
         if not m:
             break
         name, rest, value = m.group(1, 2, 3)
@@ -97,7 +103,7 @@ def _attributes(text: str, start: int, end: int) -> tuple[dict[str, str | None],
             value = unescape(value)
         attrs[name.lower()] = value
         k = m.end()
-    return attrs, text[k:end].strip()
+    return MappingProxyType(attrs), tag[k:].strip()
 
 
 def scan_page(body: bytes) -> PageScan:
@@ -141,7 +147,7 @@ def scan_page(body: bytes) -> PageScan:
                 if tag not in _TAGS_WITH_FIELDS:
                     scan.is_html = True
                     continue
-                attrs, rest = _attributes(text, start, pos)
+                attrs, rest = _attributes(text[start:pos])
                 if rest not in (">", "/>"):
                     data(text[start:pos], raw=True)
                     continue

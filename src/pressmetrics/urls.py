@@ -84,8 +84,9 @@ def url_path(canonical_url: str) -> str:
 
 def normalize_fold(seed_path: str) -> str:
     """The host+path prefix ("host.example/releases/") that canonical URLs
-    inside a seed path start with, after their "https://"."""
-    return canonicalize_url(seed_path)[len("https://"):]
+    inside a seed path start with, after their "https://". A fold is a
+    directory, so it ends in "/", and "h/releases" holds no "h/releases-old/x"."""
+    return canonicalize_url(seed_path)[len("https://"):].rstrip("/") + "/"
 
 
 def inside_fold(canonical: str, fold: str) -> bool:

@@ -123,6 +123,14 @@ class TestCoverageIndex:
         assert len(coverage.outdated) == 1
         assert len(coverage.rejected) == 1
 
+    def test_sibling_of_an_unslashed_fold_is_rejected(self):
+        index = CorpusIndex({}, "h.test/fold")
+        coverage = link_coverage_index([RawLinkRecord("https://h.test/fold-old/a.html", 1, 1, 0, 0),
+                                        RawLinkRecord("https://h.test/fold/gone.html", 1, 1, 0, 0)],
+                                       index)
+        assert coverage.rejected == ["https://h.test/fold-old/a.html"]
+        assert coverage.outdated == ["https://h.test/fold/gone.html"]
+
     def test_empty(self, corpus_index):
         coverage = link_coverage_index([], corpus_index)
         assert coverage.attached == {} and coverage.outdated == [] and coverage.rejected == []

@@ -47,6 +47,17 @@ def test_scope_validation():
     assert scope.seed_url == "https://h.test/x/"
 
 
+@pytest.mark.parametrize("seed_path", ["www.eksci.test/releases", "www.eksci.test/releases/"])
+@pytest.mark.parametrize("url", ["https://www.eksci.test/releases-archive/x.html",
+                                 "https://www.eksci.test/releasesX"])
+def test_scope_ends_at_a_segment_boundary(seed_path, url):
+    """A fold is a directory: one spelt without its trailing slash holds no sibling path."""
+    scope = CrawlScope(seed_path)
+    assert scope.seed_path == "www.eksci.test/releases/"
+    assert scope.contains("https://www.eksci.test/releases/2016/x.html")
+    assert not scope.contains(url)
+
+
 @pytest.mark.parametrize("url", ["ftp://h.test/x/a.html", "mailto:press@h.test",
                                  "h.test/x/a.html", "http://h.test/x/a.html"])
 def test_scope_holds_only_canonical_urls(url):
@@ -274,7 +285,7 @@ def test_semicolon_href_joins_like_urljoin(page_url, href):
     assert _canonical_join(page_url, href) == canonicalize_url(urljoin(page_url, href))
 
 
-@pytest.mark.parametrize("seed_path", ["www.eksci.test:443/releases/",
+@pytest.mark.parametrize("seed_path", ["www.eksci.test:443/releases/", "www.eksci.test/releases",
                                        "www.eksci.test/releases/%7Eold/../"])
 def test_equivalent_fold_spellings_crawl_the_same_site(seed_path, fixtures_dir, crawl_result):
     scope = CrawlScope(seed_path, rate_limit=0.0)

@@ -19,6 +19,7 @@ from pressmetrics.mention_ingest import (
     resolve_chain,
 )
 from pressmetrics.store import read_csv, read_jsonl
+from pressmetrics.urls import CorpusIndex
 
 
 class TestResolveChain:
@@ -84,6 +85,14 @@ class TestMatch:
         assert gone.kind is MatchKind.OUTDATED_URL
         off = match_to_release("https://unrelated.example/x", corpus_index)
         assert off.kind is MatchKind.OUT_OF_SCOPE
+
+    @pytest.mark.parametrize("url", ["https://www.eksci.test/releases-archive/2017/gone.html",
+                                     "https://www.eksci.test/releasesX"])
+    def test_sibling_of_an_unslashed_fold_is_out_of_scope(self, url):
+        index = CorpusIndex({}, "www.eksci.test/releases")
+        assert match_to_release(url, index).kind is MatchKind.OUT_OF_SCOPE
+        gone = "https://www.eksci.test/releases/2017/gone.html"
+        assert match_to_release(gone, index).kind is MatchKind.OUTDATED_URL
 
 
 class TestIngest:

@@ -6,11 +6,13 @@ constructs a tolerant tokenizer must recover from.
 html.parser's recovery rules change between CPython patch releases, so the
 comparisons with the oracle run only on the interpreter it was checked on
 (``ORACLE_PYTHON``). The named edge cases carry the oracle's scans as
-literals and run everywhere."""
+literals and run everywhere, as do the tests of the attribute memo, which
+compare the parse of a tag's own text with the in-place parse it replaced."""
 
 import importlib.util
 import sys
 from dataclasses import asdict
+from html import unescape
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scan_oracle import ORACLE_PYTHON, oracle_scan
 
-from pressmetrics.pagescan import PageScan, scan_page
+from pressmetrics.pagescan import (
+    _ATTRIBUTE,
+    _TAG_NAME,
+    _TAGS_WITH_FIELDS,
+    _TOKEN,
+    PageScan,
+    _attributes,
+    scan_page,
+)
 
 FIXTURE_SITE = Path(__file__).parent / "fixtures" / "site"
 BENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -32,9 +42,13 @@ def assert_same_scan(body: bytes):
     assert asdict(scan_page(body)) == asdict(oracle_scan(body)), body
 
 
+def site_pages(root: Path) -> list[Path]:
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
 @needs_oracle
 def test_fixture_pages_match_oracle():
-    pages = sorted(p for p in FIXTURE_SITE.rglob("*") if p.is_file())
+    pages = site_pages(FIXTURE_SITE)
     assert len(pages) > 50
     for page in pages:
         assert_same_scan(page.read_bytes())
@@ -54,7 +68,7 @@ def site_generator():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generated_site_pages_match_oracle(site_generator, tmp_path, seed):
     site_generator.generate("crawl-parse", seed, tmp_path)
-    pages = sorted(p for p in (tmp_path / "site").rglob("*") if p.is_file())
+    pages = site_pages(tmp_path / "site")
     assert len(pages) > 400
     for page in pages:
         assert_same_scan(page.read_bytes())
@@ -178,8 +192,72 @@ def test_grammar_markup_matches_oracle(fragments, cut):
     assert_same_scan(document[:cut].encode("utf-8"))  # truncated at EOF
 
 
+_SOUP = st.text(alphabet="<>/!-?[]ab =\"'&;#x\n\x00", max_size=60)
+
+
 @needs_oracle
 @settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="<>/!-?[]ab =\"'&;#x\n\x00", max_size=60))
+@given(_SOUP)
 def test_character_soup_matches_oracle(document):
     assert_same_scan(document.encode("utf-8"))
+
+
+def positional_attributes(text: str, start: int, end: int) -> tuple[dict, str]:
+    """The attribute parse of the start tag text[start:end] read in place, against
+    the whole document: the reference the memoised parse of the tag text alone
+    must equal."""
+    k = _TAG_NAME.match(text, start + 1).end()
+    attrs: dict = {}
+    while k < end:
+        m = _ATTRIBUTE.match(text, k)
+        if not m:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if value and "&" in value:
+            value = unescape(value)
+        attrs[name.lower()] = value
+        k = m.end()
+    return attrs, text[k:end].strip()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_FRAGMENT, max_size=12).map("".join), _SOUP))
+def test_tag_text_parse_equals_positional_parse(document):
+    """Every closed start tag whose fields a scan keeps, wherever the walk may
+    meet it, parses the same from its own text as in place: so the tag text
+    is a sound memo key."""
+    for start in (i for i, char in enumerate(document) if char == "<"):
+        tok = _TOKEN.match(document, start)
+        if (tok.lastgroup == "start" and tok.group("close") is not None
+                and tok.group("tag").lower() in _TAGS_WITH_FIELDS):
+            attrs, rest = _attributes(document[start:tok.end()])
+            assert (dict(attrs), rest) == positional_attributes(document, start, tok.end())
+
+
+def test_memoised_attributes_are_read_only():
+    attrs, rest = _attributes('<a href="x">')
+    assert rest == ">"
+    with pytest.raises(TypeError):
+        attrs["href"] = "y"
+
+
+def test_scans_do_not_depend_on_what_was_scanned_before(site_generator, tmp_path):
+    """The memo holds only what the tag text determines: scanning two sites in
+    one order and then, from an empty memo, in the reverse order gives the same
+    scans, and a consumer that edits a scan's fields changes no later scan."""
+    site_generator.generate("crawl-parse", 1, tmp_path)
+    bodies = [p.read_bytes() for p in site_pages(FIXTURE_SITE) + site_pages(tmp_path / "site")]
+    forward = [asdict(scan_page(body)) for body in bodies]
+    _attributes.cache_clear()
+    backward = [asdict(scan_page(body)) for body in reversed(bodies)]
+    assert backward[::-1] == forward
+
+    i = next(i for i, scan in enumerate(forward) if scan["meta"] and scan["anchors"])
+    scan = scan_page(bodies[i])
+    scan.meta.update(dict.fromkeys(scan.meta, "edited"), extra="x")
+    scan.anchors[:] = ["edited"]
+    assert asdict(scan_page(bodies[i])) == forward[i]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from pressmetrics.urls import (
     CorpusIndex,
     canonicalize_url,
+    normalize_fold,
     release_id_from_url,
     url_host,
 )
@@ -59,6 +60,13 @@ def test_fold_matching():
     assert CorpusIndex({}, "www.eksci.test/releases/%7Eold/../").in_fold(url)
     assert not index.in_fold(canonicalize_url("https://www.eksci.test/outside/x"))
     assert not index.in_fold(canonicalize_url("https://other.test/releases/x"))
+    # a fold is a directory, whether or not its trailing slash is spelt
+    unslashed = CorpusIndex({}, "www.eksci.test/releases")
+    assert unslashed.seed_path == normalize_fold("www.eksci.test/releases") == index.seed_path
+    assert unslashed.in_fold(url)
+    for sibling in ("https://www.eksci.test/releases-archive/x.html",
+                    "https://www.eksci.test/releasesX"):
+        assert not index.in_fold(sibling) and not unslashed.in_fold(sibling)
 
 
 def test_release_id():

@@ -164,13 +164,10 @@ def stage_crawl(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
                 "class": page_class.value,
             }
 
-    try:
-        # the pack is rewritten as pages land, so an earlier manifest no longer describes it
-        cfg.crawl_manifest.unlink(missing_ok=True)
-        with open(cfg.pages_pack, "wb") as pack:
-            _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries(pack))
-    finally:
-        fetcher.close()
+    # the pack is rewritten as pages land, so an earlier manifest no longer describes it
+    cfg.crawl_manifest.unlink(missing_ok=True)
+    with open(cfg.pages_pack, "wb") as pack:
+        _write(manifest, store.write_jsonl, cfg.crawl_manifest, entries(pack))
 
 
 def _manifest_line(entry: dict) -> tuple:

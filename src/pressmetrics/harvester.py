@@ -16,12 +16,13 @@ import re
 import threading
 import time
 from collections import Counter, defaultdict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from urllib.parse import urljoin
+from urllib.parse import quote, urljoin
 
 from . import __version__
 from .pagescan import PageScan, scan_page
@@ -69,10 +70,11 @@ class CrawlScope:
 
 @dataclass
 class FetchRecord:
-    """One completed request: payload, digest, status, and completion time."""
+    """One completed request: status, headers, payload, digest, and completion time."""
 
     url: str
     status: int
+    headers: Mapping[str, str]
     body_digest: str
     fetched_at: datetime
     body: bytes
@@ -171,38 +173,44 @@ class RateLimiter:
 # ---------------------------------------------------------------------------
 
 class HttpFetcher:
-    """Live fetcher. force_scheme lets tests hit a plain-http fixture server
-    while identities stay canonical (https)."""
+    """Live fetcher: one GET per fetch, on its own connection, following no
+    redirect; proxies come from the environment. force_scheme lets tests hit
+    a plain-http fixture server while identities stay canonical (https)."""
 
     def __init__(self, force_scheme: str | None = None):
-        import requests  # only a live crawl needs the HTTP stack
+        import urllib.request  # only a live crawl needs the HTTP stack
 
+        class EveryStatus(urllib.request.HTTPErrorProcessor):
+            def http_response(self, request, response):
+                return response  # urllib's would raise a non-2xx status, or follow a 3xx
+
+            https_response = http_response
+
+        opener = urllib.request.build_opener(EveryStatus)
+        opener.addheaders = [("User-Agent", f"pressmetrics/{__version__}")]
+        self.open = opener.open
         self.force_scheme = force_scheme
-        self.session = requests.Session()
-        self.session.headers["User-Agent"] = f"pressmetrics/{__version__}"
 
-    def fetch(self, canonical_url: str) -> tuple[int, bytes]:
+    def fetch(self, canonical_url: str) -> tuple[int, Mapping[str, str], bytes]:
         url = canonical_url
         if self.force_scheme:
             url = self.force_scheme + "://" + url.split("://", 1)[1]
-        resp = self.session.get(url, timeout=HTTP_TIMEOUT_S)
-        return resp.status_code, resp.content
-
-    def close(self) -> None:
-        self.session.close()
+        # http.client sends only an ASCII request line; existing escapes are kept
+        with self.open(quote(url, safe="!#$%&'()*+,/:;=?@[]~"), timeout=HTTP_TIMEOUT_S) as response:
+            return response.status, response.headers, response.read()
 
 
 class DirectoryFetcher:
     """Recorded-response fetcher for fixtures mode: root/<host>/<path>.
 
     Directory URLs map onto their index.html; anything absent is a 404, so
-    fixture runs are fully network-free.
+    fixture runs are fully network-free. Recorded responses carry no headers.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
-    def fetch(self, canonical_url: str) -> tuple[int, bytes]:
+    def fetch(self, canonical_url: str) -> tuple[int, Mapping[str, str], bytes]:
         path = url_path(canonical_url)
         if path.endswith("/"):
             path += "index.html"
@@ -210,11 +218,8 @@ class DirectoryFetcher:
         if candidate.is_dir():
             candidate = candidate / "index.html"
         if not candidate.is_file():
-            return 404, b""
-        return 200, candidate.read_bytes()
-
-    def close(self) -> None:
-        pass
+            return 404, {}, b""
+        return 200, {}, candidate.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +232,7 @@ def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
     Blocks on the shared limiter until the previous request to the same host
     is at least ``limiter.rate_limit`` seconds old. Network failures retry
     up to FETCH_ATTEMPTS attempts with doubling backoff starting at the rate
-    limit; non-success statuses are recorded, never raised.
+    limit; non-success statuses, 3xx too, are recorded, never raised or followed.
     """
     canonical = canonicalize_url(url)
     if not scope.contains(canonical):
@@ -239,7 +244,7 @@ def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
     for attempt in range(1, FETCH_ATTEMPTS + 1):
         limiter.acquire(host)
         try:
-            status, body = fetcher.fetch(canonical)
+            status, headers, body = fetcher.fetch(canonical)
         except Exception as exc:  # network-level only; HTTP errors come back as statuses
             last_error = exc
             if attempt < FETCH_ATTEMPTS:
@@ -249,6 +254,7 @@ def fetch_page(url, scope, fetcher, limiter: RateLimiter) -> FetchRecord:
         return FetchRecord(
             url=canonical,
             status=status,
+            headers=headers,
             body_digest=hashlib.sha256(body).hexdigest(),
             fetched_at=limiter.clock.utcnow(),
             body=body,
@@ -293,20 +299,17 @@ def _canonical_join(page_url: str, href: str) -> str | None:
     return _join(page_url, href)
 
 
-def expand_frontier(page_url: str, scan: PageScan, scope: CrawlScope, seen: set[str],
+def expand_frontier(page_url: str, hrefs: list[str], scope: CrawlScope, seen: set[str],
                     stats: Counter) -> list[str]:
-    """New in-scope canonical URLs linked from the page at canonical
-    ``page_url``, given that page's scan.
+    """New in-scope canonical URLs among ``hrefs``, the links of the page at
+    canonical ``page_url``.
 
-    Non-hypertext payloads expand to nothing. Output preserves document
-    order, is duplicate-free, and excludes everything in ``seen``; each URL
-    returned is added to ``seen``. Malformed or non-http links are skipped
-    and counted in ``stats``.
+    Output preserves link order, is duplicate-free, and excludes everything
+    in ``seen``; each URL returned is added to ``seen``. Malformed or
+    non-http links are skipped and counted in ``stats``.
     """
-    if not scan.is_html:
-        return []
     out: list[str] = []
-    for href in scan.anchors:
+    for href in hrefs:
         canonical = _canonical_join(page_url, href.strip())
         if canonical is None:
             stats["malformed_links"] += 1
@@ -360,6 +363,8 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter):
     visited. ``stats`` counts ``fetched``, ``press_releases`` and ``failed``
     as the crawl goes; failed URLs never produce records. Each payload is
     scanned once; classification and frontier expansion share that scan.
+    A redirect is recorded with its status, and its target is a link like
+    any other: fetched on its own grant if it is new and in scope.
     """
     stats.update(failed=0, fetched=0, press_releases=0)
     seed = scope.seed_url
@@ -377,5 +382,7 @@ def crawl(scope: CrawlScope, fetcher, limiter: RateLimiter, stats: Counter):
         stats["fetched"] += 1
         stats["press_releases"] += page_class.press_release
         if 200 <= record.status < 300:
-            frontier.extend(expand_frontier(record.url, scan, scope, seen, stats=stats))
+            frontier.extend(expand_frontier(record.url, scan.anchors, scope, seen, stats=stats))
+        elif 300 <= record.status < 400 and "Location" in record.headers:  # a URI reference, RFC 9110 §10.2.2
+            frontier.extend(expand_frontier(record.url, [record.headers["Location"]], scope, seen, stats))
         yield record, page_class

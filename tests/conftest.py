@@ -1,9 +1,12 @@
 import json
 import threading
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from email.message import Message
 from functools import partial
-from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, SimpleHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -118,10 +121,9 @@ class _QuietHandler(SimpleHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def site_server():
-    """Local HTTP server for the bundled site; yields its host:port."""
-    handler = partial(_QuietHandler, directory=str(FIXTURES / "site" / "www.eksci.test"))
+@contextmanager
+def _serving(handler):
+    """A local HTTP server for ``handler`` on a free port; yields its host:port."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -131,3 +133,47 @@ def site_server():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture()
+def site_server():
+    """Local HTTP server for the bundled site; yields its host:port."""
+    with _serving(partial(_QuietHandler, directory=str(FIXTURES / "site" / "www.eksci.test"))) as host:
+        yield host
+
+
+@dataclass
+class ScriptedSite:
+    """What a scripted server answers and what it was asked. ``pages`` maps a
+    request path to its ``(status, headers, body)``; any other path is a 404
+    with no body. ``received`` lists each request's path and headers in the
+    order they arrived."""
+
+    host: str = ""
+    pages: dict[str, tuple[int, dict[str, str], bytes]] = field(default_factory=dict)
+    received: list[tuple[str, Message]] = field(default_factory=list)
+
+
+@pytest.fixture()
+def scripted_server():
+    """Local HTTP server that answers from a script; yields its ScriptedSite."""
+    site = ScriptedSite()
+
+    class _Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            site.received.append((self.path, self.headers))
+            status, headers, body = site.pages.get(self.path, (404, {}, b""))
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    with _serving(_Handler) as host:
+        site.host = host
+        yield site

@@ -1,6 +1,5 @@
 import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import urljoin
 
 import pytest
@@ -28,7 +27,7 @@ from pressmetrics.harvester import (
     fetch_page,
 )
 from pressmetrics.pagescan import scan_page
-from pressmetrics.urls import canonicalize_url
+from pressmetrics.urls import canonicalize_url, url_path
 
 # sha256 of the 12-byte payload b"hello world\n", computed with a standalone
 # script before the build
@@ -146,8 +145,8 @@ class _StaticFetcher:
 
     def fetch(self, url):
         if url in self.pages:
-            return 200, self.pages[url]
-        return 404, b""
+            return 200, {}, self.pages[url]
+        return 404, {}, b""
 
 
 class _FlakyFetcher:
@@ -159,7 +158,7 @@ class _FlakyFetcher:
         self.calls += 1
         if self.calls <= self.failures:
             raise ConnectionError("transient")
-        return 200, b"ok"
+        return 200, {}, b"ok"
 
 
 def test_fetch_digest_matches_precomputed_hash(tmp_path):
@@ -226,27 +225,26 @@ def test_expand_frontier_scope_seen_and_dedup():
     </body></html>"""
     seen = {"https://h.test/fold/c.html"}
     stats = Counter()
-    out = expand_frontier("https://h.test/fold/", scan_page(body), scope, seen, stats)
+    out = expand_frontier("https://h.test/fold/", scan_page(body).anchors, scope, seen, stats)
     assert out == ["https://h.test/fold/a.html", "https://h.test/fold/b.html"]
     assert stats["offscope_links"] == 2
 
 
 def test_expand_frontier_no_anchors_and_duplicates():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
-    assert expand_frontier("https://h.test/fold/", scan_page(b"<html><p>none</p></html>"),
-                           scope, set(), Counter()) == []
-    assert expand_frontier("https://h.test/fold/", scan_page(b"not html at all"), scope, set(),
-                           Counter()) == []
+    for body in (b"<html><p>none</p></html>", b"not html at all"):
+        assert expand_frontier("https://h.test/fold/", scan_page(body).anchors, scope, set(),
+                               Counter()) == []
     twice = b'<html><a href="a.html">1</a><a href="a.html">2</a></html>'
-    assert expand_frontier("https://h.test/fold/", scan_page(twice), scope, set(), Counter()) == [
-        "https://h.test/fold/a.html"]
+    assert expand_frontier("https://h.test/fold/", scan_page(twice).anchors, scope, set(),
+                           Counter()) == ["https://h.test/fold/a.html"]
 
 
 def test_expand_frontier_counts_malformed():
     scope = CrawlScope("h.test/fold/", rate_limit=0.0)
     body = b'<html><a href="mailto:x@y.z">m</a><a href="a.html">ok</a></html>'
     stats = Counter()
-    out = expand_frontier("https://h.test/fold/", scan_page(body), scope, set(), stats)
+    out = expand_frontier("https://h.test/fold/", scan_page(body).anchors, scope, set(), stats)
     assert out == ["https://h.test/fold/a.html"]
     assert stats["malformed_links"] == 1
 
@@ -334,7 +332,8 @@ class _StatusFetcher:
         self.pages = pages
 
     def fetch(self, url):
-        return self.pages.get(url, (404, b""))
+        status, body = self.pages.get(url, (404, b""))
+        return status, {}, body
 
 
 def test_crawl_non_success_page_is_never_press_release():
@@ -420,42 +419,112 @@ def test_crawl_over_http_server(site_server):
     """Same site served over a real socket; identical URL set, politely spaced."""
     scope = CrawlScope(f"{site_server}/releases/", rate_limit=0.02)
     limiter = RateLimiter(scope.rate_limit)
-    fetcher = HttpFetcher(force_scheme="http")
-    try:
-        result = list(crawl(scope, fetcher, limiter=limiter, stats=Counter()))
-    finally:
-        fetcher.close()
+    result = list(crawl(scope, HttpFetcher(force_scheme="http"), limiter=limiter, stats=Counter()))
     press = sum(1 for _, c in result if c.press_release)
     assert press == 50
     assert len(result) == 62
     assert all(gap >= 0.02 - 1e-9 for gap in limiter.spacings(site_server))
 
 
-def test_http_fetcher_sends_user_agent():
-    agents = []
+def test_http_fetcher_sends_user_agent(scripted_server):
+    scripted_server.pages["/x"] = (200, {}, b"ok")
+    status, headers, body = HttpFetcher(force_scheme="http").fetch(
+        f"https://{scripted_server.host}/x")
+    assert (status, headers["Content-Length"], body) == (200, "2", b"ok")
+    assert [h["User-Agent"] for _, h in scripted_server.received] == [f"pressmetrics/{__version__}"]
 
-    class _Handler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            agents.append(self.headers.get("User-Agent"))
-            self.send_response(200)
-            self.send_header("Content-Length", "2")
-            self.end_headers()
-            self.wfile.write(b"ok")
 
-        def log_message(self, *args):
-            pass
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308, 404, 503])
+def test_http_fetcher_returns_every_status_from_one_request(scripted_server, status):
+    """A redirect or an error is the answer itself: nothing is followed or raised."""
+    scripted_server.pages["/x"] = (status, {"Location": "/y"}, b"moved or failed")
+    scripted_server.pages["/y"] = (200, {}, b"the target")
+    got, headers, body = HttpFetcher(force_scheme="http").fetch(f"https://{scripted_server.host}/x")
+    assert (got, headers["location"], body) == (status, "/y", b"moved or failed")
+    assert [path for path, _ in scripted_server.received] == ["/x"]
 
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+
+def test_http_fetcher_quotes_the_path(scripted_server):
+    """http.client sends only an ASCII request line: a canonical path goes out
+    percent-encoded, and the escapes it already has are kept."""
+    sent = ["/a%20b.html", "/caf%C3%A9.html", "/x%2Fy.html"]
+    scripted_server.pages = {path: (200, {}, path.encode()) for path in sent}
+    scope = CrawlScope(f"{scripted_server.host}/", rate_limit=0.0)
+    limiter = RateLimiter(0.0, VirtualClock())
     fetcher = HttpFetcher(force_scheme="http")
-    try:
-        status, body = fetcher.fetch(f"https://127.0.0.1:{server.server_address[1]}/x")
-    finally:
-        fetcher.close()
-        server.shutdown()
-        server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert (status, body) == (200, b"ok")
-    assert agents == [f"pressmetrics/{__version__}"]
+    for path, canonical in zip(sent, ["/a b.html", "/café.html", "/x%2Fy.html"]):
+        record = fetch_page(f"https://{scripted_server.host}{canonical}", scope, fetcher, limiter)
+        assert (record.url, record.status, record.body) == (
+            f"https://{scripted_server.host}{canonical}", 200, path.encode())
+    assert [path for path, _ in scripted_server.received] == sent
+
+
+_RELEASE = (b'<html><head><meta name="date" content="2020-01-01">'
+            b'<meta name="type" content="Research"></head><body>a release</body></html>')
+
+
+def _index(*hrefs: str):
+    links = "".join(f'<a href="{href}">{href}</a>' for href in hrefs)
+    return 200, {}, f"<html><body>{links}</body></html>".encode()
+
+
+def _redirect(status: int, location: str | None):
+    return status, {} if location is None else {"Location": location}, b"<html>moved</html>"
+
+
+# scripted pages ("{host}" is the server's host:port), the paths the crawl
+# must request, in order, and the link counts it must make
+_REDIRECTS = {
+    "in-fold chain": ({
+        "/releases/": _index("a0.html"),
+        "/releases/a0.html": _redirect(301, "/releases/a1.html"),
+        "/releases/a1.html": _redirect(302, "a2.html"),
+        "/releases/a2.html": _redirect(307, "http://{host}/releases/page.html"),
+        "/releases/page.html": (200, {}, _RELEASE),
+    }, ["/releases/", "/releases/a0.html", "/releases/a1.html", "/releases/a2.html",
+        "/releases/page.html"], {"offscope_links": 0, "malformed_links": 0}),
+    "out of the fold": ({
+        "/releases/": _index("moved.html", "away.html", "bad.html"),
+        "/releases/moved.html": _redirect(301, "/elsewhere/page.html"),
+        "/releases/away.html": _redirect(308, "https://other.test/releases/page.html"),
+        "/releases/bad.html": _redirect(302, "http://[x"),
+        "/elsewhere/page.html": (200, {}, _RELEASE),
+    }, ["/releases/", "/releases/moved.html", "/releases/away.html", "/releases/bad.html"],
+        {"offscope_links": 2, "malformed_links": 1}),
+    "to a seen URL, or nowhere": ({
+        "/releases/": _index("a.html", "b.html", "c.html", "d.html"),
+        "/releases/a.html": (200, {}, _RELEASE),
+        "/releases/b.html": _redirect(301, "a.html"),
+        "/releases/c.html": _redirect(303, "/releases/"),
+        "/releases/d.html": _redirect(300, None),
+    }, ["/releases/", "/releases/a.html", "/releases/b.html", "/releases/c.html",
+        "/releases/d.html"], {"offscope_links": 0, "malformed_links": 0}),
+    "loop": ({
+        "/releases/": _index("a.html"),
+        "/releases/a.html": _redirect(302, "b.html"),
+        "/releases/b.html": _redirect(302, "a.html"),
+    }, ["/releases/", "/releases/a.html", "/releases/b.html"],
+        {"offscope_links": 0, "malformed_links": 0}),
+}
+
+
+@pytest.mark.parametrize("pages,requested,links", _REDIRECTS.values(), ids=list(_REDIRECTS))
+def test_crawl_records_a_redirect_and_fetches_its_target_on_its_own_grant(
+        scripted_server, pages, requested, links):
+    site = scripted_server
+    site.pages = {path: (status, {k: v.format(host=site.host) for k, v in headers.items()}, body)
+                  for path, (status, headers, body) in pages.items()}
+    limiter, stats = RateLimiter(1.0, VirtualClock()), Counter()
+    result = list(crawl(CrawlScope(f"{site.host}/releases/", rate_limit=1.0),
+                        HttpFetcher(force_scheme="http"), limiter, stats))
+    assert [path for path, _ in site.received] == requested
+    assert len(limiter.spacings(site.host)) + 1 == len(requested)  # one request per grant
+    assert all(gap >= 1.0 for gap in limiter.spacings(site.host))
+    assert [url_path(record.url) for record, _ in result] == requested
+    for record, page_class in result:  # each answer is recorded under the URL it answered
+        status, _, body = site.pages[url_path(record.url)]
+        assert (record.status, record.body) == (status, body)
+        if 300 <= status < 400:
+            assert page_class is PageClass.SERVER_MESSAGE
+    assert stats["failed"] == 0
+    assert {name: stats[name] for name in links} == links

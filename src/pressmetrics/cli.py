@@ -227,6 +227,22 @@ def _releases(path: Path, digests: dict):
     return store.read_jsonl(path, digests, decode)
 
 
+def _mentions(path: Path, digests: dict):
+    """Each mention, decoded as it is read. ingest-tweets writes them sorted by
+    tweet id, so an id that is not above the line before's fails at its line."""
+    last = None
+
+    def decode(record: dict):
+        nonlocal last
+        mention = mention_ingest.mention_from_dict(record)
+        if last is not None and mention.tweet_id <= last:
+            raise ValueError(f"tweet id {mention.tweet_id!r} does not follow {last!r}")
+        last = mention.tweet_id
+        return mention
+
+    return store.read_jsonl(path, digests, decode)
+
+
 def stage_ingest_tweets(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
     index = CorpusIndex.from_releases(inputs.corpus_file, inputs.seed_path)
     mentions = mention_ingest.ingest_tweets(inputs.tweets_file, inputs.resolver_file, index,
@@ -411,7 +427,7 @@ _DECODERS = {
     "alias_journals": (lambda p, d: load_alias_table(p, d), dict),
     "doi_journals": (lambda p, d: coupling.load_doi_journals(p, d), dict),
     "alias_institutions": (lambda p, d: load_alias_table(p, d), dict),
-    "mentions_file": (lambda p, d: store.read_jsonl(p, d, mention_ingest.mention_from_dict), None),
+    "mentions_file": (_mentions, None),
     "backlinks_attached": (
         lambda p, d: store.read_jsonl(p, d, backlink_ingest.link_window_from_dict), None),
     "summary_file": (lambda p, d: store.read_json(p, d), None),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -51,11 +51,8 @@ class MatchKind(str, Enum):
 @dataclass(frozen=True, slots=True)
 class MatchResult:
     kind: MatchKind
+    url: str  # the resolved, canonical URL that the match was made from
     release_id: str | None = None
-
-
-# Results are frozen, so every unmatched result of a kind can be one object.
-_UNMATCHED = {kind: MatchResult(kind) for kind in (MatchKind.OUTDATED_URL, MatchKind.OUT_OF_SCOPE)}
 
 
 @dataclass
@@ -65,10 +62,12 @@ class TweetMention:
     tweet_id: str
     created_at: datetime
     author_id: str
-    embedded_urls: list[str]
-    resolved_urls: list[str]
-    is_retweet: bool
-    matches: list[MatchResult] = field(default_factory=list)
+    matches: list[MatchResult]
+    is_retweet: bool = False  # retweets never enter the corpus
+
+    @property
+    def resolved_urls(self) -> list[str]:
+        return [m.url for m in self.matches]
 
 
 class CsvResolver(dict):
@@ -125,8 +124,9 @@ def match_to_release(final: str, index: CorpusIndex) -> MatchResult:
     the corpus fold but matches nothing; out-of-scope otherwise."""
     release_id = index.get(final)
     if release_id is not None:
-        return MatchResult(MatchKind.MATCHED, release_id)
-    return _UNMATCHED[MatchKind.OUTDATED_URL if index.in_fold(final) else MatchKind.OUT_OF_SCOPE]
+        return MatchResult(MatchKind.MATCHED, final, release_id)
+    return MatchResult(MatchKind.OUTDATED_URL if index.in_fold(final) else MatchKind.OUT_OF_SCOPE,
+                       final)
 
 
 # YYYY-MM-DDTHH:MM:SS[.fff|.ffffff][Z|±HH:MM]: read alike by fromisoformat on 3.10 and 3.11
@@ -169,7 +169,6 @@ def ingest_tweets(records, hops: dict, index: CorpusIndex, stats: dict) -> list[
         if tweet_id in kept:
             dropped["duplicate_ids"] += 1
             continue
-        resolved: list[str] = []
         matches: list[MatchResult] = []
         for url in urls:
             if not isinstance(url, str) or not url.strip():
@@ -177,20 +176,11 @@ def ingest_tweets(records, hops: dict, index: CorpusIndex, stats: dict) -> list[
                 continue
             if url not in finals:
                 finals[url] = resolve_chain(url.strip(), hops).final
-            resolved.append(finals[url])
             matches.append(match_to_release(finals[url], index))
         if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):
             dropped["no_corpus_url"] += 1
             continue
-        kept[tweet_id] = TweetMention(
-            tweet_id=tweet_id,
-            created_at=created_at,
-            author_id=author_id,
-            embedded_urls=urls,
-            resolved_urls=resolved,
-            is_retweet=False,
-            matches=matches,
-        )
+        kept[tweet_id] = TweetMention(tweet_id, created_at, author_id, matches)
     stats.update(dropped)
     return [kept[tid] for tid in sorted(kept)]
 
@@ -200,13 +190,8 @@ def mention_to_dict(mention: TweetMention) -> dict:
         "tweet_id": mention.tweet_id,
         "created_at": mention.created_at.isoformat().replace("+00:00", "Z"),
         "author_id": mention.author_id,
-        "embedded_urls": mention.embedded_urls,
-        "resolved_urls": mention.resolved_urls,
-        "is_retweet": mention.is_retweet,
-        "matches": [
-            {"kind": m.kind.value, **({"release_id": m.release_id} if m.release_id else {})}
-            for m in mention.matches
-        ],
+        "matches": [{"kind": m.kind.value, **({"release_id": m.release_id} if m.release_id else {}),
+                     "url": m.url} for m in mention.matches],
     }
 
 
@@ -215,11 +200,8 @@ def mention_from_dict(record: dict) -> TweetMention:
         store.typed(record, "tweet_id", str),
         _parse_timestamp(record["created_at"]),
         store.typed(record, "author_id", str),
-        store.typed(record, "embedded_urls", list),
-        store.strings(record, "resolved_urls"),
-        store.typed(record, "is_retweet", bool),
-        # a kind other than the two unmatched ones is matched, and needs a release_id
-        [_UNMATCHED.get(kind := store.member(m, "kind", MatchKind))
-         or MatchResult(kind, store.typed(m, "release_id", str))
+        # a matched entry, and only a matched one, needs a release_id
+        [MatchResult(kind := store.member(m, "kind", MatchKind), store.typed(m, "url", str),
+                     store.typed(m, "release_id", str) if kind is MatchKind.MATCHED else None)
          for m in store.typed(record, "matches", list)],
     )

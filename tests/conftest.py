@@ -107,10 +107,8 @@ def make_mention():
             tweet_id=tweet_id,
             created_at=datetime.fromisoformat(when).replace(tzinfo=timezone.utc),
             author_id="a",
-            embedded_urls=[],
-            resolved_urls=[],
-            is_retweet=False,
-            matches=[MatchResult(MatchKind.MATCHED, rid) for rid in release_ids],
+            matches=[MatchResult(MatchKind.MATCHED, f"https://{FOLD}{rid}.html", rid)
+                     for rid in release_ids],
         )
 
     return _make

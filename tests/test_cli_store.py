@@ -254,6 +254,34 @@ class TestRepeatedReleaseIds:
         assert file_tree(cfg) == before
 
 
+class TestMentionOrder:
+    """ingest-tweets writes mentions.jsonl sorted by tweet id, so analyze refuses
+    a line whose id is not above the line before's: a repeat, or one out of order."""
+
+    # the edit to the file's lines, and the number of the line that then fails
+    EDITS = {
+        "first line appended": (lambda lines: lines + lines[:1], len),
+        "second line repeated": (lambda lines: lines[:2] + lines[1:], lambda lines: 3),
+        "first two lines swapped": (lambda lines: lines[1::-1] + lines[2:], lambda lines: 2),
+    }
+
+    @pytest.mark.parametrize("case", EDITS)
+    def test_a_tweet_id_not_above_the_line_before_fails_at_its_line(self, completed_run,
+                                                                   tmp_path, case):
+        edit, failing = self.EDITS[case]
+        cfg = copied_run(completed_run, tmp_path)
+        lines = edit(cfg.mentions_file.read_text(encoding="utf-8").splitlines(keepends=True))
+        cfg.mentions_file.write_text("".join(lines), encoding="utf-8")
+        lineno = failing(lines)
+        want, last = (json.loads(lines[n])["tweet_id"] for n in (lineno - 1, lineno - 2))
+        before = file_tree(cfg)
+        with pytest.raises(ValueError) as err:
+            cli.run("analyze", cfg)
+        assert str(err.value) == (f"{cfg.mentions_file}:{lineno}: tweet id {want!r} "
+                                  f"does not follow {last!r}")
+        assert file_tree(cfg) == before
+
+
 class TestPipelineOutputs:
     def test_stage_counts(self, completed_run):
         _, manifests = completed_run
@@ -909,16 +937,16 @@ def _synthetic_corpus(rng: random.Random, releases: int) -> list[dict]:
 
 
 def _synthetic_mention(rng: random.Random, i: int, releases: int, urls: int = 2) -> dict:
-    """A mention matching up to three ids, some beyond the corpus, plus an outdated URL."""
+    """A mention matching up to three ids, some beyond the corpus, plus ``urls`` outdated URLs."""
+    kind = mention_ingest.MatchKind
     links = [f"https://{FOLD}r{rng.randrange(releases + 5)}.html/{'x' * 80}" for _ in range(urls)]
+    created_at = datetime(2010 + rng.randrange(6), 1 + rng.randrange(12), 1, tzinfo=timezone.utc)
+    ids = [f"r{rng.randrange(releases + 5)}" for _ in range(rng.randrange(4))]
     return mention_ingest.mention_to_dict(mention_ingest.TweetMention(
-        tweet_id=f"t{i:06d}",
-        created_at=datetime(2010 + rng.randrange(6), 1 + rng.randrange(12), 1, tzinfo=timezone.utc),
-        author_id="a", embedded_urls=links, resolved_urls=links, is_retweet=False,
-        matches=[mention_ingest.MatchResult(mention_ingest.MatchKind.MATCHED,
-                                            f"r{rng.randrange(releases + 5)}")
-                 for _ in range(rng.randrange(4))]
-                + [mention_ingest.MatchResult(mention_ingest.MatchKind.OUTDATED_URL)]))
+        tweet_id=f"t{i:06d}", created_at=created_at, author_id="a",
+        matches=[mention_ingest.MatchResult(kind.MATCHED, f"https://{FOLD}{rid}.html", rid)
+                 for rid in ids]
+                + [mention_ingest.MatchResult(kind.OUTDATED_URL, link) for link in links]))
 
 
 def _synthetic_backlink(rng: random.Random, release_id: str) -> dict:
@@ -1444,9 +1472,11 @@ class TestStorePrimitives:
                                         "field 'keywords' is 'abc', not a list"),
         "mention without author_id": ("analyze", "mentions_file", 3,
                                       lambda r: r.pop("author_id"), "missing field 'author_id'"),
-        "mention is_retweet as a number": ("analyze", "mentions_file", 3,
-                                           lambda r: r.update(is_retweet=0),
-                                           "field 'is_retweet' is 0, not a bool"),
+        "match without url": ("analyze", "mentions_file", 3, lambda r: r["matches"][0].pop("url"),
+                              "missing field 'url'"),
+        "match with a numeric url": ("analyze", "mentions_file", 3,
+                                     lambda r: r["matches"][0].update(url=5),
+                                     "field 'url' is 5, not a str"),
         "matched entry without release_id": ("analyze", "mentions_file", 3,
                                              lambda r: r["matches"][0].pop("release_id"),
                                              "missing field 'release_id'"),
@@ -1559,12 +1589,15 @@ class TestMutatedStageInputs:
                         "type no press type": lambda r: r.update(type="rumour"),
                         "region no region": lambda r: r.update(region="Atlantis"),
                         "doi repair no repair": lambda r: r["dois"][0].update(repair="guessed")}),
-        **_jsonl_cases("mentions_file", ("analyze",), lambda r: True,
-                       ("tweet_id", "created_at", "author_id", "embedded_urls", "resolved_urls",
-                        "is_retweet", "matches"),
-                       {"resolved url a number": lambda r: r.update(resolved_urls=[5]),
-                        "match kind retyped": lambda r: r["matches"][0].update(kind=5),
-                        "match kind misspelt": lambda r: r["matches"][0].update(kind="matchd")}),
+        **_jsonl_cases("mentions_file", ("analyze",),
+                       lambda r: r["matches"][0]["kind"] == "matched",
+                       ("tweet_id", "created_at", "author_id", "matches"),
+                       {"match kind retyped": lambda r: r["matches"][0].update(kind=5),
+                        "match kind misspelt": lambda r: r["matches"][0].update(kind="matchd"),
+                        "match without url": lambda r: r["matches"][0].pop("url"),
+                        "match url retyped": lambda r: r["matches"][0].update(url=5),
+                        "matched entry without release_id":
+                            lambda r: r["matches"][0].pop("release_id")}),
         **_jsonl_cases("backlinks_attached", ("analyze",), lambda r: True,
                        ("release_id", "window_start", "window_end"),
                        {"release_id a list": lambda r: r.update(release_id=["x"]),

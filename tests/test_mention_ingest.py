@@ -19,7 +19,7 @@ from pressmetrics.mention_ingest import (
     resolve_chain,
 )
 from pressmetrics.store import read_csv, read_jsonl
-from pressmetrics.urls import CorpusIndex
+from pressmetrics.urls import CorpusIndex, canonicalize_url
 
 
 class TestResolveChain:
@@ -121,12 +121,12 @@ class TestIngest:
         assert not any(m.is_retweet
                        for m in ingest_tweets(records, resolver, corpus_index, stats=Counter()))
 
-    def test_match_partition_sums(self, records, resolver, corpus_index):
+    def test_each_match_is_what_its_url_matches(self, records, resolver, corpus_index):
         for mention in ingest_tweets(records, resolver, corpus_index, stats=Counter()):
-            assert len(mention.matches) == len(mention.resolved_urls)
-            kinds = [m.kind for m in mention.matches]
-            assert all(k in (MatchKind.MATCHED, MatchKind.OUTDATED_URL, MatchKind.OUT_OF_SCOPE)
-                       for k in kinds)
+            for match in mention.matches:
+                assert match == match_to_release(match.url, corpus_index)
+                assert match.url == canonicalize_url(match.url)
+            assert mention.resolved_urls == [m.url for m in mention.matches]
 
     def test_output_sorted_and_deterministic(self, records, resolver, corpus_index):
         a = ingest_tweets(records, resolver, corpus_index, stats=Counter())
@@ -203,7 +203,6 @@ class TestIngest:
         stats = Counter()
         (want,) = ingest_tweets([bare], resolver, corpus_index, stats=Counter())
         (got,) = ingest_tweets([dict(bare, urls=[padded])], resolver, corpus_index, stats=stats)
-        assert got.embedded_urls == [padded]
         assert got.resolved_urls == want.resolved_urls
         assert got.matches == want.matches and oracle.matched_release_ids(got)
         assert stats == {}
@@ -249,20 +248,20 @@ class TestIngest:
 
 
 def _mention_line(n: int, matches: list[dict]) -> dict:
-    """A mentions.jsonl record as mention_to_dict writes it, one URL per match."""
-    urls = [f"https://news.test/releases/{n}/{i}.html" for i in range(len(matches))]
+    """A mentions.jsonl record as mention_to_dict writes it."""
     return {"tweet_id": f"t{n:05d}", "created_at": "2016-03-20T09:00:00Z", "author_id": f"u{n}",
-            "embedded_urls": urls, "resolved_urls": list(urls), "is_retweet": False,
             "matches": matches}
 
 
-class TestSharedMatchResults:
-    """mention_from_dict shares the frozen unmatched results between mentions;
-    each mention still equals one built directly, and owns its matches list."""
+class TestDecodedMentions:
+    """mention_from_dict builds each match from its own entry: each mention
+    equals one built directly, and owns its matches list."""
 
     def test_decoded_mentions_equal_built_ones_and_own_their_lists(self, tmp_path):
-        shared = {"kind": "matched", "release_id": "shared-201601"}
-        outdated, out_of_scope = {"kind": "outdated_url"}, {"kind": "out_of_scope"}
+        shared = {"kind": "matched", "release_id": "shared-201601",
+                  "url": "https://news.test/releases/shared-201601.html"}
+        outdated = {"kind": "outdated_url", "url": "https://news.test/releases/gone.html"}
+        out_of_scope = {"kind": "out_of_scope", "url": "https://elsewhere.test/x"}
         mixes = [[shared, outdated, out_of_scope], [shared], [outdated], [out_of_scope, shared],
                  [shared, shared], [], [outdated, out_of_scope]]
         records = [_mention_line(n, mix) for n, mix in enumerate(mixes + mixes)]
@@ -275,12 +274,8 @@ class TestSharedMatchResults:
                 tweet_id=record["tweet_id"],
                 created_at=datetime(2016, 3, 20, 9, tzinfo=timezone.utc),
                 author_id=record["author_id"],
-                embedded_urls=record["embedded_urls"],
-                resolved_urls=record["resolved_urls"],
-                is_retweet=False,
-                matches=[MatchResult(MatchKind(m["kind"]), m.get("release_id"))
+                matches=[MatchResult(MatchKind(m["kind"]), m["url"], m.get("release_id"))
                          for m in record["matches"]])
+            assert not mention.is_retweet
             assert mention_to_dict(mention) == record
         assert len({id(m.matches) for m in mentions}) == len(mentions)
-        assert mentions[0].matches[1] is mentions[2].matches[0]  # one result, shared
-        assert mentions[0].matches[2] is mentions[3].matches[0]

@@ -3,10 +3,10 @@ index. The index reports http and https variants of one URL separately, so
 variants are merged onto the canonical URL: page and site counts add up,
 flow scores (0-100 prestige scales) take the maximum observed.
 
-A site count summed over several raw records (protocol variants, or
-sub-pages of one release) is an upper bound: referring domains may overlap
-between them, which aggregates cannot reveal. Such aggregates carry
-websites_is_upper_bound so reports can say so.
+A site count summed over several raw records (the protocol variants of one
+URL) is an upper bound: referring domains may overlap between them, which
+aggregates cannot reveal. Such aggregates carry websites_is_upper_bound so
+reports can say so.
 """
 
 from __future__ import annotations
@@ -108,15 +108,13 @@ def link_coverage_index(aggregates, index: CorpusIndex) -> LinkCoverage:
     """Attach aggregates to corpus releases by canonical target.
 
     Targets under the corpus fold that match no release are outdated URLs;
-    off-fold targets are rejected. Several aggregates landing on one
-    release (distinct sub-pages) combine under that release.
+    off-fold targets are rejected. The corpus decoder refuses a URL that two
+    releases name, so a release gets at most one aggregate.
     """
     out = LinkCoverage()
     for agg in aggregates:
-        release_id = index.get(agg.target)
-        if release_id is not None:
-            existing = out.attached.get(release_id)
-            out.attached[release_id] = _combine(existing, agg) if existing else agg
+        if (release_id := index.get(agg.target)) is not None:
+            out.attached[release_id] = agg
         elif index.in_fold(agg.target):
             out.outdated.append(agg.target)
         else:

@@ -213,15 +213,16 @@ def stage_parse(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
 
 
 def _releases(path: Path, digests: dict):
-    """Each corpus release, decoded as it is read. A release id that an earlier
-    line has fails at its line."""
-    ids: set[str] = set()
+    """Each corpus release, decoded as it is read, and the one check of release identity:
+    a release id or canonical URL that an earlier line has fails at its line."""
+    seen: set[tuple[str, str]] = set()
 
     def decode(record: dict):
         release = release_from_dict(record)
-        if release.id in ids:
-            raise ValueError(f"release id {release.id!r} repeats an earlier line")
-        ids.add(release.id)
+        for key in (("release id", release.id), ("canonical URL", release.canonical_url)):
+            if key in seen:
+                raise ValueError(f"{key[0]} {key[1]!r} repeats an earlier line")
+            seen.add(key)
         return release
 
     return store.read_jsonl(path, digests, decode)

@@ -29,18 +29,13 @@ class JournalCoverage:
 
 
 def build_coupling_graph(corpus, doi_journals: dict[str, str] | None = None) -> list[CouplingEdge]:
-    """One edge per (release, distinct DOI). The journal comes from the
-    release's own journal metadata (first named journal); the optional
-    DOI->journal table fills in only where the release names none."""
+    """One edge per (release, DOI); the corpus decoder refuses a DOI named twice.
+    The journal is the release's first named journal; the optional DOI->journal
+    table fills in only where the release names none."""
     edges: list[CouplingEdge] = []
-    seen: set[tuple[str, str]] = set()
     for release in corpus:
         journal = release.metadata.journal[0] if release.metadata.journal else None
         for ref in release.dois:
-            key = (release.id, ref.normalized)
-            if key in seen:
-                continue
-            seen.add(key)
             edge_journal = journal
             if edge_journal is None and doi_journals:
                 edge_journal = doi_journals.get(ref.normalized)

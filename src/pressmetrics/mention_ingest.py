@@ -200,8 +200,13 @@ def mention_from_dict(record: dict) -> TweetMention:
         store.typed(record, "tweet_id", str),
         _parse_timestamp(record["created_at"]),
         store.typed(record, "author_id", str),
-        # a matched entry, and only a matched one, needs a release_id
+        # a matched entry, and only a matched one, has a release_id
         [MatchResult(kind := store.member(m, "kind", MatchKind), store.typed(m, "url", str),
-                     store.typed(m, "release_id", str) if kind is MatchKind.MATCHED else None)
-         for m in store.typed(record, "matches", list)],
+                     store.typed(m, "release_id", str) if kind is MatchKind.MATCHED
+                     else _no_release_id(m)) for m in store.typed(record, "matches", list)],
     )
+
+
+def _no_release_id(match: dict) -> None:
+    if "release_id" in match:
+        raise ValueError(f"an {match['kind']} match has release_id {match['release_id']!r}")

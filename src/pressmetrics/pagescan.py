@@ -79,7 +79,6 @@ class PageScan:
     has_form: bool = False
     text: str = ""
     xml_root: str | None = None
-    is_html: bool = False
     empty: bool = False  # the payload was empty or whitespace-only
 
 
@@ -145,13 +144,11 @@ def scan_page(body: bytes) -> PageScan:
                     continue
                 tag = tok.group("tag").lower()
                 if tag not in _TAGS_WITH_FIELDS:
-                    scan.is_html = True
                     continue
                 attrs, rest = _attributes(text[start:pos])
                 if rest not in (">", "/>"):
                     data(text[start:pos], raw=True)
                     continue
-                scan.is_html = True
                 if tag == "a":
                     href = attrs.get("href")
                     if href is not None:

@@ -306,14 +306,14 @@ def load_alias_table(path: str | Path, digests: dict | None = None) -> dict[str,
 
 
 def load_rewrite_table(path: str | Path, digests: dict | None = None) -> list[tuple]:
-    """Rows of (compiled journal_pattern, find, replace) for per-journal DOI fixes."""
+    """Rows of (compiled journal_pattern, compiled find, replace) for per-journal DOI fixes."""
     def rule(row: dict) -> tuple:  # a pattern or template that re refuses fails at its row
-        re.compile(row["find"]).sub(row["replace"], "")
-        return re.compile(row["journal_pattern"], re.IGNORECASE), row["find"], row["replace"]
+        (find := re.compile(row["find"])).sub(row["replace"], "")
+        return re.compile(row["journal_pattern"], re.IGNORECASE), find, row["replace"]
     return store.read_csv(path, rule, digests)
 
 
-def rewrites_for_journals(table, journals: list[str]) -> list[tuple[str, str]]:
+def rewrites_for_journals(table, journals: list[str]) -> list[tuple]:
     """Select rewrite rules whose journal pattern matches any named journal."""
     return [(find, replace) for journal_pattern, find, replace in table
             if any(journal_pattern.search(j) for j in journals)]
@@ -367,6 +367,12 @@ def release_to_dict(release: PressRelease) -> dict:
 
 
 def release_from_dict(record: dict) -> PressRelease:
+    dois: dict[str, DoiRef] = {}
+    for d in store.typed(record, "dois", list):
+        ref = DoiRef(store.typed(d, "raw", str), store.typed(d, "normalized", str),
+                     store.member(d, "repair", Repair))
+        if dois.setdefault(ref.normalized, ref) is not ref:
+            raise ValueError(f"DOI {ref.normalized!r} repeats in 'dois'")
     md = MetadataRecord(
         keywords=store.strings(record, "keywords"),
         description=store.typed(record, "description", str),
@@ -382,8 +388,6 @@ def release_from_dict(record: dict) -> PressRelease:
         id=store.typed(record, "id", str),
         canonical_url=store.typed(record, "canonical_url", str),
         metadata=md,
-        dois=[DoiRef(store.typed(d, "raw", str), store.typed(d, "normalized", str),
-                     store.member(d, "repair", Repair))
-              for d in store.typed(record, "dois", list)],
+        dois=list(dois.values()),
         date_anomaly=store.typed(record, "date_anomaly", bool),
     )

@@ -26,12 +26,10 @@ class _Scanner(HTMLParser):
         self.title_parts: list[str] = []
         self.has_form = False
         self.text_parts: list[str] = []
-        self.saw_markup = False
         self._in_title = False
         self._skip_depth = 0
 
     def handle_starttag(self, tag, attrs):
-        self.saw_markup = True
         attrd = dict(attrs)
         if tag == "meta":
             name = (attrd.get("name") or "").strip().lower()
@@ -83,5 +81,4 @@ def oracle_scan(body: bytes) -> PageScan:
     scan.title = " ".join(" ".join(parser.title_parts).split())
     scan.has_form = parser.has_form
     scan.text = "\n".join(parser.text_parts)
-    scan.is_html = parser.saw_markup
     return scan

@@ -135,18 +135,22 @@ class TestCoverageIndex:
         coverage = link_coverage_index([], corpus_index)
         assert coverage.attached == {} and coverage.outdated == [] and coverage.rejected == []
 
-    def test_two_subpages_attach_to_one_release_summed(self):
+    def test_each_release_attaches_its_merged_aggregate_as_is(self):
         index = CorpusIndex({"https://h.test/fold/a.html": "rel-1",
-                             "https://h.test/fold/a-print.html": "rel-1"}, "h.test/fold/")
+                             "https://h.test/fold/b.html": "rel-2"}, "h.test/fold/")
         aggregates = merge_protocol_variants([
-            RawLinkRecord("https://h.test/fold/a.html", 10, 4, 30, 20),
-            RawLinkRecord("https://h.test/fold/a-print.html", 7, 3, 25, 28),
+            RawLinkRecord("http://h.test/fold/a.html", 10, 4, 30, 20),
+            RawLinkRecord("https://h.test/fold/a.html", 7, 3, 25, 28),
+            RawLinkRecord("https://h.test/fold/b.html", 5, 2, 10, 10),
         ])
         coverage = link_coverage_index(aggregates, index)
+        assert list(coverage.attached) == ["rel-1", "rel-2"]
+        assert [coverage.attached[r] for r in ("rel-1", "rel-2")] == aggregates
         agg = coverage.attached["rel-1"]
         assert agg.mentioning_webpages == 17 and agg.mentioning_websites == 7
         assert agg.citation_flow == 30 and agg.trust_flow == 28
-        assert agg.websites_is_upper_bound
+        assert agg.websites_is_upper_bound and agg.merged_from == 2
+        assert not coverage.attached["rel-2"].websites_is_upper_bound
 
     def test_window_union(self, fixtures_dir):
         aggregates = merge_protocol_variants(read_raw_links_csv(fixtures_dir / "backlinks_micro.csv"))

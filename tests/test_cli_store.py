@@ -254,6 +254,49 @@ class TestRepeatedReleaseIds:
         assert file_tree(cfg) == before
 
 
+class TestReleaseIdentity:
+    """The corpus decoder is the one check that a URL names one release and a
+    release names a DOI once, so every stage that reads the corpus refuses a
+    line that breaks either, at that line, and writes nothing."""
+
+    STAGES = ["ingest-tweets", "ingest-links", "couple", "analyze"]
+
+    @staticmethod
+    def _fails(cfg, stage: str, message: str) -> None:
+        before = file_tree(cfg)
+        with pytest.raises(ValueError) as err:
+            cli.run(stage, cfg)
+        assert str(err.value) == message
+        assert file_tree(cfg) == before
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_canonical_url_under_a_second_id_fails_at_its_line(self, completed_run, tmp_path,
+                                                                 stage):
+        cfg = copied_run(completed_run, tmp_path)
+        lines = cfg.corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = next(json.loads(line) for line in lines if '"csa-202007"' in line)
+        url = record["canonical_url"]
+        record["id"] = "zz-copy"
+        with open(cfg.corpus_file, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        self._fails(cfg, stage, f"{cfg.corpus_file}:{len(lines) + 1}: canonical URL {url!r} "
+                                "repeats an earlier line")
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_normalized_doi_named_twice_fails_at_its_line(self, completed_run, tmp_path, stage):
+        cfg = copied_run(completed_run, tmp_path)
+        lines = cfg.corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        n = next(n for n, line in enumerate(lines) if json.loads(line)["dois"])
+        record = json.loads(lines[n])
+        doi = record["dois"][0]["normalized"]
+        # another raw form of the same DOI
+        record["dois"].append({"raw": f"doi:{doi.upper()}", "normalized": doi,
+                               "repair": "stripped_wrapper"})
+        lines[n] = json.dumps(record, ensure_ascii=False) + "\n"
+        cfg.corpus_file.write_text("".join(lines), encoding="utf-8")
+        self._fails(cfg, stage, f"{cfg.corpus_file}:{n + 1}: DOI {doi!r} repeats in 'dois'")
+
+
 class TestMentionOrder:
     """ingest-tweets writes mentions.jsonl sorted by tweet id, so analyze refuses
     a line whose id is not above the line before's: a repeat, or one out of order."""
@@ -1483,6 +1526,14 @@ class TestStorePrimitives:
         "matched entry with a null release_id": ("analyze", "mentions_file", 3,
                                                  lambda r: r["matches"][0].update(release_id=None),
                                                  "field 'release_id' is None, not a str"),
+        "outdated entry with a release_id": (
+            "analyze", "mentions_file", 3,
+            lambda r: r["matches"][0].update(kind="outdated_url", release_id="x"),
+            "an outdated_url match has release_id 'x'"),
+        "out-of-scope entry with a null release_id": (
+            "analyze", "mentions_file", 3,
+            lambda r: r["matches"][0].update(kind="out_of_scope", release_id=None),
+            "an out_of_scope match has release_id None"),
         **{f"mention time {stamp}": ("analyze", "mentions_file", 3,
                                      lambda r, stamp=stamp: r.update(created_at=stamp),
                                      f"not a YYYY-MM-DDTHH:MM:SS time: {stamp!r}")
@@ -1597,7 +1648,11 @@ class TestMutatedStageInputs:
                         "match without url": lambda r: r["matches"][0].pop("url"),
                         "match url retyped": lambda r: r["matches"][0].update(url=5),
                         "matched entry without release_id":
-                            lambda r: r["matches"][0].pop("release_id")}),
+                            lambda r: r["matches"][0].pop("release_id"),
+                        "matched entry relabelled outdated_url":
+                            lambda r: r["matches"][0].update(kind="outdated_url"),
+                        "matched entry relabelled out_of_scope":
+                            lambda r: r["matches"][0].update(kind="out_of_scope")}),
         **_jsonl_cases("backlinks_attached", ("analyze",), lambda r: True,
                        ("release_id", "window_start", "window_end"),
                        {"release_id a list": lambda r: r.update(release_id=["x"]),

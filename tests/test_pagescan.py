@@ -82,7 +82,7 @@ EDGE_CASES = [
     (b"<a", PageScan(text="<\na")),
     (b"<a href=", PageScan(text="<\na href=")),
     (b"<a href='x", PageScan(text="<\na href='x")),
-    (b'<a href="x>y">z', PageScan(anchors=["x>y"], text="z", is_html=True)),
+    (b'<a href="x>y">z', PageScan(anchors=["x>y"], text="z")),
     (b"<!-->x-->y", PageScan(text="y")),
     (b"<!-- x --!> y --> z", PageScan(text=" z")),
     (b"<!-- never closed > tail", PageScan(text="<!-- never closed >\n tail")),
@@ -96,30 +96,30 @@ EDGE_CASES = [
     (b"<![foo]>lost", PageScan()),
     (b"<![ lost", PageScan()),
     (b"<![", PageScan(text="<\n![")),
-    (b"<title/>t", PageScan(text="t", is_html=True)),
-    (b"<script/>x", PageScan(text="x", is_html=True)),
-    (b"<style/>y", PageScan(text="y", is_html=True)),
-    (b"<script>a</scriptx>b</script >c", PageScan(text="c", is_html=True)),
-    (b"<style>x</STYLE>y", PageScan(text="y", is_html=True)),
-    (b"<script>never closed", PageScan(is_html=True)),
-    (b"<title>a<b>c</b>d</title>e", PageScan(title="a c d", text="a\nc\nd\ne", is_html=True)),
-    (b"<TITLE>t</ title>", PageScan(title="t", text="t", is_html=True)),
-    (b"<title>t</title foo>x", PageScan(title="t", text="t\nx", is_html=True)),
+    (b"<title/>t", PageScan(text="t")),
+    (b"<script/>x", PageScan(text="x")),
+    (b"<style/>y", PageScan(text="y")),
+    (b"<script>a</scriptx>b</script >c", PageScan(text="c")),
+    (b"<style>x</STYLE>y", PageScan(text="y")),
+    (b"<script>never closed", PageScan()),
+    (b"<title>a<b>c</b>d</title>e", PageScan(title="a c d", text="a\nc\nd\ne")),
+    (b"<TITLE>t</ title>", PageScan(title="t", text="t")),
+    (b"<title>t</title foo>x", PageScan(title="t", text="t\nx")),
     (b"<a\x00b>c", PageScan(text="<a\n\x00b>c")),
-    (b"<a href=x/>y", PageScan(anchors=["x/"], text="y", is_html=True)),
-    (b"<script src=x/>z</script>w", PageScan(text="w", is_html=True)),
-    (b"<a href>x</a>", PageScan(text="x", is_html=True)),
-    (b"<a href=1 href=2>", PageScan(anchors=["2"], is_html=True)),
+    (b"<a href=x/>y", PageScan(anchors=["x/"], text="y")),
+    (b"<script src=x/>z</script>w", PageScan(text="w")),
+    (b"<a href>x</a>", PageScan(text="x")),
+    (b"<a href=1 href=2>", PageScan(anchors=["2"])),
     (b"<meta name=A content=1><meta name=a content=2>",
-     PageScan(meta={"a": "1"}, is_html=True)),
+     PageScan(meta={"a": "1"})),
     (b"<a href='&amp;&lt;'>&amp;x&#65;&#x42;&ampy",
-     PageScan(anchors=["&<"], text="&xAB&y", is_html=True)),
+     PageScan(anchors=["&<"], text="&xAB&y")),
     (b"&am", PageScan(text="&am")),
     (b"x &", PageScan(text="x &")),
     (b"<!--x>&#6", PageScan(text="<!--x>")),
     ("<title>café \xa0 x</title>".encode(),
-     PageScan(title="café x", text="café \xa0 x", is_html=True)),
-    ("<script></ſcript>lost".encode(), PageScan(is_html=True)),
+     PageScan(title="café x", text="café \xa0 x")),
+    ("<script></ſcript>lost".encode(), PageScan()),
 ]
 
 

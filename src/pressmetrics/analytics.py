@@ -143,8 +143,7 @@ class Fold:
             self.year_of[release.id] = md.date.year
         if md.type is not None:
             self.types[md.type] += 1
-        if md.region is not Region.UNKNOWN:
-            self.regions[md.region] += 1
+        self.regions[md.region] += 1  # unknown too: the distribution leaves it out
         if md.institution:
             self.institutions[md.institution] += 1
         keywords = sorted(set(md.keywords))
@@ -167,6 +166,21 @@ class Fold:
         if same_year:
             self.same_year[year] += 1
 
+    def mention_tally(self) -> dict:  # the mention part, as JSON that take_mention_tally reads
+        return {"mention_years": self.mention_years, "mentions": self.mentions,
+                "same_year": self.same_year, "tweeted": sorted(self.tweeted)}
+
+    def take_mention_tally(self, tally: dict) -> None:
+        """Set the mention part from a document that mention_tally wrote for this corpus, as
+        store.write_json wrote it; any other document raises before the fold is changed."""
+        years, same_year = (+Counter({int(y): int(n) for y, n in tally[key].items()})
+                            for key in ("mention_years", "same_year"))
+        part = {"mention_years": years, "mentions": years.total(), "same_year": same_year,
+                "tweeted": sorted(set(tally["tweeted"]) & self.year_of.keys())}
+        if json.dumps(part) != json.dumps(tally) or not same_year <= years:
+            raise ValueError("not a mention tally of this corpus")
+        vars(self).update(part, tweeted=set(part["tweeted"]))
+
     def add_link(self, release_id: str) -> None:
         """The release carries an attached backlink aggregate."""
         if release_id in self.year_of:
@@ -186,7 +200,7 @@ class Fold:
         return _ranked(self.graph.nodes)
 
     def region_distribution(self) -> dict[Region, tuple[int, float]]:
-        return distribution_percentages(self.regions)
+        return distribution_percentages(+Counter({**self.regions, Region.UNKNOWN: 0}))
 
     def pio_ranking(self, alias_table: dict[str, str]) -> list[tuple[str, int]]:
         merged: Counter[str] = Counter()

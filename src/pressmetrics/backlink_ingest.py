@@ -109,12 +109,13 @@ def link_coverage_index(aggregates, index: CorpusIndex) -> LinkCoverage:
 
     Targets under the corpus fold that match no release are outdated URLs;
     off-fold targets are rejected. The corpus decoder refuses a URL that two
-    releases name, so a release gets at most one aggregate.
+    releases name; an index that gives one release two targets is refused here.
     """
     out = LinkCoverage()
     for agg in aggregates:
         if (release_id := index.get(agg.target)) is not None:
-            out.attached[release_id] = agg
+            if (kept := out.attached.setdefault(release_id, agg)) is not agg:
+                raise ValueError(f"{release_id!r} has two targets: {kept.target} and {agg.target}")
         elif index.in_fold(agg.target):
             out.outdated.append(agg.target)
         else:

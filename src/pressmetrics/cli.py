@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -62,6 +63,7 @@ class PipelineConfig:
     crawl_manifest = property(lambda self: self.corpus_dir / "crawl_manifest.jsonl")
     corpus_file = property(lambda self: self.corpus_dir / "corpus.jsonl")
     mentions_file = property(lambda self: self.corpus_dir / "mentions.jsonl")
+    mention_tally = property(lambda self: self.corpus_dir / "mention_tally.json")
     backlinks_attached = property(lambda self: self.corpus_dir / "backlinks.jsonl")
     backlinks_outdated = property(lambda self: self.corpus_dir / "backlinks_outdated.jsonl")
     run_log = property(lambda self: self.corpus_dir / "run_log.jsonl")
@@ -307,9 +309,35 @@ def _distribution_rows(dist: dict) -> list[list]:
             for key, (n, p) in sorted(dist.items(), key=lambda kv: (-kv[1][0], kv[0].value))]
 
 
+def _program_digest() -> str:
+    """SHA-256 over the package's sources, so that no other program's tally is reused."""
+    return hashlib.sha256(b"".join(hashlib.sha256(p.name.encode() + b"\0" + p.read_bytes()).digest()
+                                   for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
+
+
+def _fold_mentions(cfg: PipelineConfig, manifest: RunManifest, fold, inputs) -> dict | None:
+    """Take the mention part from a tally keyed by this program's, corpus's and mentions' digests
+    (hashed once a tally is read) and return None; else fold the mentions, returning their tally."""
+    key = {"program": _program_digest(), "corpus": manifest.input_digests[str(cfg.corpus_file)]}
+    manifest.counts["mention_tally_reused"], read = 0, {}
+    with suppress(ArithmeticError, AttributeError, KeyError, OSError, TypeError, ValueError):
+        tally = store.read_json(cfg.mention_tally, read)  # a missing or bad tally is rebuilt
+        key["mentions"] = read[str(cfg.mentions_file)] = store.file_digest(cfg.mentions_file)
+        if tally.pop("key") == key:
+            fold.take_mention_tally(tally)
+            manifest.input_digests.update(read)
+            manifest.counts["mention_tally_reused"] = 1
+            return None
+    for mention in inputs.mentions_file:
+        fold.add_mention(mention)
+    key["mentions"] = manifest.input_digests[str(cfg.mentions_file)]  # from the decoding read
+    return {"key": key, **fold.mention_tally()}
+
+
 def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
-    fold = analytics.Fold(inputs.corpus_file, inputs.mentions_file or ())
+    fold = analytics.Fold(inputs.corpus_file)
     has_mentions = inputs.mentions_file is not None
+    tally = has_mentions and _fold_mentions(cfg, manifest, fold, inputs)
     has_backlinks = inputs.backlinks_attached is not None
     windows: dict[str, date] = {}
     for release_id, *ends in inputs.backlinks_attached or ():
@@ -372,6 +400,8 @@ def stage_analyze(cfg: PipelineConfig, manifest: RunManifest, inputs) -> None:
         populations["coverage_table"] = sum(r.published for r in rows)
 
     _write(manifest, store.write_json, cfg.summary_file, populations)
+    if tally:  # the last write, so that a failed analyze leaves no new tally
+        _write(manifest, store.write_json, cfg.mention_tally, tally)
     dict.update(manifest.counts, populations)  # set, as Counter.update would add to strings
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from . import store
 from .urls import CorpusIndex, canonicalize_url
@@ -48,8 +49,7 @@ class MatchKind(str, Enum):
     OUT_OF_SCOPE = "out_of_scope"
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     kind: MatchKind
     url: str  # the resolved, canonical URL that the match was made from
     release_id: str | None = None
@@ -124,11 +124,11 @@ def match_to_release(final: str, index: CorpusIndex) -> MatchResult:
     the corpus fold but matches nothing; out-of-scope otherwise."""
     release_id = index.get(final)
     if release_id is not None:
-        return MatchResult(MatchKind.MATCHED, final, release_id)
-    return MatchResult(MatchKind.OUTDATED_URL if index.in_fold(final) else MatchKind.OUT_OF_SCOPE,
-                       final)
+        return MatchResult(_MATCHED, final, release_id)
+    return MatchResult(_OUTDATED_URL if index.in_fold(final) else _OUT_OF_SCOPE, final)
 
 
+_MATCHED, _OUTDATED_URL, _OUT_OF_SCOPE = MatchKind  # in order, read once: Enum reads are slow
 # YYYY-MM-DDTHH:MM:SS[.fff|.ffffff][Z|±HH:MM]: read alike by fromisoformat on 3.10 and 3.11
 _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
                         r"(?:\.[0-9]{3}|\.[0-9]{6})?(?:Z|[+-][0-9]{2}:[0-9]{2})?")
@@ -177,7 +177,7 @@ def ingest_tweets(records, hops: dict, index: CorpusIndex, stats: dict) -> list[
             if url not in finals:
                 finals[url] = resolve_chain(url.strip(), hops).final
             matches.append(match_to_release(finals[url], index))
-        if not any(m.kind in (MatchKind.MATCHED, MatchKind.OUTDATED_URL) for m in matches):
+        if all(m.kind is _OUT_OF_SCOPE for m in matches):
             dropped["no_corpus_url"] += 1
             continue
         kept[tweet_id] = TweetMention(tweet_id, created_at, author_id, matches)
@@ -202,7 +202,7 @@ def mention_from_dict(record: dict) -> TweetMention:
         store.typed(record, "author_id", str),
         # a matched entry, and only a matched one, has a release_id
         [MatchResult(kind := store.member(m, "kind", MatchKind), store.typed(m, "url", str),
-                     store.typed(m, "release_id", str) if kind is MatchKind.MATCHED
+                     store.typed(m, "release_id", str) if kind is _MATCHED
                      else _no_release_id(m)) for m in store.typed(record, "matches", list)],
     )
 

@@ -134,7 +134,7 @@ def read_jsonl(path: str | Path, digests: dict | None = None, convert=None):
             digest.update(raw)
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if line.isspace():  # a line is never empty: it ends with its "\n", or has text
                     continue
                 record = json.loads(line)
             except json.JSONDecodeError as err:

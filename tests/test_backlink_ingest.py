@@ -152,6 +152,19 @@ class TestCoverageIndex:
         assert agg.websites_is_upper_bound and agg.merged_from == 2
         assert not coverage.attached["rel-2"].websites_is_upper_bound
 
+    def test_an_index_that_gives_one_release_two_targets_is_refused(self):
+        # the corpus decoder refuses this index; one built by hand is refused here
+        index = CorpusIndex({"https://h.test/fold/a.html": "rel-1",
+                             "https://h.test/fold/a-print.html": "rel-1"}, "h.test/fold/")
+        aggregates = merge_protocol_variants([
+            RawLinkRecord("https://h.test/fold/a.html", 10, 4, 30, 20),
+            RawLinkRecord("https://h.test/fold/a-print.html", 7, 3, 25, 28),
+        ])
+        with pytest.raises(ValueError) as err:
+            link_coverage_index(aggregates, index)
+        assert str(err.value) == ("'rel-1' has two targets: "
+                                  "https://h.test/fold/a-print.html and https://h.test/fold/a.html")
+
     def test_window_union(self, fixtures_dir):
         aggregates = merge_protocol_variants(read_raw_links_csv(fixtures_dir / "backlinks_micro.csv"))
         for agg in aggregates:

@@ -1217,6 +1217,15 @@ class TestAnalyze:
             cfg.tweets_file, cfg.backlinks_file, cfg.resolver_file, cfg.doi_rewrites,
             cfg.external_counts, cfg.alias_journals, cfg.doi_journals, cfg.alias_institutions,
             cfg.report_dir / "summary.json")}
+        # a second analyze takes its mention part from the first one's tally: mentions.jsonl
+        # is hashed, not decoded, and the tally is recorded from the read that decodes it
+        digested.clear()
+        manifest = cli.run("analyze", cfg)
+        assert manifest.counts["mention_tally_reused"] == 1
+        assert digested == [str(cfg.mentions_file)]
+        assert manifest.input_digests == {str(p): file_digest(p) for p in (
+            cfg.corpus_file, cfg.alias_institutions, cfg.mentions_file, cfg.backlinks_attached,
+            cfg.mention_tally)}
 
     @pytest.mark.parametrize("stage_files", [(), ("mentions_file",), ("backlinks_attached",),
                                              ("mentions_file", "backlinks_attached")])
@@ -1240,7 +1249,147 @@ class TestAnalyze:
         manifest = json.loads((second.report_dir / "report_manifest.json").read_text())
         assert set(manifest["reports"]) & optional == want
         assert ("mentions" in manifest["populations"]) == ("mentions_file" in stage_files)
+        assert second.mention_tally.exists() == ("mentions_file" in stage_files)
         assert ("coverage_table" in manifest["populations"]) == ("coverage_table.csv" in want)
+
+
+def _edit_lines(path: Path, edit) -> None:
+    """Rewrite ``path`` as ``edit`` returns its list of lines (each with its end)."""
+    path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+
+
+def _move_a_release_a_year(lines: list[bytes]) -> list[bytes]:
+    """One byte of the corpus changed: a tweeted release dated 2016 is dated 2017."""
+    at = next(n for n, line in enumerate(lines) if b'"id": "csa-201607"' in line)
+    lines[at] = lines[at].replace(b'"date": "2016-', b'"date": "2017-')
+    assert lines[at].count(b'"date": "2017-') == 1
+    return lines
+
+
+def _edit_tally(edit):
+    """A damage that leaves the tally's key as it is: its JSON edited, written as analyze writes."""
+    def damage(cfg: cli.PipelineConfig) -> None:
+        tally = json.loads(cfg.mention_tally.read_text(encoding="utf-8"))
+        edit(tally)
+        store.write_json(cfg.mention_tally, tally)
+    return damage
+
+
+class TestMentionTally:
+    """analyze keeps the mention part of its fold in mention_tally.json, keyed by the digests
+    of the program, the corpus and the mentions, and takes it from there while the key holds."""
+
+    # the reports that the mention part feeds
+    MENTION_REPORTS = ("mention_series.csv", "tweets_per_release.csv", "coverage_table.csv")
+
+    @staticmethod
+    def fresh(completed_run, base: Path) -> cli.PipelineConfig:
+        """A copy of the fixture run's stage files, without a tally."""
+        cfg = copied_run(completed_run, base)
+        cfg.mention_tally.unlink()
+        return cfg
+
+    @staticmethod
+    def analyze(cfg: cli.PipelineConfig, granularity: str = "daily") -> tuple[dict, dict]:
+        """The counts and reports of an analyze into a report directory of its own."""
+        run = dataclasses.replace(cfg, granularity=granularity,
+                                  report_dir=cfg.report_dir.parent / granularity)
+        counts = cli.run("analyze", run).counts
+        return dict(counts), {p.name: p.read_bytes() for p in run.report_dir.iterdir()}
+
+    def test_a_daily_analyze_reuses_the_yearly_tally(self, completed_run, tmp_path, monkeypatch):
+        cfg = self.fresh(completed_run, tmp_path / "reused")
+        counts, _ = self.analyze(cfg, "yearly")
+        assert counts["mention_tally_reused"] == 0
+        tally = cfg.mention_tally.read_bytes(), cfg.mention_tally.stat().st_ino
+        want_counts, want = self.analyze(self.fresh(completed_run, tmp_path / "rebuilt"))
+        decoded = []
+        monkeypatch.setattr(mention_ingest, "mention_from_dict", decoded.append)
+        counts, got = self.analyze(cfg)
+        assert counts["mention_tally_reused"] == 1 and decoded == []
+        assert got == want
+        assert counts == {**want_counts, "mention_tally_reused": 1}
+        assert (cfg.mention_tally.read_bytes(), cfg.mention_tally.stat().st_ino) == tally
+
+    @pytest.mark.parametrize("change", ["program", "corpus", "mentions"])
+    def test_a_changed_key_part_forces_a_rebuild_equal_to_a_fresh_run(
+            self, completed_run, tmp_path, monkeypatch, change):
+        cfg = self.fresh(completed_run, tmp_path / "tallied")
+        _, before = self.analyze(cfg, "yearly")
+        fresh = self.fresh(completed_run, tmp_path / "fresh")
+        for copy in (cfg, fresh):
+            if change == "corpus":
+                _edit_lines(copy.corpus_file, _move_a_release_a_year)
+            elif change == "mentions":
+                _edit_lines(copy.mentions_file, lambda lines: lines[1:])
+        if change == "program":
+            monkeypatch.setattr(cli, "_program_digest", lambda: "0" * 64)
+        counts, got = self.analyze(cfg)
+        assert counts["mention_tally_reused"] == 0
+        _, want = self.analyze(fresh)
+        assert got == want
+        assert cfg.mention_tally.read_bytes() == fresh.mention_tally.read_bytes()
+        if change != "program":  # the stale tally would have given other reports
+            assert any(got[name] != before[name] for name in self.MENTION_REPORTS)
+
+    DAMAGE = {
+        "truncated": lambda cfg: cfg.mention_tally.write_bytes(
+            cfg.mention_tally.read_bytes()[:200]),
+        "not an object": lambda cfg: store.write_json(cfg.mention_tally, []),
+        "without a key": _edit_tally(lambda t: t.pop("key")),
+        "a count stored as a string": _edit_tally(
+            lambda t: t["mention_years"].update({"2016": str(t["mention_years"]["2016"])})),
+        "a count stored as a float": _edit_tally(
+            lambda t: t["same_year"].update({"2017": float(t["same_year"]["2017"])})),
+        "a count stored as true": _edit_tally(lambda t: t.update(
+            mention_years={**t["mention_years"], "2021": True}, mentions=t["mentions"] + 1)),
+        "a count of 0": _edit_tally(lambda t: t["same_year"].update({"2021": 0})),
+        "a year with a leading zero": _edit_tally(lambda t: t.update(mention_years={
+            ("0" + y if y == "2016" else y): n for y, n in t["mention_years"].items()})),
+        "mentions that are not the years' sum": _edit_tally(
+            lambda t: t.update(mentions=t["mentions"] + 1)),
+        "more same-year tweets than tweets": _edit_tally(
+            lambda t: t["same_year"].update({"2017": t["mention_years"]["2017"] + 1})),
+        "a tweeted id that is not in the corpus": _edit_tally(
+            lambda t: t["tweeted"].append("zz-not-a-release")),
+        "a tweeted id of an undated release": _edit_tally(
+            lambda t: t.update(tweeted=sorted(t["tweeted"] + ["rnl-196901"]))),
+        "a tweeted id twice": _edit_tally(
+            lambda t: t.update(tweeted=sorted(t["tweeted"] + t["tweeted"][:1]))),
+        "a field it does not write": _edit_tally(lambda t: t.update(extra=[])),
+    }
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_a_damaged_tally_is_rebuilt_and_never_raises(self, completed_run, tmp_path, damage):
+        cfg = self.fresh(completed_run, tmp_path / "damaged")
+        self.analyze(cfg, "yearly")
+        fresh = self.fresh(completed_run, tmp_path / "fresh")
+        self.DAMAGE[damage](cfg)
+        counts, got = self.analyze(cfg)
+        assert counts["mention_tally_reused"] == 0
+        assert got == self.analyze(fresh)[1]
+        assert cfg.mention_tally.read_bytes() == fresh.mention_tally.read_bytes()
+
+    def test_an_analyze_whose_report_write_fails_leaves_no_new_tally(self, completed_run,
+                                                                     tmp_path, monkeypatch):
+        write_csv = store.write_csv
+
+        def failing(path, *args):
+            if Path(path).name == "coverage_table.csv":
+                raise OSError("no space left on device")
+            return write_csv(path, *args)
+
+        first = self.fresh(completed_run, tmp_path / "first")
+        stale = self.fresh(completed_run, tmp_path / "stale")
+        self.analyze(stale, "yearly")
+        _edit_lines(stale.mentions_file, lambda lines: lines[1:])
+        tally = stale.mention_tally.read_bytes()
+        monkeypatch.setattr(store, "write_csv", failing)
+        for cfg in (first, stale):
+            with pytest.raises(OSError):
+                self.analyze(cfg)
+        assert not first.mention_tally.exists()
+        assert stale.mention_tally.read_bytes() == tally
 
 
 def _python(code: str, *args) -> subprocess.CompletedProcess:
@@ -1407,6 +1556,12 @@ class TestStorePrimitives:
         "crlf": (b'{"a": 1}\r\n\r\n{"a": 2}\r\n', [{"a": 1}, {"a": 2}]),
         "lone cr": (b'{"a": 1}\r{"a": 2}\r', "1: Extra data at column 10"),
         "not utf-8": (b'{"a": 1}\n\xff\n', f"2: {_not_utf8}"),
+        "whitespace-only lines": (b'{"a": 1}\n \t\n\x0c\r\n{"a": 2}\n', [{"a": 1}, {"a": 2}]),
+        # json.loads, not a decoder that skips it, names the BOM at its line
+        "bom": (b'{"a": 1}\n\xef\xbb\xbf{"a": 2}\n',
+                "2: Unexpected UTF-8 BOM (decode using utf-8-sig) at column 1"),
+        "bom-only line": (b'{"a": 1}\n\xef\xbb\xbf\n',
+                          "2: Unexpected UTF-8 BOM (decode using utf-8-sig) at column 1"),
     }
 
     @staticmethod

@@ -86,6 +86,14 @@ class TestMatch:
         off = match_to_release("https://unrelated.example/x", corpus_index)
         assert off.kind is MatchKind.OUT_OF_SCOPE
 
+    @pytest.mark.parametrize("field", ["kind", "url", "release_id"])
+    def test_a_match_result_is_immutable(self, corpus_index, corpus, field):
+        hit = match_to_release(corpus[0].canonical_url, corpus_index)
+        with pytest.raises(AttributeError):
+            setattr(hit, field, None)
+        assert hit == MatchResult(MatchKind.MATCHED, corpus[0].canonical_url, corpus[0].id)
+        assert MatchResult(MatchKind.OUT_OF_SCOPE, "https://x.test/").release_id is None
+
     @pytest.mark.parametrize("url", ["https://www.eksci.test/releases-archive/2017/gone.html",
                                      "https://www.eksci.test/releasesX"])
     def test_sibling_of_an_unslashed_fold_is_out_of_scope(self, url):

@@ -9,9 +9,15 @@ with no truth needed.
   count by 1 and changes nothing else.
 
 "Nothing" is ``mentions.jsonl``, every report and the ingest-tweets counts.
+
+One relation is over the granularity instead: in one corpus directory, the
+daily publication series summed by year is the yearly one, and no other
+report that analyze writes depends on the granularity.
 """
 
+import csv
 import dataclasses
+import io
 import json
 import shutil
 import tempfile
@@ -152,3 +158,34 @@ def test_one_added_tweet_raises_exactly_its_drop_count(base, expected, data, rea
     want_files, want_counts = expected
     assert files == want_files
     assert counts - want_counts == Counter({reason: 1}) and not want_counts - counts
+
+
+# every report of analyze but annual_output.csv and summary.json
+GRANULARITY_FREE = ("mention_series.csv", "tweets_per_release.csv", "coverage_table.csv",
+                    "type_distribution.csv", "region_distribution.csv", "keyword_frequency.csv",
+                    "pio_ranking.csv", "cooccurrence_graph.json")
+
+
+def test_the_daily_series_sums_to_the_yearly_one_and_nothing_else_depends_on_it(base, tmp_path):
+    cfg = dataclasses.replace(base, corpus_dir=tmp_path / "corpus",
+                              tweets_file=FIXTURES / "tweets_main.jsonl")
+    cfg.corpus_dir.mkdir()
+    for path in (base.corpus_file, base.backlinks_attached):
+        shutil.copy(path, cfg.corpus_dir)
+    cli.run("ingest-tweets", cfg)
+    reports, reused = {}, {}
+    for granularity in ("yearly", "daily"):  # the daily run takes the yearly run's mention tally
+        run = dataclasses.replace(cfg, granularity=granularity, report_dir=tmp_path / granularity)
+        reused[granularity] = cli.run("analyze", run).counts["mention_tally_reused"]
+        reports[granularity] = {p.name: p.read_bytes() for p in run.report_dir.iterdir()}
+    assert reused == {"yearly": 0, "daily": 1}
+    yearly, daily = (list(csv.reader(io.StringIO(reports[g]["annual_output.csv"].decode())))
+                     for g in ("yearly", "daily"))
+    assert (yearly[0], daily[0]) == (["year", "count"], ["date", "count"])
+    summed = Counter()
+    for day, n in daily[1:]:
+        summed[day[:4]] += int(n)
+    assert yearly[1:] == [[year, str(n)] for year, n in sorted(summed.items())]
+    assert set(GRANULARITY_FREE) < set(reports["daily"])
+    for name in GRANULARITY_FREE:
+        assert reports["yearly"][name] == reports["daily"][name], name
